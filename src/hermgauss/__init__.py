@@ -7,12 +7,7 @@ mutually cross-validating routes (closed form, quadrature, series sums,
 finite differences), plus a Monte Carlo estimation harness.
 """
 
-from .hermite import (
-    hermite,
-    hermite_normalized,
-    hermite_derivative_pair,
-    orthogonality_residual,
-)
+from .hermite import orthogonality_residual
 from .models import (
     ModelPoint,
     PhysicalOscillator,
@@ -21,7 +16,6 @@ from .models import (
     InvalidStateError,
     pdf,
     kernel,
-    kernel_pure_factored,
     from_physical,
     wavefunction,
 )
@@ -32,7 +26,6 @@ from .quadrature import (
     IntegrandError,
     NonRemovableSingularityError,
     integrate_real_line,
-    integrate_ratio,
 )
 from .geometry import (
     MetricTensor2,
@@ -56,9 +49,6 @@ from .estimation import (
 )
 
 __all__ = [
-    "hermite",
-    "hermite_normalized",
-    "hermite_derivative_pair",
     "orthogonality_residual",
     "ModelPoint",
     "PhysicalOscillator",
@@ -67,7 +57,6 @@ __all__ = [
     "InvalidStateError",
     "pdf",
     "kernel",
-    "kernel_pure_factored",
     "from_physical",
     "wavefunction",
     "QuadConfig",
@@ -76,7 +65,6 @@ __all__ = [
     "IntegrandError",
     "NonRemovableSingularityError",
     "integrate_real_line",
-    "integrate_ratio",
     "MetricTensor2",
     "CurvatureReport",
     "GeodesicTrace",

@@ -56,7 +56,6 @@ class RunConfig:
     command: str
     quad: QuadConfig
     output_format: str = "json"
-    renormalize: bool = False
     estimation: dict = None
     geodesic: dict = None
 
@@ -143,7 +142,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown output format {fmt!r}")
 
     return RunConfig(state=state, point=point, command=command, quad=quad,
-                     output_format=fmt, renormalize=renormalize,
+                     output_format=fmt,
                      estimation=raw.get("estimation", {}),
                      geodesic=raw.get("geodesic", {}))
 
@@ -172,7 +171,7 @@ def _emit(report, fmt, out):
 def _emit_csv(obj, out, prefix):
     if isinstance(obj, dict):
         for k in obj:
-            _emit_csv(obj[k], out, f"{prefix}{k}." if prefix or True else k)
+            _emit_csv(obj[k], out, f"{prefix}{k}.")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _emit_csv(v, out, f"{prefix}{i}.")

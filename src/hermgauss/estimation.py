@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _CDF_NODES = 8192
+# Fewest trials (and surviving fits) that make the covariance meaningful.
+_MIN_TRIALS = 30
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class _CdfTable:
         self.cdf_vals = vals / total
         self.cdf = cdf
         self.total = total
-
-    def cdf_of_y(self, y):
-        return np.clip(self.cdf(np.asarray(y, dtype=float)) / self.total, 0.0, 1.0)
 
     def invert(self, u: np.ndarray, iterations: int = 60) -> np.ndarray:
         """Bisection on the interpolated CDF, vectorized over u."""
@@ -206,21 +205,30 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     violation only when it undercuts the bound by more than three standard
     errors of the variance estimate (the MLE is asymptotically efficient,
     so the scaled variances should sit at the bound, never clearly below).
+    Failed fits are listed in ``failed_trials``; RuntimeError is raised,
+    chained to the first failure, when fewer than 30 fits succeed.
     """
-    if trials < 30:
-        raise ValueError("need at least 30 trials for a meaningful covariance")
+    if trials < _MIN_TRIALS:
+        raise ValueError(
+            f"need at least {_MIN_TRIALS} trials for a meaningful covariance")
     metric = metric_quadrature(spec, point)
     bound = crb_bound(metric)
     estimates = np.empty((trials, 2))
     failed = []
+    first_error = None
     for t in range(trials):
         batch = sample(spec, point, samples_per_trial, _trial_seed(seed, t))
         try:
             fit = mle_fit(batch, spec)
             estimates[t] = (fit.mu, fit.sigma)
-        except (RuntimeError, ValueError):
+        except (RuntimeError, ValueError) as exc:
             estimates[t] = np.nan
             failed.append(t)
+            first_error = first_error or exc
+    if trials - len(failed) < _MIN_TRIALS:
+        raise RuntimeError(
+            f"{len(failed)} of {trials} MLE trials failed, leaving fewer "
+            f"than {_MIN_TRIALS} estimates") from first_error
     ok = ~np.isnan(estimates[:, 0])
     good = estimates[ok]
     cov = np.cov(good, rowvar=False) * samples_per_trial

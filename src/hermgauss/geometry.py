@@ -7,7 +7,9 @@ Three routes to the metric are provided (closed form for number states,
 quadrature of the Fisher integrals, and the series sums valid for real
 superpositions) together with two routes to the scalar curvature (the
 reduced determinant formula and a finite-difference assembly of the full
-Riemann tensor, which exists to validate conventions).
+Riemann tensor, which exists to validate conventions).  With Itilde =
+(a, b, c) and v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a scaled
+Poincare half-plane in (v, sigma), so geodesics are sampled exactly.
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ class GeodesicTrace:
         """Metric speed I_ab v^a v^b at every sample; constant on a geodesic."""
         a, b, c = self.reduced
         sig = self.samples[:, 2]
-        vm = self.samples[:, 3]
-        vs = self.samples[:, 4]
-        return (a * vm * vm + 2.0 * b * vm * vs + c * vs * vs) / sig ** 2
+        vm = self.samples[:, 3] / sig
+        vs = self.samples[:, 4] / sig
+        return a * vm * vm + 2.0 * b * vm * vs + c * vs * vs
 
 
 def _validated(point, reduced, path) -> MetricTensor2:
@@ -231,10 +233,9 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
 def christoffel_reduced(reduced, sigma: float) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of a metric A/sigma^2, A constant.
 
-    With coordinates (mu, sigma) = (0, 1):
-        Gamma^k_ij = -(1/sigma) * (d_{j,1} d^k_i + d_{i,1} d^k_j
-                                   - (A^-1 A)_{..} correction),
-    assembled below directly from the Levi-Civita formula.
+    With coordinates (mu, sigma) = (0, 1), only d_sigma g_ij = -2 A_ij /
+    sigma^3 is nonzero, and the Levi-Civita formula reduces to
+        Gamma^k_ij = -(d_{j,1} d^k_i + d_{i,1} d^k_j - (A^-1)_{k1} A_ij) / sigma.
     """
     a, b, c = reduced
     amat = np.array([[a, b], [b, c]])
@@ -367,51 +368,60 @@ def _reduced_for(spec: StateSpec, point: ModelPoint,
 def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
                    tau_end: float, steps: int,
                    config: QuadConfig | None = None) -> GeodesicTrace:
-    """Integrate the geodesic equations with a fixed-step RK4 scheme.
+    """Sample the geodesic from ``start`` with initial ``velocity`` exactly.
 
-    The Christoffel symbols come from the exact sigma-dependence of the
-    metric (the reduced components are constants of the state).  The trace
-    halts with ``boundary_hit=True`` if sigma would leave the manifold.
+    With reduced metric (a, b, c) and v = (a mu + b sigma) / sqrt(det), the
+    metric is (det/a)(dv^2 + dsigma^2)/sigma^2: a scaled Poincare half-plane,
+    whose geodesics are the semicircles v - c0 = r tanh(theta), sigma =
+    r sech(theta) with theta = theta0 +- s tau, and the vertical lines sigma =
+    sigma0 exp(sigma'0 tau / sigma0); here s = |(v'0, sigma'0)| / sigma0.
+    Written relative to the start, with (p, q) the unit direction of
+    (v'0, sigma'0) and E = exp(-s tau), both cases are
+
+        sigma = 2 sigma0 E / d,   v - v0 = sigma0 p (1 - E^2) / d,
+        d = (1 - q) + (1 + q) E^2,
+
+    and mu = mu0 + (sqrt(det) (v - v0) - b (sigma - sigma0)) / a.  Samples
+    lie at tau = k tau_end / steps, k = 0 .. steps.  A zero velocity gives
+    the start point bit for bit.  ``boundary_hit`` is True when sigma
+    leaves the normal double range before tau_end: it underflows toward
+    sigma = 0 or, going straight up, overflows.  The samples stop there,
+    so each one keeps full precision.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     reduced = _reduced_for(spec, start, config).reduced
+    a, b, c = reduced
+    root_det = math.sqrt(a * c - b * b)
     vm0, vs0 = float(velocity[0]), float(velocity[1])
-
-    def rhs(z):
-        mu, sig, vm, vs = z
-        gamma = christoffel_reduced(reduced, sig)
-        v = np.array([vm, vs])
-        acc = -np.einsum("kij,i,j->k", gamma, v, v)
-        return np.array([vm, vs, acc[0], acc[1]])
-
-    dt = tau_end / steps
-    z = np.array([start.mu, start.sigma, vm0, vs0])
-    rows = [np.array([0.0, *z])]
-    boundary = False
-    for step in range(steps):
-        k1 = rhs(z)
-        z2 = z + 0.5 * dt * k1
-        z3 = None
-        if z2[1] > 0.0:
-            k2 = rhs(z2)
-            z3 = z + 0.5 * dt * k2
-        if z3 is None or z3[1] <= 0.0:
-            boundary = True
-            break
-        k3 = rhs(z3)
-        z4 = z + dt * k3
-        if z4[1] <= 0.0:
-            boundary = True
-            break
-        k4 = rhs(z4)
-        znew = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if znew[1] <= 0.0:
-            boundary = True
-            break
-        z = znew
-        rows.append(np.array([(step + 1) * dt, *z]))
-    return GeodesicTrace(samples=np.array(rows), reduced=reduced,
+    vv0 = (a * vm0 + b * vs0) / root_det
+    w = math.hypot(vv0, vs0)
+    # Unit direction (p, q); any one serves at zero speed, where E = 1.
+    p, q = (vv0 / w, vs0 / w) if w > 0.0 else (1.0, 0.0)
+    # 1 - q and 1 + q without cancellation: their product is p^2.
+    big = 1.0 + abs(q)
+    lo, hi = (p * p / big, big) if q >= 0.0 else (big, p * p / big)
+    sigma0 = start.sigma
+    s = w / sigma0
+    tau = np.arange(steps + 1) * (tau_end / steps)
+    # Rows past the end of the double range are non-finite and cut below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = np.exp(-s * tau)
+        e2 = e * e
+        d = lo + hi * e2
+        sigma = 2.0 * sigma0 * e / d
+        dv = sigma0 * p * (1.0 - e2) / d
+        ratio = sigma / sigma0
+        vv = vv0 * ratio * ratio
+        vs = -s * sigma * (lo - hi * e2) / d
+        mu = start.mu + (root_det * dv - b * (sigma - sigma0)) / a
+        vm = (root_det * vv - b * vs) / a
+    samples = np.column_stack([tau, mu, sigma, vm, vs])
+    inside = (sigma >= np.finfo(float).tiny) & (sigma < np.inf)
+    boundary = not inside.all()
+    if boundary:
+        samples = samples[:int(np.argmin(inside))]
+    return GeodesicTrace(samples=samples, reduced=reduced,
                          boundary_hit=boundary)
 
 

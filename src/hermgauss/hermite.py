@@ -17,11 +17,8 @@ from .quadrature import QuadConfig, integrate_real_line
 
 __all__ = [
     "MAX_DEGREE",
-    "hermite",
     "hermite_all",
-    "hermite_normalized",
     "hermite_normalized_all",
-    "hermite_derivative_pair",
     "orthogonality_residual",
 ]
 
@@ -59,36 +56,6 @@ def hermite_all(n: int, y):
     return out
 
 
-def hermite(n: int, y):
-    """H_n(y) via the three-term recurrence H_{k+1} = 2y H_k - 2k H_{k-1}."""
-    n = _check_degree(n)
-    y = np.asarray(y, dtype=float)
-    hkm1 = np.ones_like(y)
-    if n == 0:
-        return hkm1 if hkm1.shape else float(hkm1)
-    hk = 2.0 * y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            hkm1, hk = hk, 2.0 * y * hk - 2.0 * k * hkm1
-    if not np.all(np.isfinite(hk)):
-        raise OverflowError(f"Hermite value overflowed at degree {n}")
-    return hk if hk.shape else float(hk)
-
-
-def hermite_derivative_pair(n: int, y):
-    """(H_n(y), H_n'(y)) using H_n' = 2n H_{n-1}; the derivative is 0 at n=0."""
-    n = _check_degree(n)
-    y = np.asarray(y, dtype=float)
-    if n == 0:
-        h, d = np.ones_like(y), np.zeros_like(y)
-    else:
-        hs = hermite_all(n, y)
-        h, d = hs[n], 2.0 * n * hs[n - 1]
-    if h.shape:
-        return h, d
-    return float(h), float(d)
-
-
 def hermite_normalized_all(n: int, y):
     """psi_0(y) .. psi_n(y), psi_k = a_k H_k(y) exp(-y^2/2), along axis 0.
 
@@ -107,12 +74,6 @@ def hermite_normalized_all(n: int, y):
         out[k + 1] = (math.sqrt(2.0 / (k + 1)) * y * out[k]
                       - math.sqrt(k / (k + 1.0)) * out[k - 1])
     return out
-
-
-def hermite_normalized(n: int, y):
-    """a_n H_n(y) exp(-y^2/2) with a_n = 1/sqrt(2^n n!), overflow-safe."""
-    v = hermite_normalized_all(n, y)[-1]
-    return v if v.shape else float(v)
 
 
 def orthogonality_residual(n: int, m: int, config: QuadConfig | None = None) -> float:

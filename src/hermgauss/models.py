@@ -16,12 +16,11 @@ carried on the normalized Hermite functions so large indices stay finite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import hermite_normalized_all
+from .hermite import MAX_DEGREE, hermite_normalized_all
 
 __all__ = [
     "InvalidStateError",
@@ -31,15 +30,12 @@ __all__ = [
     "KernelFn",
     "pdf",
     "kernel",
-    "kernel_pure_factored",
     "from_physical",
     "wavefunction",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NORM_TOL = 1e-12
-# Eigenvalue checks of density tables are only run up to this dimension.
-_PSD_CHECK_DIM = 64
 
 
 class InvalidStateError(ValueError):
@@ -106,14 +102,13 @@ class StateSpec:
     """
 
     __slots__ = ("kind", "table", "weights", "coeffs", "parity_even",
-                 "psd_checked", "max_index", "_kernel_cache")
+                 "max_index", "_kernel_cache")
 
-    def __init__(self, kind, table, weights=None, coeffs=None, psd_checked=True):
+    def __init__(self, kind, table, weights=None, coeffs=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", dict(table))
         object.__setattr__(self, "weights", None if weights is None else dict(weights))
         object.__setattr__(self, "coeffs", None if coeffs is None else dict(coeffs))
-        object.__setattr__(self, "psd_checked", psd_checked)
         object.__setattr__(self, "max_index",
                            max((max(n, m) for (n, m) in self.table), default=0))
         parity = all((n - m) % 2 == 0 for (n, m) in self.table)
@@ -178,8 +173,9 @@ class StateSpec:
         table = {}
         for (n, m), v in dict(entries).items():
             n, m = int(n), int(m)
-            if n < 0 or m < 0:
-                raise InvalidStateError("density indices must be non-negative")
+            if not (0 <= n <= MAX_DEGREE and 0 <= m <= MAX_DEGREE):
+                raise InvalidStateError(
+                    f"density indices must lie in 0..{MAX_DEGREE}")
             table[(n, m)] = complex(v)
         if not table:
             raise InvalidStateError("density table is empty")
@@ -196,22 +192,16 @@ class StateSpec:
         elif abs(trace - 1.0) > _NORM_TOL:
             raise InvalidStateError(
                 f"density trace is {trace!r}, expected 1 within {_NORM_TOL}")
+        # The indices are capped, so the dense eigenvalue check is cheap.
         dim = max(max(n, m) for (n, m) in table) + 1
-        psd_checked = dim <= _PSD_CHECK_DIM
-        if psd_checked:
-            dense = np.zeros((dim, dim), dtype=complex)
-            for (n, m), v in table.items():
-                dense[n, m] = v
-            lo = np.linalg.eigvalsh(dense).min()
-            if lo < -1e-10:
-                raise InvalidStateError(
-                    f"density table has negative eigenvalue {lo!r}")
-        else:
-            warnings.warn(
-                f"density table dimension {dim} exceeds {_PSD_CHECK_DIM}; "
-                "positive semidefiniteness is assumed, not checked",
-                stacklevel=2)
-        return cls("density", table, psd_checked=psd_checked)
+        dense = np.zeros((dim, dim), dtype=complex)
+        for (n, m), v in table.items():
+            dense[n, m] = v
+        lo = np.linalg.eigvalsh(dense).min()
+        if lo < -1e-10:
+            raise InvalidStateError(
+                f"density table has negative eigenvalue {lo!r}")
+        return cls("density", table)
 
     # -- structure queries ------------------------------------------------
 
@@ -249,10 +239,6 @@ class KernelFn:
     degree_hint: int
 
 
-def _psi_rows(max_index, y):
-    return hermite_normalized_all(max_index, np.asarray(y, dtype=float))
-
-
 def kernel(spec: StateSpec) -> KernelFn:
     """Build (f, f') for a state; cached on the spec."""
     cached = spec._kernel_cache.get("kernel")
@@ -263,7 +249,7 @@ def kernel(spec: StateSpec) -> KernelFn:
     # Purely imaginary lambda_nm pairs cancel between (n, m) and (m, n).
 
     def f(y):
-        psi = _psi_rows(top, y)
+        psi = hermite_normalized_all(top, y)
         acc = np.zeros_like(psi[0])
         for n, m, lam in entries:
             acc += lam * psi[n] * psi[m]
@@ -271,7 +257,7 @@ def kernel(spec: StateSpec) -> KernelFn:
 
     def f_prime(y):
         y = np.asarray(y, dtype=float)
-        psi = _psi_rows(top, y)
+        psi = hermite_normalized_all(top, y)
         dpsi = np.empty_like(psi)
         dpsi[0] = -y * psi[0]
         for k in range(1, top + 1):
@@ -288,56 +274,6 @@ def kernel(spec: StateSpec) -> KernelFn:
     return kf
 
 
-def kernel_pure_factored(spec: StateSpec):
-    """Factored kernel (g, g') of a real-coefficient pure state.
-
-    For a pure state with real coefficients, f = exp(-y^2) g(y)^2 / sqrt(2 pi)
-    with g = sum alpha_n a_n H_n, and the Fisher integrand collapses to
-
-        (f')^2 / f = 4 exp(-y^2) (g'(y) - y g(y))^2 / sqrt(2 pi),
-
-    which is finite at every node of g (the double zeros cancel exactly).
-    Returns (g, g_prime), both vectorized.
-    """
-    coeffs = spec.real_superposition_coeffs()
-    if coeffs is None:
-        raise InvalidStateError(
-            "factored kernel requires a pure state with all-real (or "
-            "all-imaginary) coefficients")
-    top = spec.max_index
-    terms = sorted(coeffs.items())
-
-    def g(y):
-        c = _scaled_hermite_rows(top, y)
-        acc = np.zeros_like(c[0])
-        for n, a in terms:
-            acc += a * c[n]
-        return acc
-
-    def g_prime(y):
-        c = _scaled_hermite_rows(top, y)
-        acc = np.zeros_like(c[0])
-        for n, a in terms:
-            if n >= 1:
-                acc += a * math.sqrt(2.0 * n) * c[n - 1]
-        return acc
-
-    return g, g_prime
-
-
-def _scaled_hermite_rows(top, y):
-    """Rows c_k(y) = a_k H_k(y), same bounded-factor recurrence as psi_k."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty((top + 1,) + y.shape)
-    out[0] = 1.0
-    if top >= 1:
-        out[1] = math.sqrt(2.0) * y
-    for k in range(1, top):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * y * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
-    return out
-
-
 def fisher_ratio_factored(spec: StateSpec):
     """Vectorized (f')^2/f for a real pure state, via the factored kernel.
 
@@ -352,7 +288,7 @@ def fisher_ratio_factored(spec: StateSpec):
 
     def ratio(y):
         y = np.asarray(y, dtype=float)
-        psi = _psi_rows(top, y)
+        psi = hermite_normalized_all(top, y)
         acc = np.zeros_like(psi[0])
         for n, a in terms:
             if n >= 1:

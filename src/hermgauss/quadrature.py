@@ -22,7 +22,6 @@ __all__ = [
     "NonRemovableSingularityError",
     "truncation_halfwidth",
     "integrate_real_line",
-    "integrate_ratio",
 ]
 
 
@@ -242,13 +241,3 @@ def guarded_ratio(num, den, den_floor: float = 1e-300,
 
     return ratio
 
-
-def integrate_ratio(num, den, config: QuadConfig | None = None,
-                    degree_hint: int = 2) -> QuadResult:
-    """Integrate num(y)/den(y) over the real line.
-
-    The denominator may have isolated double zeros shared with the
-    numerator (removable singularities); those points are filled by local
-    continuity as described in :func:`guarded_ratio`.
-    """
-    return integrate_real_line(guarded_ratio(num, den), config, degree_hint)

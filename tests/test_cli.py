@@ -125,6 +125,23 @@ class TestCommands:
         assert lines[0] == "tau,mu,sigma,dmu_dtau,dsigma_dtau"
         assert len(lines) == 52
 
+    def test_metric_csv(self):
+        raw = json.loads(config_text())
+        raw["output"] = {"format": "csv"}
+        status, text = run_capture(json.dumps(raw))
+        assert status == 0
+        rows = []
+        for i, (path, a, c) in enumerate((
+                ("closed_form", "3.0", "6.0"),
+                ("quadrature", "2.9999999999999916", "5.999999999999981"),
+                ("series", "3.0", "6.0"))):
+            rows += [f"paths.{i}.path,{path}", f"paths.{i}.reduced.0,{a}",
+                     f"paths.{i}.reduced.1,0.0", f"paths.{i}.reduced.2,{c}",
+                     f"paths.{i}.i_mumu,{a}", f"paths.{i}.i_musigma,0.0",
+                     f"paths.{i}.i_sigmasigma,{c}"]
+        assert text == "\n".join(
+            ["command,metric", "point.mu,0.0", "point.sigma,1.0"] + rows) + "\n"
+
     def test_sample_command_seeded(self):
         raw = json.loads(config_text(command="sample"))
         raw["estimation"] = {"count": 16, "seed": 9}

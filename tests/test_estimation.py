@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
+import hermgauss.estimation
 from hermgauss.estimation import (
     SampleBatch,
     crb_experiment,
@@ -51,16 +53,19 @@ class TestSampler:
         assert abs(frac - expected) < 5.0 * se
 
     def test_kolmogorov_distance(self):
-        # Sup distance between the empirical CDF and the tabulated CDF stays
-        # under the 1% KS critical value 1.63 / sqrt(N).
-        from hermgauss.estimation import _cdf_table
+        # Sup distance between the empirical CDF and the kernel's CDF stays
+        # under the 1% KS critical value 1.63 / sqrt(N).  The reference CDF
+        # is Simpson's rule on a fine grid, independent of the sampler's
+        # PCHIP table.
+        from hermgauss.models import kernel
 
         spec = StateSpec.superposition({0: 0.6, 2: 0.8})
         n = 20_000
         batch = sample(spec, ORIGIN, n, seed=11)
         y = np.sort(batch.draws) / math.sqrt(2.0)
-        table = _cdf_table(spec)
-        theory = table.cdf_of_y(y)
+        grid = np.linspace(-12.0, 12.0, 100_001)
+        cdf = cumulative_simpson(kernel(spec).f(grid), x=grid, initial=0.0)
+        theory = np.interp(y, grid, cdf / cdf[-1])
         empirical = np.arange(1, n + 1) / n
         ks = np.max(np.abs(empirical - theory))
         assert ks < 1.63 / math.sqrt(n)
@@ -133,6 +138,16 @@ class TestCrbExperiment:
                            trials=30, samples_per_trial=200, seed=4)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         np.testing.assert_array_equal(a.empirical_cov, b.empirical_cov)
+
+    def test_failed_fits_raise_instead_of_nan(self, monkeypatch):
+        def failing_fit(batch, spec=None):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(hermgauss.estimation, "mle_fit", failing_fit)
+        with pytest.raises(RuntimeError, match="30 of 30") as info:
+            crb_experiment(StateSpec.eigenstate(0), ORIGIN,
+                           trials=30, samples_per_trial=50, seed=1)
+        assert str(info.value.__cause__) == "no convergence"
 
     def test_requires_enough_trials(self):
         with pytest.raises(ValueError):

@@ -199,6 +199,24 @@ class TestGeodesics:
             drift = np.max(np.abs(speeds - speeds[0])) / abs(speeds[0])
             assert drift <= 1e-6
 
+    def test_non_diagonal_state_solves_geodesic_equation(self):
+        # 0.6|0> + 0.8|1> has Itilde_musigma != 0.  Central differences of
+        # the samples must satisfy x'' + Gamma(x', x') = 0 with Gamma from
+        # christoffel_reduced, which shares no code with the half-plane map.
+        spec = StateSpec.superposition({0: 0.6, 1: 0.8})
+        tr = geodesic_trace(spec, ORIGIN, (0.3, 0.2), 5.0, 2000)
+        assert tr.reduced[1] == pytest.approx(0.96, rel=1e-9)
+        x, v = tr.samples[:, 1:3], tr.samples[:, 3:5]
+        h = tr.samples[1, 0]
+        np.testing.assert_allclose((x[2:] - x[:-2]) / (2 * h), v[1:-1],
+                                   rtol=0, atol=1e-6)
+        acc = (x[2:] - 2 * x[1:-1] + x[:-2]) / h ** 2
+        gamma_vv = np.array([
+            np.einsum("kij,i,j->k", christoffel_reduced(tr.reduced, x[i, 1]),
+                      v[i], v[i])
+            for i in range(1, len(x) - 1)])
+        assert np.max(np.abs(acc + gamma_vv)) <= 1e-5 * np.max(np.abs(acc))
+
     def test_boundary_halt(self):
         tr = geodesic_trace(StateSpec.eigenstate(0), ModelPoint(0.0, 0.05),
                             (0.0, -5.0), 10.0, 200)

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from hermgauss.hermite import (
     MAX_DEGREE,
-    hermite,
     hermite_all,
-    hermite_derivative_pair,
-    hermite_normalized,
     hermite_normalized_all,
     orthogonality_residual,
 )
@@ -23,6 +20,14 @@ def rodrigues(n, y):
     t = sympy.Symbol("t")
     expr = (-1) ** n * sympy.exp(t ** 2) * sympy.diff(sympy.exp(-t ** 2), t, n)
     return float(expr.subs(t, sympy.Rational(y)).evalf(30))
+
+
+def hermite(n, y):
+    return hermite_all(n, y)[n]
+
+
+def hermite_normalized(n, y):
+    return hermite_normalized_all(n, y)[n]
 
 
 class TestHermite:
@@ -50,16 +55,18 @@ class TestHermite:
             hermite(200, 40.0)
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            hermite(MAX_DEGREE + 1, 0.0)
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
+        for rows in (hermite_all, hermite_normalized_all):
+            with pytest.raises(ValueError):
+                rows(MAX_DEGREE + 1, 0.0)
+            with pytest.raises(ValueError):
+                rows(-1, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 60), y=st.floats(-5, 5))
     def test_parity_is_exact(self, n, y):
-        # The recurrence preserves the sign symmetry bit for bit.
+        # The recurrences preserve the sign symmetry bit for bit.
         assert hermite(n, -y) == (-1) ** n * hermite(n, y)
+        assert hermite_normalized(n, -y) == (-1) ** n * hermite_normalized(n, y)
 
     def test_recurrence_consistency_is_exact(self):
         rng = np.random.default_rng(3)
@@ -107,20 +114,6 @@ class TestNormalized:
                 lambda y, n=n: hermite_normalized_all(n, y)[n] ** 2,
                 degree_hint=2 * n + 1)
             assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
-
-
-class TestDerivativePair:
-    def test_linear(self):
-        h, d = hermite_derivative_pair(1, 0.3)
-        assert h == pytest.approx(0.6)
-        assert d == 2.0
-
-    def test_constant(self):
-        assert hermite_derivative_pair(0, 5.0) == (1.0, 0.0)
-
-    def test_derivative_is_scaled_lower_degree(self):
-        _, d = hermite_derivative_pair(4, 1.1)
-        assert d == pytest.approx(8.0 * hermite(3, 1.1), rel=1e-14)
 
 
 class TestOrthogonality:

@@ -12,7 +12,6 @@ from hermgauss.models import (
     fisher_ratio_factored,
     from_physical,
     kernel,
-    kernel_pure_factored,
     pdf,
     wavefunction,
 )
@@ -97,12 +96,21 @@ class TestStateSpecValidation:
             StateSpec.density({(0, 0): 0.5, (1, 1): 0.5,
                                (0, 1): 0.9, (1, 0): 0.9})
 
-    def test_large_density_warns_instead_of_checking(self):
+    def test_large_indefinite_density_rejected(self):
         entries = {(n, n): 1.0 / 70 for n in range(70)}
         entries[(0, 0)] += 1.0 - sum(entries.values())
-        with pytest.warns(UserWarning, match="assumed"):
-            s = StateSpec.density(entries)
-        assert not s.psd_checked
+        entries[(3, 66)] = entries[(66, 3)] = 0.5
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            StateSpec.density(entries)
+        with pytest.raises(InvalidStateError, match="indices"):
+            StateSpec.density({(201, 201): 1.0})
+
+    def test_large_valid_density_accepted(self):
+        entries = {(n, n): 1.0 / 70 for n in range(70)}
+        entries[(0, 0)] += 1.0 - sum(entries.values())
+        entries[(3, 66)] = entries[(66, 3)] = 0.01
+        s = StateSpec.density(entries)
+        assert s.max_index == 69
 
     def test_immutable(self):
         s = StateSpec.eigenstate(0)
@@ -204,7 +212,7 @@ class TestFactoredKernel:
     def test_rejects_complex_coefficients(self):
         s = StateSpec.superposition({0: 0.6, 1: 0.8j})
         with pytest.raises(InvalidStateError):
-            kernel_pure_factored(s)
+            fisher_ratio_factored(s)
 
     def test_ground_state_ratio_is_symbolic_form(self):
         # For alpha_0 = 1: g' - y g = -y, so (f')^2/f = 4 y^2 e^{-y^2}/sqrt(2 pi)
@@ -231,9 +239,8 @@ class TestFactoredKernel:
         # The 0 - 2 combination has a density node at y = sqrt((1+sqrt2)/2).
         coeffs = {0: 1 / math.sqrt(2), 2: -1 / math.sqrt(2)}
         s = StateSpec.superposition(coeffs)
-        g, gp = kernel_pure_factored(s)
-        from scipy.optimize import brentq
-        node = brentq(lambda y: g(np.array([y]))[0], 0.1, 2.0)
+        node = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
+        assert kernel(s).f(np.array([node]))[0] < 1e-30
         ratio = fisher_ratio_factored(s)
         kf = kernel(s)
         val = ratio(np.array([node]))[0]
@@ -243,15 +250,15 @@ class TestFactoredKernel:
         assert val == pytest.approx(unfact, rel=1e-4)
 
     def test_factored_equals_plain_kernel(self):
+        # Away from the density nodes the factored (f')^2/f matches the
+        # ratio of the plain kernel and its derivative.
         s = StateSpec.superposition({1: 0.8, 4: -0.6})
-        g, gp = kernel_pure_factored(s)
         kf = kernel(s)
         y = np.linspace(-3, 3, 31)
-        f_fact = np.exp(-y * y) * g(y) ** 2 / math.sqrt(2 * math.pi)
-        np.testing.assert_allclose(f_fact, kf.f(y), rtol=1e-12, atol=1e-15)
-        h = 1e-6
-        gp_fd = (g(y + h) - g(y - h)) / (2 * h)
-        np.testing.assert_allclose(gp(y), gp_fd, rtol=1e-5, atol=1e-7)
+        y = y[kf.f(y) > 1e-3]
+        plain = kf.f_prime(y) ** 2 / kf.f(y)
+        np.testing.assert_allclose(fisher_ratio_factored(s)(y), plain,
+                                   rtol=1e-11, atol=1e-15)
 
 
 class TestWavefunction:

@@ -10,7 +10,6 @@ from hermgauss.quadrature import (
     NonRemovableSingularityError,
     QuadConfig,
     guarded_ratio,
-    integrate_ratio,
     integrate_real_line,
     truncation_halfwidth,
 )
@@ -99,7 +98,8 @@ class TestIntegrateRatio:
             d = kf.f_prime(y)
             return d * d
 
-        res = integrate_ratio(num, kf.f, degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(guarded_ratio(num, kf.f),
+                                  degree_hint=kf.degree_hint + 2)
         assert res.converged
         assert np.isfinite(res.value)
 
@@ -110,7 +110,8 @@ class TestIntegrateRatio:
             d = kf.f_prime(y)
             return d * d
 
-        res = integrate_ratio(num, kf.f, degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(guarded_ratio(num, kf.f),
+                                  degree_hint=kf.degree_hint + 2)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
     def test_third_level_reduced_component(self):
@@ -120,7 +121,8 @@ class TestIntegrateRatio:
             d = kf.f_prime(y)
             return d * d
 
-        res = integrate_ratio(num, kf.f, degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(guarded_ratio(num, kf.f),
+                                  degree_hint=kf.degree_hint + 2)
         assert res.value / math.sqrt(2.0) == pytest.approx(7.0, rel=1e-9)
 
     def test_non_removable_singularity_is_flagged(self):
