@@ -238,6 +238,7 @@ def _cmd_crb(cfg, out):
         "empirical_scaled_cov": [list(map(float, r)) for r in rep.empirical_cov],
         "violations": rep.violations,
         "failed_trials": list(rep.failed_trials),
+        "failure_reasons": list(rep.failure_reasons),
     }
     _emit(report, cfg.output_format, out)
     return 0

@@ -2,9 +2,18 @@
 
 Sampling is by inverse CDF on a tabulated grid (the node structure of the
 densities makes rejection envelopes fiddly, while the CDF table reuses the
-quadrature truncation window).  Maximum likelihood runs a derivative-free
-compass search on (mu, log sigma): gradients of the log-likelihood are
-ill-conditioned near density nodes and the problem is only 2-D.
+quadrature truncation window).  Each draw's table segment is found once and
+the segment's quartic CDF is inverted by safeguarded Newton steps.
+
+Maximum likelihood works on (mu, log sigma).  The log-likelihood is -inf on
+every line where a sample sits on a density node, which cuts the plane into
+cells a few hundredths of sigma wide; Newton started from the moment
+initializer can land in the wrong cell.  So a compass search first walks
+uphill from the initializer until its steps fall to 1e-2, which places it in
+the maximum's cell, and Newton on the analytic score and observed
+information then polishes the estimate.  A Newton step that lowers the
+likelihood, meets a density zero or sees an indefinite Hessian hands the fit
+back to the compass search.
 """
 
 from __future__ import annotations
@@ -29,6 +38,13 @@ __all__ = [
 ]
 
 _CDF_NODES = 8192
+# Newton steps on a CDF segment stop below this fraction of its width.
+_INVERT_TOL = 1e-12
+# Compass steps at which the MLE hands over to Newton: relative to sigma for
+# mu, absolute for log sigma.
+_HANDOFF_STEP = 1e-2
+# Relative change of log L below which a Newton step's "fall" is rounding.
+_LL_ROUNDING = 1e-12
 # Fewest trials (and surviving fits) that make the covariance meaningful.
 _MIN_TRIALS = 30
 
@@ -49,6 +65,7 @@ class CrbReport:
     samples_per_trial: int
     violations: dict
     failed_trials: tuple = ()
+    failure_reasons: tuple = ()
     estimates: np.ndarray = field(default=None, repr=False)
 
 
@@ -71,17 +88,43 @@ class _CdfTable:
         self.cdf = cdf
         self.total = total
 
-    def invert(self, u: np.ndarray, iterations: int = 60) -> np.ndarray:
-        """Bisection on the interpolated CDF, vectorized over u."""
-        idx = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1)
-        lo = self.y[idx - 1].copy()
-        hi = self.y[idx].copy()
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) / self.total < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """y with CDF(y) = u, vectorized over u.
+
+        Each u's table segment [y_k, y_k + h] is found once.  On it the CDF
+        is the quartic antiderivative of the PCHIP density in t = y - y_k,
+        and its derivative is that density, which is non-negative because
+        PCHIP is monotone on every interval.  Newton runs on the quartic
+        from the linear interpolate of the table; a bracket [lo, hi] is kept
+        and any iterate outside it is replaced by the bracket's midpoint.
+        """
+        k = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
+        c4, c3, c2, c1, c0 = self.cdf.c[:, k]
+        h = self.y[k + 1] - self.y[k]
+        target = u * self.total
+        lo = np.zeros_like(h)
+        hi = h.copy()
+        mass = self.cdf_vals[k + 1] - self.cdf_vals[k]
+        frac = np.divide(u - self.cdf_vals[k], mass,
+                         out=np.full_like(h, 0.5), where=mass > 0.0)
+        t = h * np.clip(frac, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Three or four passes in practice; 60 bisections alone would
+            # exhaust double precision on any segment.
+            for _ in range(60):
+                r = (((c4 * t + c3) * t + c2) * t + c1) * t + c0 - target
+                d = ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+                below = r < 0.0
+                lo = np.where(below, t, lo)
+                hi = np.where(below, hi, t)
+                step = t - r / d
+                # Closed bracket: a converged iterate sits on an end point.
+                step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+                done = np.abs(step - t) <= _INVERT_TOL * h
+                t = step
+                if done.all():
+                    break
+        return self.y[k] + t
 
 
 def _cdf_table(spec: StateSpec) -> _CdfTable:
@@ -128,7 +171,14 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
 def mle_fit(batch: SampleBatch, spec: StateSpec | None = None,
             init: ModelPoint | None = None,
             tol: float = 1e-9, max_iterations: int = 20000) -> ModelPoint:
-    """Maximum-likelihood (mu, sigma) by compass search on (mu, log sigma)."""
+    """Maximum-likelihood (mu, sigma) on (mu, log sigma).
+
+    A compass search walks from ``init`` (moment matching by default) until
+    its steps fall to 1e-2 (relative to sigma for mu), then Newton polishes
+    until a step is below ``tol`` (relative to sigma for mu).  If Newton
+    fails, the compass search resumes and runs its steps down to ``tol``.
+    ``max_iterations`` caps the objective evaluations, Newton passes included.
+    """
     if spec is None:
         spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
@@ -147,7 +197,16 @@ def mle_fit(batch: SampleBatch, spec: StateSpec | None = None,
     step_mu = max(0.25 * math.exp(ls), 10.0 * tol)
     step_ls = 0.25
     evals = 0
+    polish = True
     while (step_mu > tol or step_ls > tol):
+        if (polish and step_ls <= _HANDOFF_STEP
+                and step_mu <= _HANDOFF_STEP * math.exp(ls)):
+            polish = False
+            fit, used = _newton_polish(kernel(spec), x, mu, ls, tol,
+                                       max_iterations - evals)
+            evals += used
+            if fit is not None:
+                return fit
         improved = False
         for dm, dl in ((step_mu, 0.0), (-step_mu, 0.0), (0.0, step_ls), (0.0, -step_ls)):
             cand = objective(mu + dm, ls + dl)
@@ -163,6 +222,56 @@ def mle_fit(batch: SampleBatch, spec: StateSpec | None = None,
                 f"MLE search did not converge within {max_iterations} "
                 "objective evaluations")
     return ModelPoint(mu=mu, sigma=math.exp(ls))
+
+
+def _loglik_jet(kf, x, mu, ls):
+    """(log L, score, Hessian) on (mu, log sigma); None if some f <= 0.
+
+    With y = (x - mu) / (sqrt(2) sigma), a = 1 / (sqrt(2) sigma),
+    r1 = f'/f and q = (log f)'' = f''/f - r1^2 per sample:
+    d/dmu = -a sum r1, d/dlog sigma = -sum r1 y - N, and the Hessian is
+    a^2 sum q, a sum (q y + r1), sum (q y + r1) y.
+    """
+    sigma = math.exp(ls)
+    a = 1.0 / (math.sqrt(2.0) * sigma)
+    y = (x - mu) * a
+    f = kf.f(y)
+    if not np.all(f > 0.0):
+        return None
+    r1 = kf.f_prime(y) / f
+    q = kf.f_second(y) / f - r1 * r1
+    mixed = q * y + r1
+    ll = float(np.sum(np.log(f))) - x.size * ls
+    score = np.array([-a * np.sum(r1), -float(r1 @ y) - x.size])
+    h_mm = a * a * np.sum(q)
+    h_ml = a * np.sum(mixed)
+    hess = np.array([[h_mm, h_ml], [h_ml, float(mixed @ y)]])
+    return ll, score, hess
+
+
+def _newton_polish(kf, x, mu, ls, tol, budget):
+    """Newton ascent from (mu, log sigma): (ModelPoint or None, passes).
+
+    None when a step would lower log L by more than rounding or meet a
+    density zero, when -H is not positive definite, or when ``budget``
+    passes run out.
+    """
+    jet = _loglik_jet(kf, x, mu, ls)
+    passes = 1
+    while jet is not None and passes < budget:
+        ll, score, hess = jet
+        det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
+        if not (hess[0, 0] < 0.0 and det > 0.0):
+            break
+        d_mu, d_ls = -np.linalg.solve(hess, score)
+        if abs(d_mu) <= tol * math.exp(ls) and abs(d_ls) <= tol:
+            return ModelPoint(mu=mu + d_mu, sigma=math.exp(ls + d_ls)), passes
+        jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
+        passes += 1
+        if jet is None or jet[0] < ll - _LL_ROUNDING * abs(ll):
+            break
+        mu, ls = mu + d_mu, ls + d_ls
+    return None, passes
 
 
 def _y_moments(spec: StateSpec):
@@ -205,7 +314,8 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     violation only when it undercuts the bound by more than three standard
     errors of the variance estimate (the MLE is asymptotically efficient,
     so the scaled variances should sit at the bound, never clearly below).
-    Failed fits are listed in ``failed_trials``; RuntimeError is raised,
+    Failed fits are listed in ``failed_trials``, with ``"ExcType: message"``
+    for each in ``failure_reasons``; RuntimeError is raised,
     chained to the first failure, when fewer than 30 fits succeed.
     """
     if trials < _MIN_TRIALS:
@@ -215,6 +325,7 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     bound = crb_bound(metric)
     estimates = np.empty((trials, 2))
     failed = []
+    reasons = []
     first_error = None
     for t in range(trials):
         batch = sample(spec, point, samples_per_trial, _trial_seed(seed, t))
@@ -224,6 +335,7 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
         except (RuntimeError, ValueError) as exc:
             estimates[t] = np.nan
             failed.append(t)
+            reasons.append(f"{type(exc).__name__}: {exc}")
             first_error = first_error or exc
     if trials - len(failed) < _MIN_TRIALS:
         raise RuntimeError(
@@ -246,4 +358,4 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     return CrbReport(bound=bound, empirical_cov=cov, trials=trials,
                      samples_per_trial=samples_per_trial,
                      violations=violations, failed_trials=tuple(failed),
-                     estimates=good)
+                     failure_reasons=tuple(reasons), estimates=good)

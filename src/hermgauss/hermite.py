@@ -48,11 +48,12 @@ def hermite_all(n: int, y):
     out[0] = 1.0
     if n >= 1:
         out[1] = 2.0 * y
-    for k in range(1, n):
-        out[k + 1] = 2.0 * y * out[k] - 2.0 * k * out[k - 1]
-        if not np.all(np.isfinite(out[k + 1])):
-            raise OverflowError(
-                f"Hermite recurrence overflowed at degree {k + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            out[k + 1] = 2.0 * y * out[k] - 2.0 * k * out[k - 1]
+            if not np.all(np.isfinite(out[k + 1])):
+                raise OverflowError(
+                    f"Hermite recurrence overflowed at degree {k + 1}")
     return out
 
 

@@ -42,6 +42,13 @@ class InvalidStateError(ValueError):
     """The state description violates a normalization or positivity rule."""
 
 
+def _check_indices(kind, indices):
+    for n in indices:
+        if not 0 <= n <= MAX_DEGREE:
+            raise InvalidStateError(
+                f"{kind} indices must lie in 0..{MAX_DEGREE}, got {n}")
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     """A point (mu, sigma) of the two-parameter manifold, sigma > 0."""
@@ -126,8 +133,7 @@ class StateSpec:
     @classmethod
     def eigenstate(cls, n: int) -> "StateSpec":
         n = int(n)
-        if n < 0:
-            raise InvalidStateError("eigenstate index must be non-negative")
+        _check_indices("eigenstate", (n,))
         return cls("eigenstate", {(n, n): 1.0 + 0.0j}, weights={n: 1.0},
                    coeffs={n: 1.0 + 0.0j})
 
@@ -136,6 +142,7 @@ class StateSpec:
         w = {int(n): float(v) for n, v in dict(weights).items()}
         if not w:
             raise InvalidStateError("mixture needs at least one term")
+        _check_indices("mixture", w)
         if any(v < 0.0 for v in w.values()):
             raise InvalidStateError("mixture weights must be non-negative")
         total = math.fsum(w.values())
@@ -154,6 +161,7 @@ class StateSpec:
         a = {int(n): complex(v) for n, v in dict(coeffs).items()}
         if not a:
             raise InvalidStateError("superposition needs at least one term")
+        _check_indices("superposition", a)
         norm2 = math.fsum(abs(v) ** 2 for v in a.values())
         if renormalize:
             if norm2 <= 0.0:
@@ -173,9 +181,7 @@ class StateSpec:
         table = {}
         for (n, m), v in dict(entries).items():
             n, m = int(n), int(m)
-            if not (0 <= n <= MAX_DEGREE and 0 <= m <= MAX_DEGREE):
-                raise InvalidStateError(
-                    f"density indices must lie in 0..{MAX_DEGREE}")
+            _check_indices("density", (n, m))
             table[(n, m)] = complex(v)
         if not table:
             raise InvalidStateError("density table is empty")
@@ -225,22 +231,23 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class KernelFn:
-    """The dimensionless kernel f and its derivative for one state.
+    """The dimensionless kernel f and its first two derivatives for one state.
 
-    ``f`` and ``f_prime`` are vectorized callables of y.  ``parity`` is
-    "even" when every occupied index pair shares evenness (so f is an even
-    function), "none" otherwise.  ``degree_hint`` bounds the polynomial
-    degree multiplying exp(-y^2).
+    ``f``, ``f_prime`` and ``f_second`` are vectorized callables of y.
+    ``parity`` is "even" when every occupied index pair shares evenness (so
+    f is an even function), "none" otherwise.  ``degree_hint`` bounds the
+    polynomial degree multiplying exp(-y^2).
     """
 
     f: object
     f_prime: object
+    f_second: object
     parity: str
     degree_hint: int
 
 
 def kernel(spec: StateSpec) -> KernelFn:
-    """Build (f, f') for a state; cached on the spec."""
+    """Build (f, f', f'') for a state; cached on the spec."""
     cached = spec._kernel_cache.get("kernel")
     if cached is not None:
         return cached
@@ -255,19 +262,35 @@ def kernel(spec: StateSpec) -> KernelFn:
             acc += lam * psi[n] * psi[m]
         return acc / _SQRT_2PI
 
-    def f_prime(y):
-        y = np.asarray(y, dtype=float)
+    def rows(y):
+        # psi_k and psi_k' = sqrt(2k) psi_{k-1} - y psi_k from one recurrence.
         psi = hermite_normalized_all(top, y)
         dpsi = np.empty_like(psi)
         dpsi[0] = -y * psi[0]
         for k in range(1, top + 1):
             dpsi[k] = math.sqrt(2.0 * k) * psi[k - 1] - y * psi[k]
+        return psi, dpsi
+
+    def f_prime(y):
+        y = np.asarray(y, dtype=float)
+        psi, dpsi = rows(y)
         acc = np.zeros_like(psi[0])
         for n, m, lam in entries:
             acc += lam * (dpsi[n] * psi[m] + psi[n] * dpsi[m])
         return acc / _SQRT_2PI
 
-    kf = KernelFn(f=f, f_prime=f_prime,
+    def f_second(y):
+        # psi_k'' = (y^2 - 2k - 1) psi_k, the oscillator equation.
+        y = np.asarray(y, dtype=float)
+        psi, dpsi = rows(y)
+        y2 = 2.0 * y * y
+        acc = np.zeros_like(psi[0])
+        for n, m, lam in entries:
+            acc += lam * ((y2 - 2.0 * (n + m + 1)) * psi[n] * psi[m]
+                          + 2.0 * dpsi[n] * dpsi[m])
+        return acc / _SQRT_2PI
+
+    kf = KernelFn(f=f, f_prime=f_prime, f_second=f_second,
                   parity="even" if spec.parity_even else "none",
                   degree_hint=2 * top + 2)
     spec._kernel_cache["kernel"] = kf

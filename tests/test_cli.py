@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import hermgauss.estimation
 from hermgauss.cli import ConfigError, main, parse_config, run
 
 
@@ -150,6 +151,25 @@ class TestCommands:
         assert a == b
         assert len(json.loads(a)["draws"]) == 16
 
+    def test_crb_reports_failure_reasons(self, monkeypatch):
+        real_fit = hermgauss.estimation.mle_fit
+        calls = []
+
+        def flaky_fit(batch, spec=None):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("no convergence")
+            return real_fit(batch, spec)
+
+        monkeypatch.setattr(hermgauss.estimation, "mle_fit", flaky_fit)
+        raw = json.loads(config_text(command="crb"))
+        raw["estimation"] = {"trials": 31, "samples_per_trial": 50, "seed": 2}
+        status, text = run_capture(json.dumps(raw))
+        assert status == 0
+        report = json.loads(text)
+        assert report["failed_trials"] == [1]
+        assert report["failure_reasons"] == ["RuntimeError: no convergence"]
+
     def test_json_floats_round_trip(self):
         status, text = run_capture(config_text(
             state={"type": "mixture",
@@ -195,6 +215,14 @@ class TestMain:
         assert main([str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    def test_index_above_cap_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(state={"type": "eigenstate", "n": 500}))
+        assert main([str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "0..200" in err["error"]["message"]
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2

@@ -7,6 +7,8 @@ from scipy.integrate import cumulative_simpson
 import hermgauss.estimation
 from hermgauss.estimation import (
     SampleBatch,
+    _cdf_table,
+    _moment_init,
     crb_experiment,
     log_likelihood,
     mle_fit,
@@ -16,6 +18,40 @@ from hermgauss.models import ModelPoint, StateSpec
 from hermgauss.quadrature import integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
+
+
+def bisect_cdf(table, u, iterations=60):
+    """Reference inverse: bisection on the table's PPoly CDF, segment by segment."""
+    idx = np.clip(np.searchsorted(table.cdf_vals, u), 1, table.y.size - 1)
+    lo = table.y[idx - 1].copy()
+    hi = table.y[idx].copy()
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        below = table.cdf(mid) / table.total < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def compass_fit(spec, x, tol=1e-9):
+    """Reference MLE: compass search on (mu, log sigma) run down to tol."""
+    init = _moment_init(spec, x)
+    mu, ls = init.mu, math.log(init.sigma)
+    best = log_likelihood(spec, x, mu, math.exp(ls))
+    step_mu = max(0.25 * math.exp(ls), 10.0 * tol)
+    step_ls = 0.25
+    while step_mu > tol or step_ls > tol:
+        improved = False
+        for dm, dl in ((step_mu, 0.0), (-step_mu, 0.0),
+                       (0.0, step_ls), (0.0, -step_ls)):
+            cand = log_likelihood(spec, x, mu + dm, math.exp(ls + dl))
+            if cand > best:
+                best, mu, ls = cand, mu + dm, ls + dl
+                improved = True
+        if not improved:
+            step_mu *= 0.5
+            step_ls *= 0.5
+    return mu, math.exp(ls)
 
 
 class TestSampler:
@@ -70,6 +106,17 @@ class TestSampler:
         ks = np.max(np.abs(empirical - theory))
         assert ks < 1.63 / math.sqrt(n)
 
+    @pytest.mark.parametrize("spec", [
+        StateSpec.eigenstate(0),
+        StateSpec.eigenstate(1),
+        StateSpec.superposition({0: 0.6, 2: 0.8}),
+    ], ids=["ground", "node", "superposition"])
+    def test_newton_inversion_matches_bisection(self, spec):
+        table = _cdf_table(spec)
+        u = np.random.default_rng(29).random(20_000)
+        np.testing.assert_allclose(table.invert(u), bisect_cdf(table, u),
+                                   rtol=0.0, atol=1e-9)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(StateSpec.eigenstate(0), ORIGIN, 0, seed=1)
@@ -80,8 +127,22 @@ class TestMle:
         # For eigenstate 0 the MLE is the sample mean and (biased) std.
         batch = sample(StateSpec.eigenstate(0), ModelPoint(2.0, 1.3), 5000, seed=3)
         fit = mle_fit(batch)
-        assert fit.mu == pytest.approx(float(np.mean(batch.draws)), abs=1e-6)
-        assert fit.sigma == pytest.approx(float(np.std(batch.draws)), abs=1e-6)
+        assert fit.mu == pytest.approx(float(np.mean(batch.draws)), abs=1e-10)
+        assert fit.sigma == pytest.approx(float(np.std(batch.draws)), abs=1e-10)
+
+    def test_matches_reference_compass_search(self):
+        # The log-likelihood is -inf wherever a sample meets a node of |2>,
+        # so a fit that strays into a neighbouring cell shows here as a gap
+        # of order 0.01 sigma.  Seeds 44 and 53 are batches on which Newton
+        # started from the moment initializer ends in such a cell.
+        spec = StateSpec.eigenstate(2)
+        point = ModelPoint(0.3, 1.2)
+        for seed in range(40, 60):
+            batch = sample(spec, point, 5000, seed=seed)
+            fit = mle_fit(batch)
+            mu, sigma = compass_fit(spec, batch.draws)
+            assert abs(fit.mu - mu) <= 1e-6 * sigma
+            assert abs(fit.sigma - sigma) <= 1e-6 * sigma
 
     def test_second_level_recovers_truth(self):
         spec = StateSpec.eigenstate(2)
@@ -95,6 +156,21 @@ class TestMle:
         b = crb_bound(metric_quadrature(spec, point))
         assert abs(fit.mu - point.mu) < 5.0 * math.sqrt(b[0, 0] / n)
         assert abs(fit.sigma - point.sigma) < 5.0 * math.sqrt(b[1, 1] / n)
+
+    def test_failed_newton_resumes_compass_search(self, monkeypatch):
+        # With every Newton pass refused, the fit is the compass search's
+        # own result, bit for bit.
+        monkeypatch.setattr(hermgauss.estimation, "_loglik_jet",
+                            lambda *args: None)
+        spec = StateSpec.eigenstate(1)
+        batch = sample(spec, ModelPoint(0.4, 0.9), 2000, seed=6)
+        fit = mle_fit(batch)
+        assert (fit.mu, fit.sigma) == compass_fit(spec, batch.draws)
+
+    def test_evaluation_budget_is_enforced(self):
+        batch = sample(StateSpec.eigenstate(2), ORIGIN, 500, seed=2)
+        with pytest.raises(RuntimeError, match="12 objective evaluations"):
+            mle_fit(batch, max_iterations=12)
 
     def test_log_likelihood_gaussian_closed_form(self):
         x = np.array([0.0, 1.0, -0.5])
@@ -127,6 +203,7 @@ class TestCrbExperiment:
         rep = crb_experiment(StateSpec.eigenstate(0), ORIGIN,
                              trials=40, samples_per_trial=400, seed=8)
         assert rep.failed_trials == ()
+        assert rep.failure_reasons == ()
         assert not any(v["violated"] for v in rep.violations.values())
         assert rep.empirical_cov.shape == (2, 2)
         assert rep.estimates.shape == (40, 2)
@@ -148,6 +225,24 @@ class TestCrbExperiment:
             crb_experiment(StateSpec.eigenstate(0), ORIGIN,
                            trials=30, samples_per_trial=50, seed=1)
         assert str(info.value.__cause__) == "no convergence"
+
+    def test_failure_reasons_are_reported(self, monkeypatch):
+        real_fit = hermgauss.estimation.mle_fit
+        calls = []
+
+        def flaky_fit(batch, spec=None):
+            calls.append(1)
+            if len(calls) in (1, 3):
+                raise RuntimeError(f"no convergence in call {len(calls)}")
+            return real_fit(batch, spec)
+
+        monkeypatch.setattr(hermgauss.estimation, "mle_fit", flaky_fit)
+        rep = crb_experiment(StateSpec.eigenstate(0), ORIGIN,
+                             trials=32, samples_per_trial=50, seed=1)
+        assert rep.failed_trials == (0, 2)
+        assert rep.failure_reasons == ("RuntimeError: no convergence in call 1",
+                                       "RuntimeError: no convergence in call 3")
+        assert rep.estimates.shape == (30, 2)
 
     def test_requires_enough_trials(self):
         with pytest.raises(ValueError):

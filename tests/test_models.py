@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hermgauss.hermite import MAX_DEGREE
 from hermgauss.models import (
     InvalidStateError,
     KernelFn,
@@ -112,6 +113,20 @@ class TestStateSpecValidation:
         s = StateSpec.density(entries)
         assert s.max_index == 69
 
+    def test_indices_above_cap_rejected(self):
+        top = MAX_DEGREE + 1
+        with pytest.raises(InvalidStateError, match="eigenstate indices"):
+            StateSpec.eigenstate(top)
+        with pytest.raises(InvalidStateError, match="eigenstate indices"):
+            StateSpec.eigenstate(-1)
+        with pytest.raises(InvalidStateError, match="mixture indices"):
+            StateSpec.mixture({0: 0.5, top: 0.5})
+        with pytest.raises(InvalidStateError, match="mixture indices"):
+            StateSpec.mixture({-1: 1.0})
+        with pytest.raises(InvalidStateError, match="superposition indices"):
+            StateSpec.superposition({0: 0.6, top: 0.8})
+        assert StateSpec.eigenstate(MAX_DEGREE).max_index == MAX_DEGREE
+
     def test_immutable(self):
         s = StateSpec.eigenstate(0)
         with pytest.raises(AttributeError):
@@ -193,10 +208,11 @@ class TestKernel:
             rng = np.random.default_rng(23)
             y = rng.uniform(-4, 4, size=50)
             h = 1e-5
-            fd = (kf.f(y + h) - kf.f(y - h)) / (2 * h)
-            exact = kf.f_prime(y)
-            tol = 1e-6 * np.maximum(1.0, np.abs(exact))
-            assert np.all(np.abs(exact - fd) <= tol)
+            for fn, deriv in ((kf.f, kf.f_prime), (kf.f_prime, kf.f_second)):
+                fd = (fn(y + h) - fn(y - h)) / (2 * h)
+                exact = deriv(y)
+                tol = 1e-6 * np.maximum(1.0, np.abs(exact))
+                assert np.all(np.abs(exact - fd) <= tol)
 
     def test_kernel_mass(self):
         for spec in (StateSpec.eigenstate(0), StateSpec.mixture({0: 0.5, 3: 0.5})):
