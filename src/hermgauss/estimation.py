@@ -27,7 +27,8 @@ from scipy.interpolate import PchipInterpolator
 
 from .geometry import crb_bound, metric_quadrature
 from .models import ModelPoint, StateSpec, kernel
-from .quadrature import QuadConfig, QuadratureError, truncation_halfwidth
+from .quadrature import (QuadConfig, QuadratureError, integrate_real_line,
+                         truncation_halfwidth)
 
 __all__ = [
     "SampleBatch",
@@ -72,10 +73,10 @@ class CrbReport:
 class _CdfTable:
     """Monotone piecewise-cubic CDF of the dimensionless variable y."""
 
-    def __init__(self, spec: StateSpec, nodes: int = _CDF_NODES):
+    def __init__(self, spec: StateSpec):
         kf = kernel(spec)
         cut = truncation_halfwidth(kf.degree_hint + 2, 1e-14)
-        y = np.linspace(-cut, cut, nodes)
+        y = np.linspace(-cut, cut, _CDF_NODES)
         dens = np.maximum(kf.f(y), 0.0)
         pdf_interp = PchipInterpolator(y, dens)
         cdf = pdf_interp.antiderivative()
@@ -278,13 +279,11 @@ def _y_moments(spec: StateSpec):
     """(E[y], Var[y]) under the state's dimensionless kernel."""
     moments = spec._kernel_cache.get("y_moments")
     if moments is None:
-        from .quadrature import integrate_real_line
         kf = kernel(spec)
         cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-12)
-        m1 = integrate_real_line(lambda y: y * kf.f(y), cfg, kf.degree_hint + 1)
-        m2 = integrate_real_line(lambda y: y * y * kf.f(y), cfg, kf.degree_hint + 2)
-        e1 = math.sqrt(2.0) * m1.value
-        e2 = math.sqrt(2.0) * m2.value
+        res = integrate_real_line(lambda y: np.stack([y, y * y]) * kf.f(y),
+                                  cfg, kf.degree_hint + 2)
+        e1, e2 = math.sqrt(2.0) * res.value
         moments = (e1, max(e2 - e1 * e1, 1e-12))
         spec._kernel_cache["y_moments"] = moments
     return moments

@@ -149,7 +149,7 @@ def _fisher_ratio(spec: StateSpec):
 def metric_quadrature(spec: StateSpec, point: ModelPoint,
                       config: QuadConfig | None = None,
                       force_offdiagonal: bool = False) -> MetricTensor2:
-    """Metric from the three reduced Fisher integrals.
+    """Metric from the three reduced Fisher integrals, integrated together.
 
     Itilde_mumu = 1/sqrt(2) * int (f')^2/f,
     Itilde_musigma = int y (f')^2/f,
@@ -164,27 +164,20 @@ def metric_quadrature(spec: StateSpec, point: ModelPoint,
         config = QuadConfig()
     kf = kernel(spec)
     ratio = _fisher_ratio(spec)
-    deg = kf.degree_hint + 4
+    skip_offdiagonal = kf.parity == "even" and not force_offdiagonal
+    powers = np.array([0, 2] if skip_offdiagonal else [0, 1, 2])[:, None]
 
-    def run(weight_power, extra_degree):
-        if weight_power == 0:
-            integrand = ratio
-        else:
-            def integrand(y, _p=weight_power):
-                return np.asarray(y, dtype=float) ** _p * ratio(y)
-        res = integrate_real_line(integrand, config, deg + extra_degree)
-        if not res.converged:
-            raise QuadratureError(
-                f"Fisher integral (y^{weight_power} weight) did not converge "
-                f"within {res.evaluations} evaluations")
-        return res.value
+    def integrand(y):
+        return y ** powers * ratio(y)
 
-    imm = run(0, 0) / _SQRT2
-    if kf.parity == "even" and not force_offdiagonal:
-        ims = 0.0
-    else:
-        ims = run(1, 1)
-    iss = _SQRT2 * run(2, 2) - 1.0
+    res = integrate_real_line(integrand, config, kf.degree_hint + 6)
+    if not res.converged:
+        raise QuadratureError(
+            f"Fisher integrals did not converge within {res.evaluations} "
+            "evaluations")
+    imm = res.value[0] / _SQRT2
+    ims = 0.0 if skip_offdiagonal else res.value[1]
+    iss = _SQRT2 * res.value[-1] - 1.0
     return _validated(point, (imm, ims, iss), "quadrature")
 
 

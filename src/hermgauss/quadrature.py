@@ -52,9 +52,6 @@ class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_evaluations: int = 2_000_000
-    # Override for the truncation half-width, in units of the dimensionless
-    # variable y.  None means "derive from degree_hint and abs_tol".
-    tail_cutoff: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_evaluations <= 0:
@@ -63,8 +60,10 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    abs_error_estimate: float
+    """Value and error estimate: floats, or length-k arrays for k integrands."""
+
+    value: float | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
 
@@ -113,30 +112,34 @@ def truncation_halfwidth(degree_hint: int, abs_tol: float) -> float:
     return math.sqrt(max(y2, 4.0))
 
 
-def _panel(integrand, a, b):
-    """Gauss-Kronrod 7-15 estimate of a single panel [a, b].
+def _panel(integrand, edges):
+    """Gauss-Kronrod 7-15 estimates of every panel between sorted ``edges``.
 
-    Returns (kronrod_value, error_estimate, samples_y, samples_f).
+    The integrand is called once, on all panels' nodes together.  Returns
+    (values, errors), each of shape (k, panels) for an integrand with k
+    components (k = 1 for a scalar integrand), and whether it is scalar.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = mid + half * _GK_NODES
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    y = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
     f = np.asarray(integrand(y), dtype=float)
-    if f.shape != y.shape:
+    scalar = f.shape == y.shape
+    if not scalar and (f.ndim != 2 or f.shape[1] != y.size):
         raise IntegrandError("integrand is not vectorized over its argument", y[0])
     bad = ~np.isfinite(f)
     if bad.any():
-        raise IntegrandError("non-finite integrand value", float(y[bad][0]))
-    k = half * float(_KRONROD_W @ f)
-    g = half * float(_GAUSS_W @ f)
+        raise IntegrandError("non-finite integrand value",
+                             float(y[bad.reshape(-1, y.size).any(axis=0)][0]))
+    f = f.reshape(-1, half.size, _GK_NODES.size)
+    k = half * (f @ _KRONROD_W)
+    g = half * (f @ _GAUSS_W)
     # QUADPACK-style sharpened error estimate.
-    resabs = half * float(_KRONROD_W @ np.abs(f))
-    diff = abs(k - g)
-    if resabs > 0.0 and diff > 0.0:
-        err = resabs * min(1.0, (200.0 * diff / resabs) ** 1.5)
-    else:
-        err = diff
-    return k, err
+    resabs = half * (np.abs(f) @ _KRONROD_W)
+    diff = np.abs(k - g)
+    scaled = np.divide(200.0 * diff, resabs, out=np.zeros_like(diff),
+                       where=resabs > 0.0)
+    err = np.where(scaled > 0.0, resabs * np.minimum(1.0, scaled ** 1.5), diff)
+    return k, err, scalar
 
 
 def integrate_real_line(integrand, config: QuadConfig | None = None,
@@ -146,7 +149,10 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     Parameters
     ----------
     integrand : callable
-        Maps an ndarray of y values to an ndarray of integrand values.
+        Maps an ndarray of n y values to n integrand values, or to a (k, n)
+        array for k integrands.  The k integrals share one set of panels,
+        and the result's value and error estimate are then arrays of
+        length k; each component meets its own tolerance.
     config : QuadConfig
         Tolerances and evaluation budget.
     degree_hint : int
@@ -155,10 +161,7 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     """
     if config is None:
         config = QuadConfig()
-    if config.tail_cutoff is not None:
-        cut = float(config.tail_cutoff)
-    else:
-        cut = truncation_halfwidth(degree_hint, config.abs_tol)
+    cut = truncation_halfwidth(degree_hint, config.abs_tol)
 
     # Symmetric initial partition; enough panels that the first pass already
     # resolves the polynomial oscillations of degree_hint.
@@ -166,41 +169,41 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     if n0 % 2 == 1:
         n0 += 1
     edges = np.linspace(-cut, cut, n0 + 1)
-    panels = []  # list of (a, b, value, err)
-    evaluations = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _panel(integrand, float(a), float(b))
-        panels.append((float(a), float(b), v, e))
-        evaluations += _GK_NODES.size
+    values, errors, scalar = _panel(integrand, edges)
+    evaluations = n0 * _GK_NODES.size
 
     while True:
-        total = math.fsum(p[2] for p in panels)
-        total_err = math.fsum(p[3] for p in panels)
-        tol = max(config.abs_tol, config.rel_tol * abs(total))
-        if total_err <= tol:
-            return QuadResult(total, total_err, evaluations, True)
-        if evaluations + 2 * _GK_NODES.size > config.max_evaluations:
-            return QuadResult(total, total_err, evaluations, False)
-        # Bisect the worst panel; ties broken by leftmost position so the
-        # refinement order is deterministic.
-        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
-        a, b, _, _ = panels.pop(worst)
-        m = 0.5 * (a + b)
-        left = _panel(integrand, a, m)
-        right = _panel(integrand, m, b)
+        total = np.array([math.fsum(v) for v in values])
+        total_err = np.array([math.fsum(e) for e in errors])
+        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        converged = bool(np.all(total_err <= tol))
+        if converged or evaluations + 2 * _GK_NODES.size > config.max_evaluations:
+            if scalar:
+                return QuadResult(float(total[0]), float(total_err[0]),
+                                  evaluations, converged)
+            return QuadResult(total, total_err, evaluations, converged)
+        # Bisect the panel whose error is largest against its component's
+        # tolerance; argmax takes the leftmost of ties, so the refinement
+        # order is deterministic.
+        i = int(np.argmax((errors / tol[:, None]).max(axis=0)))
+        split = np.array([edges[i], 0.5 * (edges[i] + edges[i + 1]), edges[i + 1]])
+        v, e, _ = _panel(integrand, split)
         evaluations += 2 * _GK_NODES.size
-        panels.append((a, m) + left)
-        panels.append((m, b) + right)
-        panels.sort(key=lambda p: p[0])
+        edges = np.concatenate([edges[:i], split, edges[i + 2:]])
+        values = np.concatenate([values[:, :i], v, values[:, i + 1:]], axis=1)
+        errors = np.concatenate([errors[:, :i], e, errors[:, i + 1:]], axis=1)
 
 
-def guarded_ratio(num, den, den_floor: float = 1e-300,
-                  blowup_factor: float = 1e12):
+_DEN_FLOOR = 1e-300
+_BLOWUP_FACTOR = 1e12
+
+
+def guarded_ratio(num, den):
     """Vectorized num/den with a continuity fill at removable singularities.
 
-    Where den falls below ``den_floor`` the ratio is replaced by the average
+    Where den falls below ``_DEN_FLOOR`` the ratio is replaced by the average
     of the ratio at y +- h with h = 1e-7 * (1 + |y|).  If the filled value
-    exceeds ``blowup_factor`` times the local median of the regular values,
+    exceeds ``_BLOWUP_FACTOR`` times the local median of the regular values,
     the singularity is not removable and an error is raised.
     """
 
@@ -209,28 +212,21 @@ def guarded_ratio(num, den, den_floor: float = 1e-300,
         n = np.asarray(num(y), dtype=float)
         d = np.asarray(den(y), dtype=float)
         out = np.empty_like(d)
-        small = d < den_floor
+        small = d < _DEN_FLOOR
         ok = ~small
         out[ok] = n[ok] / d[ok]
         if small.any():
             ys = y[small]
             h = 1e-7 * (1.0 + np.abs(ys))
-            fill = np.empty_like(ys)
-            for side in (+1.0, -1.0):
-                yy = ys + side * h
+            fill = 0.0
+            for yy in (ys + h, ys - h):
                 dd = np.asarray(den(yy), dtype=float)
                 nn = np.asarray(num(yy), dtype=float)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(dd >= den_floor, nn / np.maximum(dd, den_floor), 0.0)
-                if side > 0:
-                    fill = 0.5 * r
-                else:
-                    fill = fill + 0.5 * r
-            if ok.any():
-                local = float(np.median(np.abs(out[ok])))
-            else:
-                local = 0.0
-            limit = blowup_factor * max(local, 1e-30)
+                    r = np.where(dd >= _DEN_FLOOR, nn / np.maximum(dd, _DEN_FLOOR), 0.0)
+                fill = fill + 0.5 * r
+            local = float(np.median(np.abs(out[ok]))) if ok.any() else 0.0
+            limit = _BLOWUP_FACTOR * max(local, 1e-30)
             if np.any(np.abs(fill) > limit):
                 bad = ys[np.abs(fill) > limit][0]
                 raise NonRemovableSingularityError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import hermgauss.geometry
 from hermgauss.geometry import (
     MetricTensor2,
     christoffel_reduced,
@@ -71,6 +72,24 @@ class TestQuadratureMetric:
     def test_forced_offdiagonal_confirms_oddness(self):
         q = metric_quadrature(mixture_rho01(), ORIGIN, force_offdiagonal=True)
         assert abs(q.reduced[1]) <= 1e-10
+
+    @pytest.mark.parametrize("spec, force, components", [
+        (StateSpec.eigenstate(2), False, 2),
+        (StateSpec.superposition({0: 0.6, 1: 0.8}), False, 3),
+        (StateSpec.eigenstate(2), True, 3),
+    ], ids=["even", "non_even", "forced_offdiagonal"])
+    def test_one_integral_per_metric(self, monkeypatch, spec, force, components):
+        real = hermgauss.geometry.integrate_real_line
+        results = []
+
+        def counting(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
+        metric_quadrature(spec, ORIGIN, force_offdiagonal=force)
+        assert len(results) == 1
+        assert results[0].value.shape == (components,)
 
     def test_point_only_rescales(self):
         s = StateSpec.eigenstate(1)

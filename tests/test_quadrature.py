@@ -42,14 +42,18 @@ class TestIntegrateRealLine:
         res = integrate_real_line(kf.f, degree_hint=kf.degree_hint)
         assert res.value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
 
-    @pytest.mark.parametrize("k", range(11))
+    @pytest.mark.parametrize("k", [*range(11), "stacked"])
     def test_tolerance_contract_on_moments(self, k):
+        # "stacked" integrates all eleven moments as one (11, n) integrand.
         cfg = QuadConfig()
-        res = integrate_real_line(lambda y: y ** (2 * k) * np.exp(-y * y),
-                                  cfg, degree_hint=2 * k + 1)
-        exact = gaussian_moment(k)
+        ks = np.arange(11) if k == "stacked" else np.array(k)
+        res = integrate_real_line(
+            lambda y: y ** (2 * ks[..., None]) * np.exp(-y * y),
+            cfg, degree_hint=2 * int(ks.max()) + 1)
+        exact = np.array([gaussian_moment(j) for j in ks.flat])
         assert res.converged
-        assert abs(res.value - exact) <= max(cfg.rel_tol * abs(exact), cfg.abs_tol)
+        assert np.all(np.abs(res.value - exact)
+                      <= np.maximum(cfg.rel_tol * np.abs(exact), cfg.abs_tol))
 
     def test_determinism(self):
         def f(y):
@@ -85,6 +89,29 @@ class TestIntegrateRealLine:
         cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_evaluations=300)
         res = integrate_real_line(lambda y: np.exp(-y * y) * np.cos(20 * y), cfg, 2)
         assert not res.converged
+
+    def test_components_meet_their_own_tolerance(self):
+        # Magnitudes 1e12 apart, and the small component needs more panels
+        # than the large one: a tolerance shared with, or taken from, the
+        # large component stops before the small one is resolved.
+        cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-300)
+        res = integrate_real_line(
+            lambda y: np.stack([1e6 * np.exp(-y * y), 1e-6 * y * y * np.exp(-y * y)]),
+            cfg, degree_hint=3)
+        exact = np.array([1e6 * gaussian_moment(0), 1e-6 * gaussian_moment(1)])
+        assert res.converged
+        assert res.value.shape == res.abs_error_estimate.shape == (2,)
+        assert np.all(res.abs_error_estimate <= cfg.rel_tol * exact)
+        assert np.all(np.abs(res.value - exact) <= cfg.rel_tol * exact)
+
+    def test_scalar_integrand_returns_floats(self):
+        res = integrate_real_line(lambda y: np.exp(-y * y))
+        assert type(res.value) is float
+        assert type(res.abs_error_estimate) is float
+
+    def test_misshapen_integrand_raises(self):
+        with pytest.raises(IntegrandError):
+            integrate_real_line(lambda y: np.exp(-y * y)[:-1])
 
     def test_truncation_halfwidth_grows_with_degree(self):
         assert truncation_halfwidth(40, 1e-12) > truncation_halfwidth(2, 1e-12)
