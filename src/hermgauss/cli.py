@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,6 @@ import numpy as np
 from . import __version__
 from .estimation import crb_experiment, sample
 from .geometry import (
-    crb_bound,
     curvature_finite_difference,
     geodesic_trace,
     metric_closed_form,
@@ -36,7 +36,6 @@ from .models import (
     StateSpec,
     from_physical,
     kernel,
-    pdf,
 )
 from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
@@ -66,6 +65,28 @@ def _need(obj, key, where):
     return obj[key]
 
 
+def _pair(v):
+    a, b = v
+    return [float(a), float(b)]
+
+
+# Conversions of the fields the commands read; other fields pass through.
+_CONVERT = {"trials": operator.index, "samples_per_trial": operator.index,
+            "seed": operator.index, "count": operator.index,
+            "steps": operator.index, "tau_end": float, "velocity": _pair}
+
+
+def _block(raw, key):
+    """The object under ``key`` ({} when absent), its command fields converted."""
+    blk = raw.get(key, {})
+    if not isinstance(blk, dict):
+        raise ConfigError(f"{key!r} must be an object")
+    try:
+        return {k: _CONVERT.get(k, lambda v: v)(v) for k, v in blk.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key!r} block: {exc}") from exc
+
+
 def _parse_state(block, renormalize):
     if not isinstance(block, dict):
         raise ConfigError("'state' must be an object")
@@ -87,10 +108,10 @@ def _parse_state(block, renormalize):
             table = {(e["n"], e["m"]): complex(e.get("re", 0.0), e.get("im", 0.0))
                      for e in entries}
             return StateSpec.density(table, renormalize=renormalize)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed 'state' term: {exc}") from exc
     except InvalidStateError as exc:
         raise ConfigError(f"invalid 'state': {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed 'state' term: {exc}") from exc
     raise ConfigError(f"unknown state type {kind!r}")
 
 
@@ -111,40 +132,40 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("exactly one of 'point' or 'physical' is required")
     try:
         if has_point:
-            blk = raw["point"]
+            blk = _block(raw, "point")
             point = ModelPoint(float(_need(blk, "mu", "'point'")),
                                float(_need(blk, "sigma", "'point'")))
         else:
-            blk = raw["physical"]
+            blk = _block(raw, "physical")
             point = from_physical(PhysicalOscillator(
                 mass=float(_need(blk, "mass", "'physical'")),
                 omega0=float(_need(blk, "omega0", "'physical'")),
                 x0=float(_need(blk, "x0", "'physical'")),
                 hbar=float(blk.get("hbar", 1.0))))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameter point: {exc}") from exc
 
     command = _need(raw, "command", "config")
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
 
-    qblk = raw.get("quad", {})
+    qblk = _block(raw, "quad")
     try:
         quad = QuadConfig(
             rel_tol=float(qblk.get("rel_tol", 1e-10)),
             abs_tol=float(qblk.get("abs_tol", 1e-12)),
             max_evaluations=int(qblk.get("max_evaluations", 2_000_000)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'quad' block: {exc}") from exc
 
-    fmt = raw.get("output", {}).get("format", "json")
+    fmt = _block(raw, "output").get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
 
     return RunConfig(state=state, point=point, command=command, quad=quad,
                      output_format=fmt,
-                     estimation=raw.get("estimation", {}),
-                     geodesic=raw.get("geodesic", {}))
+                     estimation=_block(raw, "estimation"),
+                     geodesic=_block(raw, "geodesic"))
 
 
 # -- report rendering -----------------------------------------------------
@@ -409,7 +430,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, estimation=est)
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
-    except ConfigError as exc:
+    except ValueError as exc:  # also a flag that ModelPoint or QuadConfig rejects
         json.dump({"error": {"type": "ConfigError", "message": str(exc)}},
                   sys.stderr)
         sys.stderr.write("\n")

@@ -44,6 +44,8 @@ _INVERT_TOL = 1e-12
 # Compass steps at which the MLE hands over to Newton: relative to sigma for
 # mu, absolute for log sigma.
 _HANDOFF_STEP = 1e-2
+# Step at which the MLE stops: relative to sigma for mu, absolute for log sigma.
+_FIT_TOL = 1e-9
 # Relative change of log L below which a Newton step's "fall" is rounding.
 _LL_ROUNDING = 1e-12
 # Fewest trials (and surviving fits) that make the covariance meaningful.
@@ -71,7 +73,8 @@ class CrbReport:
 
 
 class _CdfTable:
-    """Monotone piecewise-cubic CDF of the dimensionless variable y."""
+    """Monotone CDF of the dimensionless variable y: the piecewise-quartic
+    antiderivative of a PCHIP (piecewise-cubic) interpolant of the density."""
 
     def __init__(self, spec: StateSpec):
         kf = kernel(spec)
@@ -169,41 +172,37 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
     return float(np.sum(np.log(f))) - x.size * math.log(sigma)
 
 
-def mle_fit(batch: SampleBatch, spec: StateSpec | None = None,
-            init: ModelPoint | None = None,
-            tol: float = 1e-9, max_iterations: int = 20000) -> ModelPoint:
-    """Maximum-likelihood (mu, sigma) on (mu, log sigma).
+def mle_fit(batch: SampleBatch, max_iterations: int = 20000) -> ModelPoint:
+    """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
-    A compass search walks from ``init`` (moment matching by default) until
-    its steps fall to 1e-2 (relative to sigma for mu), then Newton polishes
-    until a step is below ``tol`` (relative to sigma for mu).  If Newton
-    fails, the compass search resumes and runs its steps down to ``tol``.
+    A compass search walks from the moment-matching point until its steps
+    fall to 1e-2 (relative to sigma for mu), then Newton polishes until a
+    step is below 1e-9 (relative to sigma for mu).  If Newton fails, the
+    compass search resumes and runs its steps down to 1e-9.
     ``max_iterations`` caps the objective evaluations, Newton passes included.
     """
-    if spec is None:
-        spec = batch.spec
+    spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
     if x.size == 0:
         raise ValueError("empty batch")
     if x.size > 1 and np.ptp(x) == 0.0:
         raise ValueError("degenerate batch: all samples identical")
-    if init is None:
-        init = _moment_init(spec, x)
+    init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
 
     def objective(m, l):
         return log_likelihood(spec, x, m, math.exp(l))
 
     best = objective(mu, ls)
-    step_mu = max(0.25 * math.exp(ls), 10.0 * tol)
+    step_mu = max(0.25 * math.exp(ls), 10.0 * _FIT_TOL)
     step_ls = 0.25
     evals = 0
     polish = True
-    while (step_mu > tol or step_ls > tol):
+    while step_mu > _FIT_TOL or step_ls > _FIT_TOL:
         if (polish and step_ls <= _HANDOFF_STEP
                 and step_mu <= _HANDOFF_STEP * math.exp(ls)):
             polish = False
-            fit, used = _newton_polish(kernel(spec), x, mu, ls, tol,
+            fit, used = _newton_polish(kernel(spec), x, mu, ls,
                                        max_iterations - evals)
             evals += used
             if fit is not None:
@@ -236,11 +235,11 @@ def _loglik_jet(kf, x, mu, ls):
     sigma = math.exp(ls)
     a = 1.0 / (math.sqrt(2.0) * sigma)
     y = (x - mu) * a
-    f = kf.f(y)
+    f, d1, d2 = kf.jet(y, 2)
     if not np.all(f > 0.0):
         return None
-    r1 = kf.f_prime(y) / f
-    q = kf.f_second(y) / f - r1 * r1
+    r1 = d1 / f
+    q = d2 / f - r1 * r1
     mixed = q * y + r1
     ll = float(np.sum(np.log(f))) - x.size * ls
     score = np.array([-a * np.sum(r1), -float(r1 @ y) - x.size])
@@ -250,7 +249,7 @@ def _loglik_jet(kf, x, mu, ls):
     return ll, score, hess
 
 
-def _newton_polish(kf, x, mu, ls, tol, budget):
+def _newton_polish(kf, x, mu, ls, budget):
     """Newton ascent from (mu, log sigma): (ModelPoint or None, passes).
 
     None when a step would lower log L by more than rounding or meet a
@@ -265,7 +264,7 @@ def _newton_polish(kf, x, mu, ls, tol, budget):
         if not (hess[0, 0] < 0.0 and det > 0.0):
             break
         d_mu, d_ls = -np.linalg.solve(hess, score)
-        if abs(d_mu) <= tol * math.exp(ls) and abs(d_ls) <= tol:
+        if abs(d_mu) <= _FIT_TOL * math.exp(ls) and abs(d_ls) <= _FIT_TOL:
             return ModelPoint(mu=mu + d_mu, sigma=math.exp(ls + d_ls)), passes
         jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
         passes += 1
@@ -329,7 +328,7 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     for t in range(trials):
         batch = sample(spec, point, samples_per_trial, _trial_seed(seed, t))
         try:
-            fit = mle_fit(batch, spec)
+            fit = mle_fit(batch)
             estimates[t] = (fit.mu, fit.sigma)
         except (RuntimeError, ValueError) as exc:
             estimates[t] = np.nan

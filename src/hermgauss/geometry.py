@@ -79,14 +79,6 @@ class MetricTensor2:
         return np.array([[self.i_mumu, self.i_musigma],
                          [self.i_musigma, self.i_sigmasigma]])
 
-    def reduced_matrix(self) -> np.ndarray:
-        a, b, c = self.reduced
-        return np.array([[a, b], [b, c]])
-
-    def reduced_det(self) -> float:
-        a, b, c = self.reduced
-        return a * c - b * b
-
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -137,13 +129,13 @@ def _fisher_ratio(spec: StateSpec):
     """(f')^2/f as a vectorized callable, factored when the state allows it."""
     if spec.real_superposition_coeffs() is not None:
         return fisher_ratio_factored(spec)
-    kf = kernel(spec)
+    jet = kernel(spec).jet
 
-    def num(y):
-        d = kf.f_prime(y)
-        return d * d
+    def num_den(y):
+        f, d = jet(y, 1)
+        return d * d, f
 
-    return guarded_ratio(num, kf.f)
+    return guarded_ratio(num_den)
 
 
 def metric_quadrature(spec: StateSpec, point: ModelPoint,
@@ -281,12 +273,11 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
 
 
 def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
-                                step_scale: float = 1e-3,
                                 config: QuadConfig | None = None) -> CurvatureReport:
     """Scalar curvature from finite differences of the quadrature metric.
 
     The metric is evaluated on a 3x3 stencil around (mu, sigma) with steps
-    h = step_scale * sigma in both directions; first and second partials by
+    h = 1e-3 * sigma in both directions; first and second partials by
     central differences feed the Levi-Civita Christoffel symbols, the
     lowered Riemann tensor, the Ricci contraction and the scalar.  This
     route makes no use of the 1/sigma^2 structure and exists to validate
@@ -294,9 +285,7 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
     """
     if config is None:
         config = QuadConfig(rel_tol=1e-12, abs_tol=1e-13)
-    h = step_scale * point.sigma
-    if point.sigma - h <= 0.0:
-        raise ValueError("stencil would cross sigma <= 0")
+    h = 1e-3 * point.sigma
 
     cache = {}
 
@@ -351,13 +340,6 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
     )
 
 
-def _reduced_for(spec: StateSpec, point: ModelPoint,
-                 config: QuadConfig | None = None) -> MetricTensor2:
-    if spec.kind == "eigenstate":
-        return metric_closed_form(spec, point)
-    return metric_quadrature(spec, point, config)
-
-
 def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
                    tau_end: float, steps: int,
                    config: QuadConfig | None = None) -> GeodesicTrace:
@@ -383,7 +365,8 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    reduced = _reduced_for(spec, start, config).reduced
+    reduced = (metric_closed_form(spec, start) if spec.kind == "eigenstate"
+               else metric_quadrature(spec, start, config)).reduced
     a, b, c = reduced
     root_det = math.sqrt(a * c - b * b)
     vm0, vs0 = float(velocity[0]), float(velocity[1])

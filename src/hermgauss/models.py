@@ -108,13 +108,12 @@ class StateSpec:
     which is what the kernel evaluation consumes.
     """
 
-    __slots__ = ("kind", "table", "weights", "coeffs", "parity_even",
-                 "max_index", "_kernel_cache")
+    __slots__ = ("kind", "table", "coeffs", "parity_even", "max_index",
+                 "_kernel_cache")
 
-    def __init__(self, kind, table, weights=None, coeffs=None):
+    def __init__(self, kind, table, coeffs=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", dict(table))
-        object.__setattr__(self, "weights", None if weights is None else dict(weights))
         object.__setattr__(self, "coeffs", None if coeffs is None else dict(coeffs))
         object.__setattr__(self, "max_index",
                            max((max(n, m) for (n, m) in self.table), default=0))
@@ -134,8 +133,7 @@ class StateSpec:
     def eigenstate(cls, n: int) -> "StateSpec":
         n = int(n)
         _check_indices("eigenstate", (n,))
-        return cls("eigenstate", {(n, n): 1.0 + 0.0j}, weights={n: 1.0},
-                   coeffs={n: 1.0 + 0.0j})
+        return cls("eigenstate", {(n, n): 1.0 + 0.0j}, coeffs={n: 1.0 + 0.0j})
 
     @classmethod
     def mixture(cls, weights, renormalize: bool = False) -> "StateSpec":
@@ -154,7 +152,7 @@ class StateSpec:
             raise InvalidStateError(
                 f"mixture weights sum to {total!r}, expected 1 within {_NORM_TOL}")
         table = {(n, n): complex(v) for n, v in w.items() if v != 0.0}
-        return cls("mixture", table, weights=w)
+        return cls("mixture", table)
 
     @classmethod
     def superposition(cls, coeffs, renormalize: bool = False) -> "StateSpec":
@@ -231,67 +229,63 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class KernelFn:
-    """The dimensionless kernel f and its first two derivatives for one state.
+    """The dimensionless kernel f of one state and its derivatives.
 
-    ``f``, ``f_prime`` and ``f_second`` are vectorized callables of y.
-    ``parity`` is "even" when every occupied index pair shares evenness (so
-    f is an even function), "none" otherwise.  ``degree_hint`` bounds the
-    polynomial degree multiplying exp(-y^2).
+    ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 from
+    one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
+    All three are vectorized over y.  ``parity`` is "even" when every
+    occupied index pair shares evenness (so f is an even function), "none"
+    otherwise.  ``degree_hint`` bounds the polynomial degree multiplying
+    exp(-y^2).
     """
 
     f: object
     f_prime: object
-    f_second: object
+    jet: object
     parity: str
     degree_hint: int
 
 
 def kernel(spec: StateSpec) -> KernelFn:
-    """Build (f, f', f'') for a state; cached on the spec."""
+    """Build the kernel of a state; cached on the spec.
+
+    sqrt(2 pi) f = psi . L psi, L the real table over the occupied levels;
+    f' and f'' follow as 2 psi' . L psi and 2 (psi'' . L psi + psi' . L psi')
+    with psi_k' = sqrt(2k) psi_{k-1} - y psi_k, psi_k'' = (y^2 - 2k - 1) psi_k.
+    """
     cached = spec._kernel_cache.get("kernel")
     if cached is not None:
         return cached
     top = spec.max_index
-    entries = [(n, m, v.real) for (n, m), v in spec.table.items() if v.real != 0.0]
+    levels = sorted({k for nm in spec.table for k in nm})
+    slot = {k: i for i, k in enumerate(levels)}
     # Purely imaginary lambda_nm pairs cancel between (n, m) and (m, n).
+    lam = np.zeros((len(levels), len(levels)))
+    for (n, m), v in spec.table.items():
+        lam[slot[n], slot[m]] = v.real
+    levels = np.array(levels)
+    below = np.maximum(levels - 1, 0)
+    root = np.sqrt(2.0 * levels)[:, None]
+    shift = -(2.0 * levels + 1.0)[:, None]
 
-    def f(y):
-        psi = hermite_normalized_all(top, y)
-        acc = np.zeros_like(psi[0])
-        for n, m, lam in entries:
-            acc += lam * psi[n] * psi[m]
-        return acc / _SQRT_2PI
-
-    def rows(y):
-        # psi_k and psi_k' = sqrt(2k) psi_{k-1} - y psi_k from one recurrence.
-        psi = hermite_normalized_all(top, y)
-        dpsi = np.empty_like(psi)
-        dpsi[0] = -y * psi[0]
-        for k in range(1, top + 1):
-            dpsi[k] = math.sqrt(2.0 * k) * psi[k - 1] - y * psi[k]
-        return psi, dpsi
-
-    def f_prime(y):
+    def jet(y, order):
         y = np.asarray(y, dtype=float)
-        psi, dpsi = rows(y)
-        acc = np.zeros_like(psi[0])
-        for n, m, lam in entries:
-            acc += lam * (dpsi[n] * psi[m] + psi[n] * dpsi[m])
-        return acc / _SQRT_2PI
+        flat = y.reshape(-1)
+        rows = hermite_normalized_all(top, flat)
+        psi = rows[levels]
+        lam_psi = lam.dot(psi)
+        out = [np.einsum("kn,kn->n", lam_psi, psi)]
+        if order >= 1:
+            dpsi = root * rows[below] - flat * psi
+            out.append(2.0 * np.einsum("kn,kn->n", lam_psi, dpsi))
+        if order >= 2:
+            ddpsi = (flat * flat + shift) * psi
+            out.append(2.0 * (np.einsum("kn,kn->n", lam_psi, ddpsi)
+                              + np.einsum("kn,kn->n", lam.dot(dpsi), dpsi)))
+        return tuple((v / _SQRT_2PI).reshape(y.shape) for v in out)
 
-    def f_second(y):
-        # psi_k'' = (y^2 - 2k - 1) psi_k, the oscillator equation.
-        y = np.asarray(y, dtype=float)
-        psi, dpsi = rows(y)
-        y2 = 2.0 * y * y
-        acc = np.zeros_like(psi[0])
-        for n, m, lam in entries:
-            acc += lam * ((y2 - 2.0 * (n + m + 1)) * psi[n] * psi[m]
-                          + 2.0 * dpsi[n] * dpsi[m])
-        return acc / _SQRT_2PI
-
-    kf = KernelFn(f=f, f_prime=f_prime, f_second=f_second,
-                  parity="even" if spec.parity_even else "none",
+    kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
+                  jet=jet, parity="even" if spec.parity_even else "none",
                   degree_hint=2 * top + 2)
     spec._kernel_cache["kernel"] = kf
     return kf
@@ -300,24 +294,27 @@ def kernel(spec: StateSpec) -> KernelFn:
 def fisher_ratio_factored(spec: StateSpec):
     """Vectorized (f')^2/f for a real pure state, via the factored kernel.
 
-    Equal to 4 G'(y)^2 / sqrt(2 pi) with G = g * exp(-y^2/2) the normalized
-    wavepacket profile; manifestly finite everywhere.
+    Equal to 4 G'(y)^2 / sqrt(2 pi) with G = sum_n alpha_n psi_n the
+    normalized wavepacket profile; manifestly finite everywhere.
     """
     coeffs = spec.real_superposition_coeffs()
     if coeffs is None:
         raise InvalidStateError("factored Fisher ratio needs real coefficients")
     top = spec.max_index
-    terms = sorted(coeffs.items())
+    # G' = sum_n alpha_n (sqrt(2n) psi_{n-1} - y psi_n): row 0 holds alpha_k,
+    # row 1 the coefficient of psi_k in the first sum (n = 0 adds zero).
+    coef = np.zeros((2, top + 1))
+    for n, a in coeffs.items():
+        coef[0, n] = a
+        coef[1, n - 1] += a * math.sqrt(2.0 * n)
 
     def ratio(y):
         y = np.asarray(y, dtype=float)
-        psi = hermite_normalized_all(top, y)
-        acc = np.zeros_like(psi[0])
-        for n, a in terms:
-            if n >= 1:
-                acc += a * math.sqrt(2.0 * n) * psi[n - 1]
-            acc -= a * y * psi[n]
-        return 4.0 * acc * acc / _SQRT_2PI
+        flat = y.reshape(-1)
+        psi = hermite_normalized_all(top, flat)
+        g, lower = coef @ psi
+        g = lower - flat * g
+        return (4.0 * g * g / _SQRT_2PI).reshape(y.shape)
 
     return ratio
 

@@ -198,19 +198,19 @@ _DEN_FLOOR = 1e-300
 _BLOWUP_FACTOR = 1e12
 
 
-def guarded_ratio(num, den):
+def guarded_ratio(num_den):
     """Vectorized num/den with a continuity fill at removable singularities.
 
-    Where den falls below ``_DEN_FLOOR`` the ratio is replaced by the average
-    of the ratio at y +- h with h = 1e-7 * (1 + |y|).  If the filled value
-    exceeds ``_BLOWUP_FACTOR`` times the local median of the regular values,
-    the singularity is not removable and an error is raised.
+    ``num_den(y)`` returns the pair (num, den) at y, so the two share one
+    evaluation.  Where den falls below ``_DEN_FLOOR`` the ratio is replaced
+    by the average of the ratio at y +- h with h = 1e-7 * (1 + |y|).  If the
+    filled value exceeds ``_BLOWUP_FACTOR`` times the local median of the
+    regular values, the singularity is not removable and an error is raised.
     """
 
     def ratio(y):
         y = np.asarray(y, dtype=float)
-        n = np.asarray(num(y), dtype=float)
-        d = np.asarray(den(y), dtype=float)
+        n, d = (np.asarray(v, dtype=float) for v in num_den(y))
         out = np.empty_like(d)
         small = d < _DEN_FLOOR
         ok = ~small
@@ -220,8 +220,7 @@ def guarded_ratio(num, den):
             h = 1e-7 * (1.0 + np.abs(ys))
             fill = 0.0
             for yy in (ys + h, ys - h):
-                dd = np.asarray(den(yy), dtype=float)
-                nn = np.asarray(num(yy), dtype=float)
+                nn, dd = (np.asarray(v, dtype=float) for v in num_den(yy))
                 with np.errstate(divide="ignore", invalid="ignore"):
                     r = np.where(dd >= _DEN_FLOOR, nn / np.maximum(dd, _DEN_FLOOR), 0.0)
                 fill = fill + 0.5 * r
@@ -236,4 +235,3 @@ def guarded_ratio(num, den):
         return out
 
     return ratio
-

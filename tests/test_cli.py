@@ -158,11 +158,11 @@ class TestCommands:
         real_fit = hermgauss.estimation.mle_fit
         calls = []
 
-        def flaky_fit(batch, spec=None):
+        def flaky_fit(batch):
             calls.append(1)
             if len(calls) == 2:
                 raise RuntimeError("no convergence")
-            return real_fit(batch, spec)
+            return real_fit(batch)
 
         monkeypatch.setattr(hermgauss.estimation, "mle_fit", flaky_fit)
         raw = json.loads(config_text(command="crb"))
@@ -226,6 +226,30 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert "0..200" in err["error"]["message"]
+
+    @pytest.mark.parametrize("override", [
+        {"point": 5},
+        {"state": {"type": "mixture", "terms": [{"n": 0, "weight": "a"}]}},
+        {"state": {"type": "eigenstate", "n": "x"}},
+        {"output": "csv"},
+        {"command": "geodesic", "geodesic": {"velocity": [1.0]}},
+        {"command": "crb", "estimation": {"trials": "x"}},
+    ], ids=["point_number", "weight_string", "index_string", "output_string",
+            "velocity_length", "trials_string"])
+    def test_malformed_config_exits_two(self, override, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(**override))
+        assert main([str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"]])
+    def test_invalid_override_exits_two(self, flags, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text())
+        assert main([str(path)] + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2

@@ -217,7 +217,7 @@ class TestCrbExperiment:
         np.testing.assert_array_equal(a.empirical_cov, b.empirical_cov)
 
     def test_failed_fits_raise_instead_of_nan(self, monkeypatch):
-        def failing_fit(batch, spec=None):
+        def failing_fit(batch):
             raise RuntimeError("no convergence")
 
         monkeypatch.setattr(hermgauss.estimation, "mle_fit", failing_fit)
@@ -230,11 +230,11 @@ class TestCrbExperiment:
         real_fit = hermgauss.estimation.mle_fit
         calls = []
 
-        def flaky_fit(batch, spec=None):
+        def flaky_fit(batch):
             calls.append(1)
             if len(calls) in (1, 3):
                 raise RuntimeError(f"no convergence in call {len(calls)}")
-            return real_fit(batch, spec)
+            return real_fit(batch)
 
         monkeypatch.setattr(hermgauss.estimation, "mle_fit", flaky_fit)
         rep = crb_experiment(StateSpec.eigenstate(0), ORIGIN,

@@ -177,11 +177,6 @@ class TestFiniteDifferenceCurvature:
             metric_closed_form(spec, point).reduced, point.sigma)
         np.testing.assert_allclose(fd.christoffel, analytic, atol=1e-5)
 
-    def test_stencil_must_stay_on_manifold(self):
-        with pytest.raises(ValueError):
-            curvature_finite_difference(StateSpec.eigenstate(0),
-                                        ModelPoint(0.0, 1.0), step_scale=1.5)
-
 
 class TestGeodesics:
     def test_zero_velocity_is_constant(self):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermder, hermval
 
+import hermgauss.models
+from hermgauss.estimation import _loglik_jet
+from hermgauss.geometry import _fisher_ratio
 from hermgauss.hermite import MAX_DEGREE
 from hermgauss.models import (
     InvalidStateError,
@@ -30,6 +34,27 @@ def eigen_pdf_direct(n, point, x):
     h = hermval(y, c)
     a2 = 1.0 / (2.0 ** n * math.factorial(n))
     return np.exp(-y * y) * a2 * h * h / (math.sqrt(2 * math.pi) * point.sigma)
+
+
+def kernel_jet_direct(spec, y):
+    """(f, f', f'') from the table and float Hermite coefficients: each
+    phi_n = a_n exp(-y^2/2) H_n(y) and its derivatives come from hermval and
+    hermder, independent of the normalized recurrence and of the oscillator
+    equation."""
+    g = np.exp(-0.5 * y * y)
+    phi = {}
+    for n in {k for nm in spec.table for k in nm}:
+        c = np.zeros(n + 1)
+        c[n] = 1.0 / math.sqrt(2.0 ** n * math.factorial(n))
+        h0, h1, h2 = (hermval(y, hermder(c, k)) for k in range(3))
+        phi[n] = (g * h0, g * (h1 - y * h0), g * (h2 - 2 * y * h1 + (y * y - 1) * h0))
+    out = np.zeros((3, y.size))
+    for (n, m), v in spec.table.items():
+        p, q = phi[n], phi[m]
+        out[0] += v.real * p[0] * q[0]
+        out[1] += v.real * (p[1] * q[0] + p[0] * q[1])
+        out[2] += v.real * (p[2] * q[0] + 2 * p[1] * q[1] + p[0] * q[2])
+    return out / math.sqrt(2 * math.pi)
 
 
 class TestModelPoint:
@@ -72,7 +97,7 @@ class TestStateSpecValidation:
 
     def test_mixture_renormalize(self):
         s = StateSpec.mixture({0: 2.0, 1: 2.0}, renormalize=True)
-        assert s.weights == {0: 0.5, 1: 0.5}
+        assert s.table == {(0, 0): 0.5, (1, 1): 0.5}
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -208,11 +233,62 @@ class TestKernel:
             rng = np.random.default_rng(23)
             y = rng.uniform(-4, 4, size=50)
             h = 1e-5
-            for fn, deriv in ((kf.f, kf.f_prime), (kf.f_prime, kf.f_second)):
-                fd = (fn(y + h) - fn(y - h)) / (2 * h)
-                exact = deriv(y)
-                tol = 1e-6 * np.maximum(1.0, np.abs(exact))
-                assert np.all(np.abs(exact - fd) <= tol)
+            exact = kf.jet(y, 2)
+            up, down = kf.jet(y + h, 1), kf.jet(y - h, 1)
+            for k in (1, 2):
+                fd = (up[k - 1] - down[k - 1]) / (2 * h)
+                tol = 1e-6 * np.maximum(1.0, np.abs(exact[k]))
+                assert np.all(np.abs(exact[k] - fd) <= tol)
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.density({(0, 0): 0.5, (2, 2): 0.3, (5, 5): 0.2,
+                           (0, 2): 0.1 + 0.2j, (2, 0): 0.1 - 0.2j,
+                           (2, 5): -0.05j, (5, 2): 0.05j,
+                           (0, 5): 0.08 - 0.1j, (5, 0): 0.08 + 0.1j}),
+        StateSpec.mixture({0: 0.5, 20: 0.5}),
+        StateSpec.superposition({1: 0.8, 4: -0.6}),
+    ], ids=["density_0_2_5", "mixture_0_20", "superposition_1_4"])
+    def test_jet_matches_direct_hermite_sum(self, spec):
+        y = np.linspace(-6.0, 6.0, 241)
+        want = kernel_jet_direct(spec, y)
+        kf = kernel(spec)
+        got = kf.jet(y, 2)
+        for k in range(3):
+            scale = np.max(np.abs(want[k]))
+            assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * scale
+            assert np.max(np.abs(kf.jet(y, k)[k] - want[k])) <= 1e-13 * scale
+        np.testing.assert_array_equal(kf.f(y), got[0])
+        np.testing.assert_array_equal(kf.f_prime(y), got[1])
+
+    def test_jet_keeps_the_shape_of_y(self):
+        kf = kernel(StateSpec.mixture({0: 0.5, 3: 0.5}))
+        y = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        for k, v in enumerate(kf.jet(y, 2)):
+            assert v.shape == (3, 4)
+            np.testing.assert_array_equal(v, kf.jet(y.ravel(), 2)[k].reshape(3, 4))
+        assert np.shape(kf.f(0.5)) == ()
+
+    def test_one_recurrence_per_evaluation(self, monkeypatch):
+        # The guarded ratio's integrand and a Newton pass of the MLE each
+        # evaluate f and its derivatives from one Hermite recurrence.
+        calls = []
+        real = hermgauss.models.hermite_normalized_all
+
+        def counted(n, y):
+            calls.append(n)
+            return real(n, y)
+
+        monkeypatch.setattr(hermgauss.models, "hermite_normalized_all", counted)
+        spec = StateSpec.superposition({0: 0.6, 1: 0.8j})
+        ratio = _fisher_ratio(spec)
+        y = np.linspace(-3.0, 3.0, 30)
+        assert np.all(kernel(spec).f(y) > 1e-300)
+        calls.clear()
+        ratio(y)
+        assert len(calls) == 1
+        calls.clear()
+        assert _loglik_jet(kernel(spec), y, 0.1, 0.2) is not None
+        assert len(calls) == 1
 
     def test_kernel_mass(self):
         for spec in (StateSpec.eigenstate(0), StateSpec.mixture({0: 0.5, 3: 0.5})):
