@@ -7,8 +7,6 @@ Both the reduced-formula and finite-difference curvature paths are shown.
 
 import math
 
-from scipy.special import erf
-
 from hermgauss import (
     ModelPoint,
     StateSpec,
@@ -30,7 +28,7 @@ print("equal 0/1 mixture:")
 mix = StateSpec.mixture({0: 0.5, 1: 0.5})
 m = metric_quadrature(mix, point)
 c = math.sqrt(2.0 * math.e * math.pi)
-e = erf(1.0 / math.sqrt(2.0))
+e = math.erf(1.0 / math.sqrt(2.0))
 closed = (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
 print(f"  reduced metric (quadrature):  {m.reduced}")
 print(f"  reduced metric (erf form):    {closed}")

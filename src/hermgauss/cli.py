@@ -123,7 +123,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
-    renormalize = bool(raw.get("renormalize", False))
+    renormalize = raw.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ConfigError("'renormalize' must be true or false")
     state = _parse_state(_need(raw, "state", "config"), renormalize)
 
     has_point = "point" in raw

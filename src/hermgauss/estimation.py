@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .geometry import crb_bound, metric_quadrature
 from .models import ModelPoint, StateSpec, kernel
@@ -72,24 +71,70 @@ class CrbReport:
     estimates: np.ndarray = field(default=None, repr=False)
 
 
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone piecewise-cubic (PCHIP) interpolant.
+
+    Inside, the weighted harmonic mean of the two neighbouring secants
+    (Fritsch & Butland 1984, SIAM J. Sci. Stat. Comput. 5:300), or 0 where
+    they differ in sign or either is 0.  At each end, the one-sided
+    three-point estimate, set to 0 if its sign differs from the end secant's
+    and clamped to 3x that secant where the first two secants differ in
+    sign.  This is scipy's PchipInterpolator rule, operation for operation.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                (-1, h[-1], h[-2], m[-1], m[-2])):
+        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            e = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            e = 3.0 * m0
+        d[end] = e
+    return d
+
+
 class _CdfTable:
     """Monotone CDF of the dimensionless variable y: the piecewise-quartic
-    antiderivative of a PCHIP (piecewise-cubic) interpolant of the density."""
+    antiderivative of a PCHIP (piecewise-cubic) interpolant of the density.
+
+    The PCHIP and its antiderivative are built here in numpy.  ``coeffs``
+    holds each segment's quartic in t = y - y_k, highest power first (the
+    layout of scipy's ``PPoly.c``); its last row is the unnormalized CDF at
+    the segment's left end, a running sum of the segments' integrals.
+    """
 
     def __init__(self, spec: StateSpec):
         kf = kernel(spec)
         cut = truncation_halfwidth(kf.degree_hint + 2, 1e-14)
         y = np.linspace(-cut, cut, _CDF_NODES)
         dens = np.maximum(kf.f(y), 0.0)
-        pdf_interp = PchipInterpolator(y, dens)
-        cdf = pdf_interp.antiderivative()
-        vals = cdf(y)
+        d = _pchip_slopes(y, dens)
+        h = np.diff(y)
+        secant = np.diff(dens) / h
+        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        # The cubic Hermite segment's coefficients, each divided by its
+        # power + 1: the quartic antiderivative in t, zero at t = 0.
+        c = np.empty((5, h.size))
+        c[0] = t / h / 4.0
+        c[1] = ((secant - d[:-1]) / h - t) / 3.0
+        c[2] = d[:-1] / 2.0
+        c[3] = dens[:-1]
+        mass = (((c[0] * h + c[1]) * h + c[2]) * h + c[3]) * h
+        vals = np.concatenate(([0.0], np.cumsum(mass)))
+        c[4] = vals[:-1]
         total = vals[-1]
         if not np.isfinite(total) or total <= 0.0:
             raise QuadratureError("CDF tabulation failed: non-positive mass")
         self.y = y
         self.cdf_vals = vals / total
-        self.cdf = cdf
+        self.coeffs = c
         self.total = total
 
     def invert(self, u: np.ndarray) -> np.ndarray:
@@ -103,7 +148,7 @@ class _CdfTable:
         and any iterate outside it is replaced by the bracket's midpoint.
         """
         k = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
-        c4, c3, c2, c1, c0 = self.cdf.c[:, k]
+        c4, c3, c2, c1, c0 = self.coeffs[:, k]
         h = self.y[k + 1] - self.y[k]
         target = u * self.total
         lo = np.zeros_like(h)

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hermgauss
 import hermgauss.estimation
 from hermgauss.cli import ConfigError, main, parse_config, run
 from hermgauss.geometry import metric_quadrature
@@ -234,8 +239,11 @@ class TestMain:
         {"output": "csv"},
         {"command": "geodesic", "geodesic": {"velocity": [1.0]}},
         {"command": "crb", "estimation": {"trials": "x"}},
+        {"state": {"type": "mixture", "terms": [{"n": 0, "weight": 1.0},
+                                                {"n": 1, "weight": 1.0}]},
+         "renormalize": "false"},
     ], ids=["point_number", "weight_string", "index_string", "output_string",
-            "velocity_length", "trials_string"])
+            "velocity_length", "trials_string", "renormalize_string"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(**override))
@@ -254,3 +262,34 @@ class TestMain:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+# Runs the given statements, then prints the scipy modules loaded so far
+# as the last line on stderr.
+_LOADED_SCIPY = ("import sys\n{}\n"
+                 "print(sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] == 'scipy'), file=sys.stderr)")
+
+
+def run_fresh(code, *args):
+    env = dict(os.environ)
+    src = str(Path(hermgauss.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", _LOADED_SCIPY.format(code), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        proc = run_fresh("import hermgauss, hermgauss.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
+
+    def test_metric_command_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text())
+        proc = run_fresh("import hermgauss.cli\n"
+                         "assert hermgauss.cli.main(sys.argv[1:]) == 0", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
+        assert json.loads(proc.stdout)["command"] == "metric"

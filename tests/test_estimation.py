@@ -3,31 +3,42 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
+from scipy.interpolate import PchipInterpolator
 
 import hermgauss.estimation
 from hermgauss.estimation import (
     SampleBatch,
     _cdf_table,
     _moment_init,
+    _pchip_slopes,
     crb_experiment,
     log_likelihood,
     mle_fit,
     sample,
 )
-from hermgauss.models import ModelPoint, StateSpec
+from hermgauss.models import ModelPoint, StateSpec, kernel
 from hermgauss.quadrature import integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
 
 
-def bisect_cdf(table, u, iterations=60):
-    """Reference inverse: bisection on the table's PPoly CDF, segment by segment."""
-    idx = np.clip(np.searchsorted(table.cdf_vals, u), 1, table.y.size - 1)
+def scipy_cdf(spec, y):
+    """scipy's PCHIP antiderivative of the clipped density on the nodes y."""
+    dens = np.maximum(kernel(spec).f(y), 0.0)
+    return PchipInterpolator(y, dens).antiderivative()
+
+
+def bisect_cdf(spec, table, u, iterations=60):
+    """Reference inverse: bisection, segment by segment, on scipy's PCHIP
+    CDF over the table's nodes; it shares no coefficients with the table."""
+    cdf = scipy_cdf(spec, table.y)
+    vals = cdf(table.y)
+    idx = np.clip(np.searchsorted(vals / vals[-1], u), 1, table.y.size - 1)
     lo = table.y[idx - 1].copy()
     hi = table.y[idx].copy()
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        below = table.cdf(mid) / table.total < u
+        below = cdf(mid) / vals[-1] < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -93,8 +104,6 @@ class TestSampler:
         # under the 1% KS critical value 1.63 / sqrt(N).  The reference CDF
         # is Simpson's rule on a fine grid, independent of the sampler's
         # PCHIP table.
-        from hermgauss.models import kernel
-
         spec = StateSpec.superposition({0: 0.6, 2: 0.8})
         n = 20_000
         batch = sample(spec, ORIGIN, n, seed=11)
@@ -114,12 +123,51 @@ class TestSampler:
     def test_newton_inversion_matches_bisection(self, spec):
         table = _cdf_table(spec)
         u = np.random.default_rng(29).random(20_000)
-        np.testing.assert_allclose(table.invert(u), bisect_cdf(table, u),
+        np.testing.assert_allclose(table.invert(u), bisect_cdf(spec, table, u),
                                    rtol=0.0, atol=1e-9)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(StateSpec.eigenstate(0), ORIGIN, 0, seed=1)
+
+
+# Non-uniform node sets, each reaching one branch of the PCHIP slope rule;
+# (index, slope) pins the branch's value.
+_PCHIP_NODES = {
+    "interior_sign_change": ([0.0, 0.7, 2.0, 2.4, 3.5], [0.0, 1.0, 0.2, 0.9, 1.0],
+                             (1, 0.0)),
+    "zero_secant": ([0.0, 1.0, 1.5, 3.0, 3.2], [0.0, 1.0, 1.0, 2.0, 4.0], (2, 0.0)),
+    "end_clamped_to_zero": ([0.0, 1.0, 2.0, 4.0], [0.0, 1.0, 6.0, 7.0], (0, 0.0)),
+    "end_clamped_to_3m0": ([0.0, 1.0, 11.0, 12.0], [0.0, 0.1, -29.9, -29.0],
+                           (0, 0.3)),
+    "plain_end_rule": ([0.0, 1.0, 3.0, 3.5, 5.0], [0.0, 1.0, 5.0, 5.5, 9.0],
+                       (0, 2.0 / 3.0)),
+}
+
+
+class TestPchip:
+    @pytest.mark.parametrize("name", sorted(_PCHIP_NODES))
+    def test_slopes_match_scipy(self, name):
+        x, y, (k, slope) = _PCHIP_NODES[name]
+        x, y = np.array(x), np.array(y)
+        d = _pchip_slopes(x, y)
+        np.testing.assert_allclose(d, PchipInterpolator(x, y).derivative()(x),
+                                   rtol=1e-14, atol=1e-15)
+        assert d[k] == pytest.approx(slope, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.eigenstate(0),
+        StateSpec.eigenstate(12),
+        StateSpec.mixture({0: 0.5, 1: 0.5}),
+    ], ids=["ground", "n12", "rho01"])
+    def test_table_matches_scipy_antiderivative(self, spec):
+        table = _cdf_table(spec)
+        cdf = scipy_cdf(spec, table.y)
+        np.testing.assert_allclose(table.coeffs, cdf.c, rtol=1e-12, atol=0.0)
+        vals = cdf(table.y)
+        np.testing.assert_allclose(table.cdf_vals, vals / vals[-1],
+                                   rtol=0.0, atol=1e-13)
+        assert table.total == pytest.approx(vals[-1], rel=1e-13)
 
 
 class TestMle:
