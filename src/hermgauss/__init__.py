@@ -24,7 +24,6 @@ from .quadrature import (
     QuadResult,
     QuadratureError,
     IntegrandError,
-    NonRemovableSingularityError,
     integrate_real_line,
 )
 from .geometry import (
@@ -63,7 +62,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "IntegrandError",
-    "NonRemovableSingularityError",
     "integrate_real_line",
     "MetricTensor2",
     "CurvatureReport",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -65,48 +64,73 @@ def _need(obj, key, where):
     return obj[key]
 
 
+def _real(v):
+    """A JSON number, never a boolean, as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _index(v):
+    """A JSON integer, never a boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def _pair(v):
     a, b = v
-    return [float(a), float(b)]
+    return [_real(a), _real(b)]
 
 
-# Conversions of the fields the commands read; other fields pass through.
-_CONVERT = {"trials": operator.index, "samples_per_trial": operator.index,
-            "seed": operator.index, "count": operator.index,
-            "steps": operator.index, "tau_end": float, "velocity": _pair}
+# Types of the fields the library reads, in any block; others pass through.
+_CONVERT = {
+    **dict.fromkeys(("n", "m", "max_evaluations", "trials",
+                     "samples_per_trial", "seed", "count", "steps"), _index),
+    **dict.fromkeys(("weight", "re", "im", "mu", "sigma", "mass", "omega0",
+                     "x0", "hbar", "rel_tol", "abs_tol", "tau_end"), _real),
+    "velocity": _pair,
+}
+
+
+def _typed(obj, where):
+    """The object ``obj`` with its known fields converted."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    out = {}
+    for k, v in obj.items():
+        try:
+            out[k] = _CONVERT.get(k, lambda v: v)(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {k!r} in {where}: {exc}") from exc
+    return out
 
 
 def _block(raw, key):
-    """The object under ``key`` ({} when absent), its command fields converted."""
-    blk = raw.get(key, {})
-    if not isinstance(blk, dict):
-        raise ConfigError(f"{key!r} must be an object")
-    try:
-        return {k: _CONVERT.get(k, lambda v: v)(v) for k, v in blk.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {key!r} block: {exc}") from exc
+    """The object under ``key`` ({} when absent), its fields converted."""
+    return _typed(raw.get(key, {}), repr(key))
 
 
 def _parse_state(block, renormalize):
-    if not isinstance(block, dict):
-        raise ConfigError("'state' must be an object")
+    block = _typed(block, "'state'")
     kind = _need(block, "type", "'state'")
+
+    def terms(key):
+        return [_typed(t, "a 'state' term") for t in _need(block, key, "'state'")]
+
     try:
         if kind == "eigenstate":
             return StateSpec.eigenstate(_need(block, "n", "'state'"))
         if kind == "mixture":
-            terms = _need(block, "terms", "'state'")
-            weights = {t["n"]: t["weight"] for t in terms}
+            weights = {t["n"]: t["weight"] for t in terms("terms")}
             return StateSpec.mixture(weights, renormalize=renormalize)
         if kind == "superposition":
-            terms = _need(block, "terms", "'state'")
             coeffs = {t["n"]: complex(t.get("re", 0.0), t.get("im", 0.0))
-                      for t in terms}
+                      for t in terms("terms")}
             return StateSpec.superposition(coeffs, renormalize=renormalize)
         if kind == "density":
-            entries = _need(block, "entries", "'state'")
-            table = {(e["n"], e["m"]): complex(e.get("re", 0.0), e.get("im", 0.0))
-                     for e in entries}
+            table = {(t["n"], t["m"]): complex(t.get("re", 0.0), t.get("im", 0.0))
+                     for t in terms("entries")}
             return StateSpec.density(table, renormalize=renormalize)
     except InvalidStateError as exc:
         raise ConfigError(f"invalid 'state': {exc}") from exc
@@ -135,15 +159,15 @@ def parse_config(text: str) -> RunConfig:
     try:
         if has_point:
             blk = _block(raw, "point")
-            point = ModelPoint(float(_need(blk, "mu", "'point'")),
-                               float(_need(blk, "sigma", "'point'")))
+            point = ModelPoint(_need(blk, "mu", "'point'"),
+                               _need(blk, "sigma", "'point'"))
         else:
             blk = _block(raw, "physical")
             point = from_physical(PhysicalOscillator(
-                mass=float(_need(blk, "mass", "'physical'")),
-                omega0=float(_need(blk, "omega0", "'physical'")),
-                x0=float(_need(blk, "x0", "'physical'")),
-                hbar=float(blk.get("hbar", 1.0))))
+                mass=_need(blk, "mass", "'physical'"),
+                omega0=_need(blk, "omega0", "'physical'"),
+                x0=_need(blk, "x0", "'physical'"),
+                hbar=blk.get("hbar", 1.0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameter point: {exc}") from exc
 
@@ -153,10 +177,8 @@ def parse_config(text: str) -> RunConfig:
 
     qblk = _block(raw, "quad")
     try:
-        quad = QuadConfig(
-            rel_tol=float(qblk.get("rel_tol", 1e-10)),
-            abs_tol=float(qblk.get("abs_tol", 1e-12)),
-            max_evaluations=int(qblk.get("max_evaluations", 2_000_000)))
+        quad = QuadConfig(**{k: qblk[k] for k in ("rel_tol", "abs_tol",
+                                                  "max_evaluations") if k in qblk})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'quad' block: {exc}") from exc
 
@@ -248,9 +270,9 @@ def _cmd_curvature(cfg, out):
 
 def _cmd_crb(cfg, out):
     est = cfg.estimation or {}
-    trials = int(est.get("trials", 50))
-    spt = int(est.get("samples_per_trial", 1000))
-    seed = int(est.get("seed", 0))
+    trials = est.get("trials", 50)
+    spt = est.get("samples_per_trial", 1000)
+    seed = est.get("seed", 0)
     rep = crb_experiment(cfg.state, cfg.point, trials, spt, seed)
     report = {
         "command": "crb",
@@ -270,8 +292,8 @@ def _cmd_crb(cfg, out):
 def _cmd_geodesic(cfg, out):
     geo = cfg.geodesic or {}
     velocity = geo.get("velocity", [0.0, 1.0])
-    tau_end = float(geo.get("tau_end", 1.0))
-    steps = int(geo.get("steps", 1000))
+    tau_end = geo.get("tau_end", 1.0)
+    steps = geo.get("steps", 1000)
     trace = geodesic_trace(cfg.state, cfg.point, velocity, tau_end, steps, cfg.quad)
     if cfg.output_format == "json":
         report = {
@@ -288,8 +310,8 @@ def _cmd_geodesic(cfg, out):
 
 def _cmd_sample(cfg, out):
     est = cfg.estimation or {}
-    count = int(est.get("count", 1000))
-    seed = int(est.get("seed", 0))
+    count = est.get("count", 1000)
+    seed = est.get("seed", 0)
     batch = sample(cfg.state, cfg.point, count, seed)
     if cfg.output_format == "json":
         report = {"command": "sample", "seed": seed, "count": count,
@@ -354,7 +376,7 @@ def _cmd_verify(cfg, out):
     drift = float(np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]))
     check("geodesic_speed_conservation", drift <= 1e-6, drift)
 
-    seed = int((cfg.estimation or {}).get("seed", 0))
+    seed = (cfg.estimation or {}).get("seed", 0)
     b1 = sample(cfg.state, cfg.point, 256, seed)
     b2 = sample(cfg.state, cfg.point, 256, seed)
     check("sampler_determinism", bool(np.array_equal(b1.draws, b2.draws)), seed)

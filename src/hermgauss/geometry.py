@@ -20,19 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    InvalidStateError,
-    ModelPoint,
-    StateSpec,
-    fisher_ratio_factored,
-    kernel,
-)
-from .quadrature import (
-    QuadConfig,
-    QuadratureError,
-    guarded_ratio,
-    integrate_real_line,
-)
+from .models import InvalidStateError, ModelPoint, StateSpec, kernel
+from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 __all__ = [
     "MetricTensor2",
@@ -125,19 +114,6 @@ def metric_closed_form(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
                       "closed_form")
 
 
-def _fisher_ratio(spec: StateSpec):
-    """(f')^2/f as a vectorized callable, factored when the state allows it."""
-    if spec.real_superposition_coeffs() is not None:
-        return fisher_ratio_factored(spec)
-    jet = kernel(spec).jet
-
-    def num_den(y):
-        f, d = jet(y, 1)
-        return d * d, f
-
-    return guarded_ratio(num_den)
-
-
 def metric_quadrature(spec: StateSpec, point: ModelPoint,
                       config: QuadConfig | None = None,
                       force_offdiagonal: bool = False) -> MetricTensor2:
@@ -155,14 +131,10 @@ def metric_quadrature(spec: StateSpec, point: ModelPoint,
     if config is None:
         config = QuadConfig()
     kf = kernel(spec)
-    ratio = _fisher_ratio(spec)
     skip_offdiagonal = kf.parity == "even" and not force_offdiagonal
     powers = np.array([0, 2] if skip_offdiagonal else [0, 1, 2])[:, None]
-
-    def integrand(y):
-        return y ** powers * ratio(y)
-
-    res = integrate_real_line(integrand, config, kf.degree_hint + 6)
+    res = integrate_real_line(lambda y: y ** powers * kf.fisher_ratio(y),
+                              config, kf.degree_hint + 6)
     if not res.converged:
         raise QuadratureError(
             f"Fisher integrals did not converge within {res.evaluations} "

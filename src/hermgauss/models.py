@@ -210,12 +210,12 @@ class StateSpec:
     # -- structure queries ------------------------------------------------
 
     def real_superposition_coeffs(self):
-        """Coefficients of a pure state on which the factored kernel applies.
+        """Real coefficients of a pure state for the series metric route.
 
         Returns a dict n -> float when the state is a superposition (or an
         eigenstate) whose coefficients are all real or all purely imaginary
         (the imaginary case reduces to the real one with Im(alpha_n)), and
-        None otherwise.
+        None otherwise; ``geometry.metric_series_real`` takes the dict.
         """
         if self.coeffs is None:
             return None
@@ -233,15 +233,16 @@ class KernelFn:
 
     ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 from
     one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
-    All three are vectorized over y.  ``parity`` is "even" when every
-    occupied index pair shares evenness (so f is an even function), "none"
-    otherwise.  ``degree_hint`` bounds the polynomial degree multiplying
-    exp(-y^2).
+    ``fisher_ratio(y)`` is (f')^2/f, or its limit where f = 0.  All are
+    vectorized over y.  ``parity`` is "even" when every occupied index pair
+    shares evenness (so f is an even function), "none" otherwise.
+    ``degree_hint`` bounds the polynomial degree multiplying exp(-y^2).
     """
 
     f: object
     f_prime: object
     jet: object
+    fisher_ratio: object
     parity: str
     degree_hint: int
 
@@ -249,74 +250,78 @@ class KernelFn:
 def kernel(spec: StateSpec) -> KernelFn:
     """Build the kernel of a state; cached on the spec.
 
-    sqrt(2 pi) f = psi . L psi, L the real table over the occupied levels;
-    f' and f'' follow as 2 psi' . L psi and 2 (psi'' . L psi + psi' . L psi')
-    with psi_k' = sqrt(2k) psi_{k-1} - y psi_k, psi_k'' = (y^2 - 2k - 1) psi_k.
+    The real table over the occupied levels is factored once as
+    L = V diag(p) V^T, keeping p > max(p) levels eps (numpy's matrix_rank
+    tolerance: a pure state has rank one, and the density check's slack
+    drops out).  With the real normalized wavepackets g_j = sum_k V_kj psi_k,
+    sqrt(2 pi) f = p . g^2, g_j' = sum_k V_kj (sqrt(2k) psi_{k-1} - y psi_k)
+    and g_j'' = (y^2 - 1) g_j - sum_k 2k V_kj psi_k.  The Fisher integrand
+    (f')^2/f is 4 (p . g g')^2 / (sqrt(2 pi) p . g^2); at rank one, and
+    where every g_j vanishes, it is 4 p . g'^2 / sqrt(2 pi) (Cauchy-Schwarz).
     """
     cached = spec._kernel_cache.get("kernel")
     if cached is not None:
         return cached
     top = spec.max_index
-    levels = sorted({k for nm in spec.table for k in nm})
-    slot = {k: i for i, k in enumerate(levels)}
+    levels = np.array(sorted({k for nm in spec.table for k in nm}))
     # Purely imaginary lambda_nm pairs cancel between (n, m) and (m, n).
-    lam = np.zeros((len(levels), len(levels)))
+    lam = np.zeros((top + 1, top + 1))
     for (n, m), v in spec.table.items():
-        lam[slot[n], slot[m]] = v.real
-    levels = np.array(levels)
-    below = np.maximum(levels - 1, 0)
-    root = np.sqrt(2.0 * levels)[:, None]
-    shift = -(2.0 * levels + 1.0)[:, None]
+        lam[n, m] = v.real
+    p, vecs = np.linalg.eigh(lam[np.ix_(levels, levels)])
+    keep = p > p.max() * levels.size * np.finfo(float).eps
+    # h_j = sqrt(p_j / sqrt(2 pi)) g_j; coef's rows give h and h's sums over
+    # sqrt(2k) psi_{k-1} and 2k psi_k (k = 0 puts a true zero in column -1).
+    vecs = vecs[:, keep] * np.sqrt(p[keep] / _SQRT_2PI)
+    rank = vecs.shape[1]
+    coef = np.zeros((3, rank, top + 1))
+    coef[0][:, levels] = vecs.T
+    coef[1][:, levels - 1] = np.sqrt(2.0 * levels) * vecs.T
+    coef[2][:, levels] = 2.0 * levels * vecs.T
+    low = coef[:2].reshape(2 * rank, top + 1)
+
+    def packets(y, order):
+        psi = hermite_normalized_all(top, y)
+        # One product for every order keeps h bit-identical across orders.
+        rows = low.dot(psi)
+        h = rows[:rank]
+        out = [h]
+        if order >= 1:
+            out.append(rows[rank:] - y * h)
+        if order >= 2:
+            out.append((y * y - 1.0) * h - coef[2].dot(psi))
+        return out
+
+    def psum(a, b):
+        return np.einsum("jn,jn->n", a, b)
 
     def jet(y, order):
         y = np.asarray(y, dtype=float)
-        flat = y.reshape(-1)
-        rows = hermite_normalized_all(top, flat)
-        psi = rows[levels]
-        lam_psi = lam.dot(psi)
-        out = [np.einsum("kn,kn->n", lam_psi, psi)]
+        h = packets(y.reshape(-1), order)
+        out = [psum(h[0], h[0])]
         if order >= 1:
-            dpsi = root * rows[below] - flat * psi
-            out.append(2.0 * np.einsum("kn,kn->n", lam_psi, dpsi))
+            out.append(2.0 * psum(h[0], h[1]))
         if order >= 2:
-            ddpsi = (flat * flat + shift) * psi
-            out.append(2.0 * (np.einsum("kn,kn->n", lam_psi, ddpsi)
-                              + np.einsum("kn,kn->n", lam.dot(dpsi), dpsi)))
-        return tuple((v / _SQRT_2PI).reshape(y.shape) for v in out)
+            out.append(2.0 * (psum(h[0], h[2]) + psum(h[1], h[1])))
+        return tuple(v.reshape(y.shape) for v in out)
+
+    def fisher_ratio(y):
+        y = np.asarray(y, dtype=float)
+        h, d = packets(y.reshape(-1), 1)
+        if rank == 1:
+            d = d[0]
+            return (4.0 * d * d).reshape(y.shape)
+        out = 4.0 * psum(d, d)
+        s, t = psum(h, h), psum(h, d)
+        np.divide(4.0 * t * t, s, out=out, where=s > 0.0)
+        return out.reshape(y.shape)
 
     kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
-                  jet=jet, parity="even" if spec.parity_even else "none",
+                  jet=jet, fisher_ratio=fisher_ratio,
+                  parity="even" if spec.parity_even else "none",
                   degree_hint=2 * top + 2)
     spec._kernel_cache["kernel"] = kf
     return kf
-
-
-def fisher_ratio_factored(spec: StateSpec):
-    """Vectorized (f')^2/f for a real pure state, via the factored kernel.
-
-    Equal to 4 G'(y)^2 / sqrt(2 pi) with G = sum_n alpha_n psi_n the
-    normalized wavepacket profile; manifestly finite everywhere.
-    """
-    coeffs = spec.real_superposition_coeffs()
-    if coeffs is None:
-        raise InvalidStateError("factored Fisher ratio needs real coefficients")
-    top = spec.max_index
-    # G' = sum_n alpha_n (sqrt(2n) psi_{n-1} - y psi_n): row 0 holds alpha_k,
-    # row 1 the coefficient of psi_k in the first sum (n = 0 adds zero).
-    coef = np.zeros((2, top + 1))
-    for n, a in coeffs.items():
-        coef[0, n] = a
-        coef[1, n - 1] += a * math.sqrt(2.0 * n)
-
-    def ratio(y):
-        y = np.asarray(y, dtype=float)
-        flat = y.reshape(-1)
-        psi = hermite_normalized_all(top, flat)
-        g, lower = coef @ psi
-        g = lower - flat * g
-        return (4.0 * g * g / _SQRT_2PI).reshape(y.shape)
-
-    return ratio
 
 
 def pdf(spec: StateSpec, point: ModelPoint, x):

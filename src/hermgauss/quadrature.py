@@ -19,7 +19,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "IntegrandError",
-    "NonRemovableSingularityError",
     "truncation_halfwidth",
     "integrate_real_line",
 ]
@@ -41,10 +40,6 @@ class IntegrandError(QuadratureError):
     def __init__(self, message, y):
         super().__init__(f"{message} (at y = {y!r})")
         self.y = y
-
-
-class NonRemovableSingularityError(QuadratureError):
-    """A guarded ratio blew up at a zero of the denominator."""
 
 
 @dataclass(frozen=True)
@@ -192,46 +187,3 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
         edges = np.concatenate([edges[:i], split, edges[i + 2:]])
         values = np.concatenate([values[:, :i], v, values[:, i + 1:]], axis=1)
         errors = np.concatenate([errors[:, :i], e, errors[:, i + 1:]], axis=1)
-
-
-_DEN_FLOOR = 1e-300
-_BLOWUP_FACTOR = 1e12
-
-
-def guarded_ratio(num_den):
-    """Vectorized num/den with a continuity fill at removable singularities.
-
-    ``num_den(y)`` returns the pair (num, den) at y, so the two share one
-    evaluation.  Where den falls below ``_DEN_FLOOR`` the ratio is replaced
-    by the average of the ratio at y +- h with h = 1e-7 * (1 + |y|).  If the
-    filled value exceeds ``_BLOWUP_FACTOR`` times the local median of the
-    regular values, the singularity is not removable and an error is raised.
-    """
-
-    def ratio(y):
-        y = np.asarray(y, dtype=float)
-        n, d = (np.asarray(v, dtype=float) for v in num_den(y))
-        out = np.empty_like(d)
-        small = d < _DEN_FLOOR
-        ok = ~small
-        out[ok] = n[ok] / d[ok]
-        if small.any():
-            ys = y[small]
-            h = 1e-7 * (1.0 + np.abs(ys))
-            fill = 0.0
-            for yy in (ys + h, ys - h):
-                nn, dd = (np.asarray(v, dtype=float) for v in num_den(yy))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(dd >= _DEN_FLOOR, nn / np.maximum(dd, _DEN_FLOOR), 0.0)
-                fill = fill + 0.5 * r
-            local = float(np.median(np.abs(out[ok]))) if ok.any() else 0.0
-            limit = _BLOWUP_FACTOR * max(local, 1e-30)
-            if np.any(np.abs(fill) > limit):
-                bad = ys[np.abs(fill) > limit][0]
-                raise NonRemovableSingularityError(
-                    f"denominator zero at y = {bad!r} is not matched by the "
-                    "numerator; the state spec is likely invalid")
-            out[small] = fill
-        return out
-
-    return ratio

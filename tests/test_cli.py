@@ -242,8 +242,22 @@ class TestMain:
         {"state": {"type": "mixture", "terms": [{"n": 0, "weight": 1.0},
                                                 {"n": 1, "weight": 1.0}]},
          "renormalize": "false"},
+        {"quad": {"rel_tol": True}},
+        {"quad": {"max_evaluations": "300000"}},
+        {"quad": {"max_evaluations": 2.7e5}},
+        {"state": {"type": "eigenstate", "n": True}},
+        {"point": {"mu": 0.0, "sigma": True}},
+        {"point": {"mu": "0.5", "sigma": 1.0}},
+        {"command": "crb", "estimation": {"seed": True}},
+        {"command": "geodesic", "geodesic": {"tau_end": "2"}},
+        {"state": {"type": "mixture", "terms": [{"n": 0, "weight": "0.5"},
+                                                {"n": 1, "weight": 0.5}]}},
+        {"state": {"type": "superposition", "terms": [{"n": 0, "re": True}]}},
     ], ids=["point_number", "weight_string", "index_string", "output_string",
-            "velocity_length", "trials_string", "renormalize_string"])
+            "velocity_length", "trials_string", "renormalize_string",
+            "rel_tol_bool", "max_evaluations_string", "max_evaluations_float",
+            "index_bool", "sigma_bool", "mu_string", "seed_bool",
+            "tau_end_string", "weight_numeric_string", "re_bool"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(**override))

@@ -91,6 +91,29 @@ class TestQuadratureMetric:
         assert len(results) == 1
         assert results[0].value.shape == (components,)
 
+    def test_rank_one_density_matches_series(self):
+        # A density table that is a pure real state factors to one packet.
+        alpha = {0: 0.6, 1: -0.48, 3: 0.64}
+        spec = StateSpec.density({(n, m): a * b for n, a in alpha.items()
+                                  for m, b in alpha.items()})
+        q = metric_quadrature(spec, ORIGIN)
+        s = metric_series_real(alpha, ORIGIN)
+        np.testing.assert_allclose(q.reduced, s.reduced, rtol=1e-10,
+                                   atol=1e-10 * max(map(abs, s.reduced)))
+
+    def test_density_within_eigenvalue_slack(self):
+        # Eigenvalues 1 + e and -e, e = 5e-11: inside the density check's
+        # tolerance; the negative direction is dropped from the kernel.
+        e = 5e-11
+        spec = StateSpec.density({(0, 0): 0.5, (1, 1): 0.5,
+                                  (0, 1): 0.5 + e, (1, 0): 0.5 + e})
+        q = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+        assert np.all(np.isfinite(q.reduced))
+        assert np.all(np.linalg.eigvalsh(q.matrix()) > 0.0)
+        pure = metric_series_real({0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)},
+                                  ORIGIN)
+        np.testing.assert_allclose(q.reduced, pure.reduced, rtol=1e-9)
+
     def test_point_only_rescales(self):
         s = StateSpec.eigenstate(1)
         a = metric_quadrature(s, ModelPoint(0.0, 1.0))

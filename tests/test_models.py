@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermder, hermval
 
 import hermgauss.models
 from hermgauss.estimation import _loglik_jet
-from hermgauss.geometry import _fisher_ratio
 from hermgauss.hermite import MAX_DEGREE
 from hermgauss.models import (
     InvalidStateError,
@@ -14,7 +15,6 @@ from hermgauss.models import (
     ModelPoint,
     PhysicalOscillator,
     StateSpec,
-    fisher_ratio_factored,
     from_physical,
     kernel,
     pdf,
@@ -269,8 +269,9 @@ class TestKernel:
         assert np.shape(kf.f(0.5)) == ()
 
     def test_one_recurrence_per_evaluation(self, monkeypatch):
-        # The guarded ratio's integrand and a Newton pass of the MLE each
-        # evaluate f and its derivatives from one Hermite recurrence.
+        # The Fisher ratio and a Newton pass of the MLE each evaluate the
+        # state's wavepackets and their derivatives from one Hermite
+        # recurrence, whatever the kind and rank of the state.
         calls = []
         real = hermgauss.models.hermite_normalized_all
 
@@ -279,16 +280,20 @@ class TestKernel:
             return real(n, y)
 
         monkeypatch.setattr(hermgauss.models, "hermite_normalized_all", counted)
-        spec = StateSpec.superposition({0: 0.6, 1: 0.8j})
-        ratio = _fisher_ratio(spec)
         y = np.linspace(-3.0, 3.0, 30)
-        assert np.all(kernel(spec).f(y) > 1e-300)
-        calls.clear()
-        ratio(y)
-        assert len(calls) == 1
-        calls.clear()
-        assert _loglik_jet(kernel(spec), y, 0.1, 0.2) is not None
-        assert len(calls) == 1
+        for spec in (StateSpec.eigenstate(3),
+                     StateSpec.mixture({0: 0.3, 2: 0.5, 5: 0.2}),
+                     StateSpec.superposition({0: 0.6, 1: -0.8}),
+                     StateSpec.superposition({0: 0.6, 1: 0.8j}),
+                     StateSpec.density({(0, 0): 0.5, (2, 2): 0.5,
+                                        (0, 2): 0.25, (2, 0): 0.25})):
+            kf = kernel(spec)
+            calls.clear()
+            kf.fisher_ratio(y)
+            assert len(calls) == 1
+            calls.clear()
+            assert _loglik_jet(kf, y, 0.1, 0.2) is not None
+            assert len(calls) == 1
 
     def test_kernel_mass(self):
         for spec in (StateSpec.eigenstate(0), StateSpec.mixture({0: 0.5, 3: 0.5})):
@@ -300,57 +305,94 @@ class TestKernel:
         assert isinstance(kernel(StateSpec.eigenstate(0)), KernelFn)
 
 
-class TestFactoredKernel:
-    def test_rejects_complex_coefficients(self):
-        s = StateSpec.superposition({0: 0.6, 1: 0.8j})
-        with pytest.raises(InvalidStateError):
-            fisher_ratio_factored(s)
+def plain_ratio(kf, y):
+    """(f')^2/f from the kernel jet, where f > 0."""
+    f, d = kf.jet(y, 1)
+    return d * d / f
 
+
+@st.composite
+def psd_tables(draw):
+    """Real PSD density tables of rank 1-3 on levels <= 8; the odd-only
+    supports put a zero of every packet at y = 0."""
+    levels = draw(st.sampled_from([range(9), range(1, 9, 2)]))
+    rank = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    table = np.zeros((9, 9))
+    for _ in range(rank):
+        v = np.zeros(9)
+        for k in levels:
+            v[k] = draw(unit)
+        if np.linalg.norm(v) < 0.1:
+            v[levels[0]] = 1.0
+        table += draw(st.floats(0.05, 1.0)) * np.outer(v, v)
+    table = 0.5 * (table + table.T) / np.trace(table)
+    return StateSpec.density({(n, m): table[n, m]
+                              for n in range(9) for m in range(9)
+                              if table[n, m] != 0.0})
+
+
+class TestFactoredKernel:
     def test_ground_state_ratio_is_symbolic_form(self):
         # For alpha_0 = 1: g' - y g = -y, so (f')^2/f = 4 y^2 e^{-y^2}/sqrt(2 pi)
-        ratio = fisher_ratio_factored(StateSpec.eigenstate(0))
+        ratio = kernel(StateSpec.eigenstate(0)).fisher_ratio
         y = np.linspace(-3, 3, 41)
         want = 4 * y * y * np.exp(-y * y) / math.sqrt(2 * math.pi)
         np.testing.assert_allclose(ratio(y), want, rtol=1e-12, atol=1e-15)
 
     def test_finite_at_nodes(self):
-        # Eigenstate 2 has nodes at y = +-1/sqrt(2); the factored ratio is the
-        # continuous limit of the unfactored one.
-        s = StateSpec.eigenstate(2)
-        ratio = fisher_ratio_factored(s)
-        kf = kernel(s)
+        # Eigenstate 2 has nodes at y = +-1/sqrt(2); the ratio there is the
+        # continuous limit of (f')^2/f.
+        kf = kernel(StateSpec.eigenstate(2))
         node = 1.0 / math.sqrt(2.0)
-        at_node = ratio(np.array([node]))[0]
+        at_node = kf.fisher_ratio(np.array([node]))[0]
         assert np.isfinite(at_node)
-        eps = 1e-6
-        near = (kf.f_prime(np.array([node + eps]))[0] ** 2
-                / kf.f(np.array([node + eps]))[0])
+        near = plain_ratio(kf, np.array([node + 1e-6]))[0]
         assert at_node == pytest.approx(near, rel=1e-4)
 
     def test_even_superposition_node_limit(self):
         # The 0 - 2 combination has a density node at y = sqrt((1+sqrt2)/2).
         coeffs = {0: 1 / math.sqrt(2), 2: -1 / math.sqrt(2)}
-        s = StateSpec.superposition(coeffs)
+        kf = kernel(StateSpec.superposition(coeffs))
         node = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
-        assert kernel(s).f(np.array([node]))[0] < 1e-30
-        ratio = fisher_ratio_factored(s)
-        kf = kernel(s)
-        val = ratio(np.array([node]))[0]
-        probe = node + 1e-6
-        unfact = (kf.f_prime(np.array([probe]))[0] ** 2
-                  / kf.f(np.array([probe]))[0])
+        assert kf.f(np.array([node]))[0] < 1e-30
+        val = kf.fisher_ratio(np.array([node]))[0]
+        unfact = plain_ratio(kf, np.array([node + 1e-6]))[0]
         assert val == pytest.approx(unfact, rel=1e-4)
 
     def test_factored_equals_plain_kernel(self):
         # Away from the density nodes the factored (f')^2/f matches the
         # ratio of the plain kernel and its derivative.
-        s = StateSpec.superposition({1: 0.8, 4: -0.6})
-        kf = kernel(s)
+        kf = kernel(StateSpec.superposition({1: 0.8, 4: -0.6}))
         y = np.linspace(-3, 3, 31)
         y = y[kf.f(y) > 1e-3]
-        plain = kf.f_prime(y) ** 2 / kf.f(y)
-        np.testing.assert_allclose(fisher_ratio_factored(s)(y), plain,
+        np.testing.assert_allclose(kf.fisher_ratio(y), plain_ratio(kf, y),
                                    rtol=1e-11, atol=1e-15)
+
+    @pytest.mark.parametrize("weights", [{1: 0.5, 3: 0.5},
+                                         {1: 0.2, 5: 0.3, 9: 0.5}],
+                             ids=["1_3", "1_5_9"])
+    def test_common_zero_takes_the_limit(self, weights):
+        # Every packet of an odd-level mixture vanishes at y = 0, so f does
+        # too; the ratio there is the limit of (f')^2/f, not 0/0.
+        kf = kernel(StateSpec.mixture(weights))
+        assert kf.f(0.0) == 0.0
+        at_zero = kf.fisher_ratio(np.array([0.0]))[0]
+        assert np.isfinite(at_zero) and at_zero > 0.0
+        near = plain_ratio(kf, np.array([-1e-6, 1e-6]))
+        np.testing.assert_allclose(near, at_zero, rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(psd_tables())
+    def test_ratio_of_random_psd_tables(self, spec):
+        kf = kernel(spec)
+        y = np.concatenate([np.linspace(-6.0, 6.0, 121), [0.0, -40.0, 40.0]])
+        ratio = kf.fisher_ratio(y)
+        assert np.all(np.isfinite(ratio)) and np.all(ratio >= 0.0)
+        f = kf.f(y)
+        big = f > 1e-3 * f.max()
+        np.testing.assert_allclose(ratio[big], plain_ratio(kf, y[big]),
+                                   rtol=1e-10)
 
 
 class TestWavefunction:

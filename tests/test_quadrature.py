@@ -7,9 +7,7 @@ from hermgauss.hermite import hermite_normalized_all
 from hermgauss.models import StateSpec, kernel
 from hermgauss.quadrature import (
     IntegrandError,
-    NonRemovableSingularityError,
     QuadConfig,
-    guarded_ratio,
     integrate_real_line,
     truncation_halfwidth,
 )
@@ -120,46 +118,16 @@ class TestIntegrateRealLine:
 class TestIntegrateRatio:
     def test_node_of_first_level_is_removable(self):
         kf = kernel(StateSpec.eigenstate(1))
-
-        def num_den(y):
-            f, d = kf.jet(y, 1)
-            return d * d, f
-
-        res = integrate_real_line(guarded_ratio(num_den),
-                                  degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(kf.fisher_ratio, degree_hint=kf.degree_hint + 2)
         assert res.converged
         assert np.isfinite(res.value)
 
     def test_gaussian_fisher_mass(self):
         kf = kernel(StateSpec.eigenstate(0))
-
-        def num_den(y):
-            f, d = kf.jet(y, 1)
-            return d * d, f
-
-        res = integrate_real_line(guarded_ratio(num_den),
-                                  degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(kf.fisher_ratio, degree_hint=kf.degree_hint + 2)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
     def test_third_level_reduced_component(self):
         kf = kernel(StateSpec.eigenstate(3))
-
-        def num_den(y):
-            f, d = kf.jet(y, 1)
-            return d * d, f
-
-        res = integrate_real_line(guarded_ratio(num_den),
-                                  degree_hint=kf.degree_hint + 2)
+        res = integrate_real_line(kf.fisher_ratio, degree_hint=kf.degree_hint + 2)
         assert res.value / math.sqrt(2.0) == pytest.approx(7.0, rel=1e-9)
-
-    def test_non_removable_singularity_is_flagged(self):
-        ratio = guarded_ratio(lambda y: (np.ones_like(y), y * y))
-        with pytest.raises(NonRemovableSingularityError):
-            ratio(np.array([0.0, 1.0, 2.0]))
-
-    def test_guard_fills_removable_zero(self):
-        # num and den share the double zero at 0: limit is 1.
-        ratio = guarded_ratio(lambda y: (y * y, y * y))
-        out = ratio(np.array([0.0, 0.5]))
-        assert out[0] == pytest.approx(1.0, rel=1e-6)
-        assert out[1] == 1.0
