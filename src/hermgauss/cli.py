@@ -368,8 +368,10 @@ def _cmd_verify(cfg, out):
 
     kf = kernel(cfg.state)
     res = integrate_real_line(kf.f, cfg.quad, kf.degree_hint)
-    check("kernel_normalization", abs(res.value - 1.0 / math.sqrt(2.0)) <= 1e-8,
-          abs(res.value - 1.0 / math.sqrt(2.0)))
+    err = abs(res.value - 1.0 / math.sqrt(2.0))
+    check("kernel_normalization", res.converged and err <= 1e-8,
+          err if res.converged
+          else f"not converged within {res.evaluations} evaluations")
 
     trace = geodesic_trace(cfg.state, cfg.point, (0.3, 0.2), 5.0, 2000, cfg.quad)
     speeds = trace.metric_speeds()

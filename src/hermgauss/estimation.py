@@ -320,13 +320,18 @@ def _newton_polish(kf, x, mu, ls, budget):
 
 
 def _y_moments(spec: StateSpec):
-    """(E[y], Var[y]) under the state's dimensionless kernel."""
+    """(E[y], Var[y]) under the state's dimensionless kernel; raises
+    QuadratureError when the moment integrals do not converge."""
     moments = spec._kernel_cache.get("y_moments")
     if moments is None:
         kf = kernel(spec)
         cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-12)
         res = integrate_real_line(lambda y: np.stack([y, y * y]) * kf.f(y),
                                   cfg, kf.degree_hint + 2)
+        if not res.converged:
+            raise QuadratureError(
+                f"position moments did not converge within {res.evaluations} "
+                "evaluations")
         e1, e2 = math.sqrt(2.0) * res.value
         moments = (e1, max(e2 - e1 * e1, 1e-12))
         spec._kernel_cache["y_moments"] = moments

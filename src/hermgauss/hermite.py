@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadConfig, integrate_real_line
+from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 __all__ = [
     "MAX_DEGREE",
@@ -85,7 +85,8 @@ def orthogonality_residual(n: int, m: int, config: QuadConfig | None = None) -> 
     int psi_n psi_m dy = sqrt(pi) delta_nm, and the residual is reported
     relative to the geometric mean sqrt(pi) sqrt(2^n n! 2^m m!) of the two
     diagonal normalizations (for n = m this is exactly the diagonal value).
-    Serves as a joint self-test of the recurrences and the quadrature.
+    Serves as a joint self-test of the recurrences and the quadrature;
+    raises QuadratureError when the integral does not converge.
     """
     n = _check_degree(n)
     m = _check_degree(m)
@@ -98,5 +99,9 @@ def orthogonality_residual(n: int, m: int, config: QuadConfig | None = None) -> 
         return psi[n] * psi[m]
 
     res = integrate_real_line(integrand, config, degree_hint=n + m + 1)
+    if not res.converged:
+        raise QuadratureError(
+            f"orthogonality integral did not converge within {res.evaluations} "
+            "evaluations")
     target = math.sqrt(math.pi) if n == m else 0.0
     return abs(res.value - target) / math.sqrt(math.pi)

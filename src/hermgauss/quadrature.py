@@ -3,8 +3,12 @@
 Every integrand handled here decays like exp(-y^2) times a polynomial, so
 the real line is truncated to a finite window whose half-width comes from
 the Gaussian tail bound, and the window is integrated by adaptive bisection
-with a Gauss-Kronrod 7-15 pair per panel.  The routines are deterministic:
-identical inputs produce bit-identical results.
+with a Gauss-Kronrod 7-15 pair per panel.  Refinement is batched, as in
+scipy's quad_vec: each pass ranks the panels by error against their
+component's tolerance and bisects the shortest prefix that leaves at most
+tol/8 of error in every component, all new halves in one integrand call.
+The routines are deterministic: identical inputs produce bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -107,15 +111,15 @@ def truncation_halfwidth(degree_hint: int, abs_tol: float) -> float:
     return math.sqrt(max(y2, 4.0))
 
 
-def _panel(integrand, edges):
-    """Gauss-Kronrod 7-15 estimates of every panel between sorted ``edges``.
+def _panel(integrand, lo, hi):
+    """Gauss-Kronrod 7-15 estimates of the panels [lo[i], hi[i]].
 
     The integrand is called once, on all panels' nodes together.  Returns
     (values, errors), each of shape (k, panels) for an integrand with k
     components (k = 1 for a scalar integrand), and whether it is scalar.
     """
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     y = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
     f = np.asarray(integrand(y), dtype=float)
     scalar = f.shape == y.shape
@@ -149,10 +153,20 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
         and the result's value and error estimate are then arrays of
         length k; each component meets its own tolerance.
     config : QuadConfig
-        Tolerances and evaluation budget.
+        Tolerances and evaluation budget.  The initial partition is always
+        evaluated, even past ``max_evaluations``; after it, each pass
+        bisects only as many panels as the budget still allows, and the
+        result is unconverged once not even one bisection fits.
     degree_hint : int
         Bound on the polynomial degree multiplying exp(-y^2); controls the
         truncation window.
+
+    Each pass ranks the panels by max_c error[c] / tol[c], where
+    tol[c] = max(abs_tol, rel_tol * |value[c]|), with a stable sort so
+    ties go leftmost.  It bisects the shortest prefix after which every
+    component's unpicked error is at most tol[c]/8, and evaluates all new
+    halves in one integrand call.  It stops when every component's error
+    estimate is within its tol[c].
     """
     if config is None:
         config = QuadConfig()
@@ -164,26 +178,36 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     if n0 % 2 == 1:
         n0 += 1
     edges = np.linspace(-cut, cut, n0 + 1)
-    values, errors, scalar = _panel(integrand, edges)
+    lo, hi = edges[:-1], edges[1:]
+    values, errors, scalar = _panel(integrand, lo, hi)
     evaluations = n0 * _GK_NODES.size
+    per_bisection = 2 * _GK_NODES.size
 
     while True:
         total = np.array([math.fsum(v) for v in values])
         total_err = np.array([math.fsum(e) for e in errors])
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
         converged = bool(np.all(total_err <= tol))
-        if converged or evaluations + 2 * _GK_NODES.size > config.max_evaluations:
+        budget = (config.max_evaluations - evaluations) // per_bisection
+        if converged or budget < 1:
             if scalar:
                 return QuadResult(float(total[0]), float(total_err[0]),
                                   evaluations, converged)
             return QuadResult(total, total_err, evaluations, converged)
-        # Bisect the panel whose error is largest against its component's
-        # tolerance; argmax takes the leftmost of ties, so the refinement
-        # order is deterministic.
-        i = int(np.argmax((errors / tol[:, None]).max(axis=0)))
-        split = np.array([edges[i], 0.5 * (edges[i] + edges[i + 1]), edges[i + 1]])
-        v, e, _ = _panel(integrand, split)
-        evaluations += 2 * _GK_NODES.size
-        edges = np.concatenate([edges[:i], split, edges[i + 2:]])
-        values = np.concatenate([values[:, :i], v, values[:, i + 1:]], axis=1)
-        errors = np.concatenate([errors[:, :i], e, errors[:, i + 1:]], axis=1)
+        order = np.argsort(-(errors / tol[:, None]).max(axis=0), kind="stable")
+        # left[:, m - 1] is the error outside the first m ranked panels.
+        left = np.cumsum(errors[:, order[::-1]], axis=1)[:, -2::-1]
+        enough = np.append(np.all(left <= tol[:, None] / 8.0, axis=0), True)
+        pick = order[:min(int(np.argmax(enough)) + 1, budget)]
+        mid = 0.5 * (lo[pick] + hi[pick])
+        v, e, _ = _panel(integrand, np.concatenate([lo[pick], mid]),
+                         np.concatenate([mid, hi[pick]]))
+        evaluations += pick.size * per_bisection
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate([lo[keep], lo[pick], mid])
+        hi = np.concatenate([hi[keep], mid, hi[pick]])
+        at = np.argsort(lo)  # panels stay in order along y: ties rank leftmost
+        lo, hi = lo[at], hi[at]
+        values = np.concatenate([values[:, keep], v], axis=1)[:, at]
+        errors = np.concatenate([errors[:, keep], e], axis=1)[:, at]

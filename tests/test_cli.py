@@ -12,6 +12,7 @@ import hermgauss
 import hermgauss.estimation
 from hermgauss.cli import ConfigError, main, parse_config, run
 from hermgauss.geometry import metric_quadrature
+from hermgauss.quadrature import QuadResult
 
 
 def config_text(**overrides):
@@ -115,6 +116,18 @@ class TestCommands:
         names = {c["name"] for c in report["checks"]}
         assert "offdiagonal_vanishes" in names
         assert "series_vs_quadrature" in names
+
+    def test_verify_fails_unconverged_normalization(self, monkeypatch):
+        # The exact value with converged=False must not pass the check.
+        monkeypatch.setattr(
+            hermgauss.cli, "integrate_real_line",
+            lambda *args: QuadResult(1.0 / math.sqrt(2.0), 1.0, 4321, False))
+        status, text = run_capture(config_text(command="verify"))
+        assert status == 1
+        report = json.loads(text)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["kernel_normalization"]
+        assert "4321 evaluations" in failed[0]["detail"]
 
     def test_verify_is_byte_identical_across_runs(self):
         text = config_text(command="verify")

@@ -17,7 +17,7 @@ from hermgauss.estimation import (
     sample,
 )
 from hermgauss.models import ModelPoint, StateSpec, kernel
-from hermgauss.quadrature import integrate_real_line
+from hermgauss.quadrature import QuadratureError, QuadResult, integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
 
@@ -219,6 +219,16 @@ class TestMle:
         batch = sample(StateSpec.eigenstate(2), ORIGIN, 500, seed=2)
         with pytest.raises(RuntimeError, match="12 objective evaluations"):
             mle_fit(batch, max_iterations=12)
+
+    def test_unconverged_moments_raise(self, monkeypatch):
+        # The moment start needs E[y] and Var[y]; an unconverged integral
+        # is an error, not a start point.
+        monkeypatch.setattr(
+            hermgauss.estimation, "integrate_real_line",
+            lambda *args: QuadResult(np.array([0.0, 0.5]), np.array([1.0, 1.0]),
+                                     4321, False))
+        with pytest.raises(QuadratureError, match="4321 evaluations"):
+            _moment_init(StateSpec.eigenstate(0), np.array([0.0, 1.0]))
 
     def test_log_likelihood_gaussian_closed_form(self):
         x = np.array([0.0, 1.0, -0.5])

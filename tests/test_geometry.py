@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 import hermgauss.geometry
+import hermgauss.quadrature
 from hermgauss.geometry import (
     MetricTensor2,
     christoffel_reduced,
@@ -90,6 +91,24 @@ class TestQuadratureMetric:
         metric_quadrature(spec, ORIGIN, force_offdiagonal=force)
         assert len(results) == 1
         assert results[0].value.shape == (components,)
+
+    @pytest.mark.parametrize("spec, most", [
+        (StateSpec.mixture({0: 0.5, 20: 0.5}), 20),
+        (StateSpec.eigenstate(40), 3),
+    ], ids=["mixture_0_20", "eigenstate_40"])
+    def test_refinement_is_batched(self, monkeypatch, spec, most):
+        # Every pass bisects all the panels it picks in one integrand call;
+        # one bisection per call takes 160 and 25 calls for these metrics.
+        real = hermgauss.quadrature._panel
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hermgauss.quadrature, "_panel", counting)
+        metric_quadrature(spec, ORIGIN)
+        assert 1 <= len(calls) <= most
 
     def test_rank_one_density_matches_series(self):
         # A density table that is a pure real state factors to one packet.

@@ -14,6 +14,7 @@ from hermgauss.hermite import (
     hermite_normalized_all,
     orthogonality_residual,
 )
+from hermgauss.quadrature import QuadConfig, QuadratureError
 
 
 def rodrigues(n, y):
@@ -132,3 +133,9 @@ class TestOrthogonality:
     def test_degree_limit(self):
         with pytest.raises(ValueError):
             orthogonality_residual(61, 0)
+
+    def test_unconverged_integral_raises(self):
+        # The initial partition alone (84 panels of 15 points) overruns a
+        # budget of 150 evaluations.
+        with pytest.raises(QuadratureError, match="1260 evaluations"):
+            orthogonality_residual(40, 40, QuadConfig(max_evaluations=150))

@@ -8,6 +8,7 @@ from hermgauss.models import StateSpec, kernel
 from hermgauss.quadrature import (
     IntegrandError,
     QuadConfig,
+    _panel,
     integrate_real_line,
     truncation_halfwidth,
 )
@@ -16,6 +17,39 @@ from hermgauss.quadrature import (
 def gaussian_moment(k):
     """int y^{2k} e^{-y^2} dy = Gamma(k + 1/2), exact reference."""
     return math.gamma(k + 0.5)
+
+
+def serial_reference(integrand, config, degree_hint):
+    """Adaptive Gauss-Kronrod that bisects one panel per pass: the panel with
+    the largest error against its component's tolerance, leftmost of ties."""
+    cut = truncation_halfwidth(degree_hint, config.abs_tol)
+    n0 = max(8, degree_hint + 2)
+    edges = np.linspace(-cut, cut, n0 + n0 % 2 + 1)
+    values, errors, _ = _panel(integrand, edges[:-1], edges[1:])
+    while True:
+        total = np.array([math.fsum(v) for v in values])
+        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        if all(math.fsum(e) <= t for e, t in zip(errors, tol)):
+            return total
+        i = int(np.argmax((errors / tol[:, None]).max(axis=0)))
+        edges = np.insert(edges, i + 1, 0.5 * (edges[i] + edges[i + 1]))
+        v, e, _ = _panel(integrand, edges[i:i + 2], edges[i + 1:i + 3])
+        values = np.concatenate([values[:, :i], v, values[:, i + 1:]], axis=1)
+        errors = np.concatenate([errors[:, :i], e, errors[:, i + 1:]], axis=1)
+
+
+def oscillating(y):
+    return np.exp(-y * y) * np.cos(20.0 * y)
+
+
+def even_moments(y):
+    return y ** (2 * np.arange(11)[:, None]) * np.exp(-y * y)
+
+
+def fisher_integrand(spec):
+    kf = kernel(spec)
+    return (lambda y: y ** np.arange(3)[:, None] * kf.fisher_ratio(y),
+            kf.degree_hint + 6)
 
 
 class TestIntegrateRealLine:
@@ -60,6 +94,51 @@ class TestIntegrateRealLine:
         a = integrate_real_line(f, degree_hint=6)
         b = integrate_real_line(f, degree_hint=6)
         assert a == b
+
+    @pytest.mark.parametrize("case", ["oscillating", "moments", "fisher"])
+    def test_agrees_with_serial_reference(self, case):
+        # Batched and one-panel-per-pass refinement end on different
+        # partitions of the same window; both meet the tolerance, and they
+        # agree far inside it.  The exact values e^{-100} sqrt(pi) of the
+        # oscillating integral and the odd off-diagonal Fisher integral of
+        # an even state are zero to double precision, so those components
+        # are compared against a scale instead: sqrt(pi) = int e^{-y^2}, and
+        # the largest Fisher component (None).
+        integrand, degree_hint, scale = {
+            "oscillating": (oscillating, 2, math.sqrt(math.pi)),
+            "moments": (even_moments, 21, 0.0),
+            "fisher": (*fisher_integrand(StateSpec.mixture({0: 0.5, 20: 0.5})),
+                       None),
+        }[case]
+        ref = serial_reference(integrand, QuadConfig(), degree_hint)
+        scale = np.abs(ref).max() if scale is None else scale
+        res = integrate_real_line(integrand, QuadConfig(), degree_hint)
+        assert res.converged
+        assert np.all(np.abs(res.value - ref)
+                      <= np.maximum(1e-12 * np.abs(ref), 1e-15 * scale))
+
+    def test_vector_refinement_is_deterministic(self):
+        integrand, degree_hint = fisher_integrand(StateSpec.mixture({0: 0.5, 20: 0.5}))
+        a = integrate_real_line(integrand, degree_hint=degree_hint)
+        b = integrate_real_line(integrand, degree_hint=degree_hint)
+        assert a.evaluations == b.evaluations
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.abs_error_estimate, b.abs_error_estimate)
+
+    @pytest.mark.parametrize("budget", [120, 149, 150, 1000, 1234, 5000])
+    def test_batches_are_trimmed_to_the_budget(self, budget):
+        # Unreachable tolerance: refinement runs until not even one
+        # bisection (30 evaluations) fits in what the budget has left.
+        cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_evaluations=budget)
+        res = integrate_real_line(oscillating, cfg, 2)
+        assert not res.converged
+        assert budget - 30 < res.evaluations <= budget
+
+    def test_initial_partition_is_evaluated_past_the_budget(self):
+        cfg = QuadConfig(max_evaluations=50)
+        res = integrate_real_line(lambda y: np.exp(-y * y), cfg, 2)
+        assert not res.converged
+        assert res.evaluations == 8 * 15
 
     def test_refinement_respects_requested_tolerance(self):
         # Every run meets its own requested relative tolerance, down to a
