@@ -53,9 +53,9 @@ class RunConfig:
     point: ModelPoint
     command: str
     quad: QuadConfig
-    output_format: str = "json"
-    estimation: dict = None
-    geodesic: dict = None
+    output_format: str
+    estimation: dict
+    geodesic: dict
 
 
 def _need(obj, key, where):
@@ -269,10 +269,9 @@ def _cmd_curvature(cfg, out):
 
 
 def _cmd_crb(cfg, out):
-    est = cfg.estimation or {}
-    trials = est.get("trials", 50)
-    spt = est.get("samples_per_trial", 1000)
-    seed = est.get("seed", 0)
+    trials = cfg.estimation.get("trials", 50)
+    spt = cfg.estimation.get("samples_per_trial", 1000)
+    seed = cfg.estimation.get("seed", 0)
     rep = crb_experiment(cfg.state, cfg.point, trials, spt, seed)
     report = {
         "command": "crb",
@@ -290,10 +289,9 @@ def _cmd_crb(cfg, out):
 
 
 def _cmd_geodesic(cfg, out):
-    geo = cfg.geodesic or {}
-    velocity = geo.get("velocity", [0.0, 1.0])
-    tau_end = geo.get("tau_end", 1.0)
-    steps = geo.get("steps", 1000)
+    velocity = cfg.geodesic.get("velocity", [0.0, 1.0])
+    tau_end = cfg.geodesic.get("tau_end", 1.0)
+    steps = cfg.geodesic.get("steps", 1000)
     trace = geodesic_trace(cfg.state, cfg.point, velocity, tau_end, steps, cfg.quad)
     if cfg.output_format == "json":
         report = {
@@ -309,9 +307,8 @@ def _cmd_geodesic(cfg, out):
 
 
 def _cmd_sample(cfg, out):
-    est = cfg.estimation or {}
-    count = est.get("count", 1000)
-    seed = est.get("seed", 0)
+    count = cfg.estimation.get("count", 1000)
+    seed = cfg.estimation.get("seed", 0)
     batch = sample(cfg.state, cfg.point, count, seed)
     if cfg.output_format == "json":
         report = {"command": "sample", "seed": seed, "count": count,
@@ -378,7 +375,7 @@ def _cmd_verify(cfg, out):
     drift = float(np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]))
     check("geodesic_speed_conservation", drift <= 1e-6, drift)
 
-    seed = (cfg.estimation or {}).get("seed", 0)
+    seed = cfg.estimation.get("seed", 0)
     b1 = sample(cfg.state, cfg.point, 256, seed)
     b2 = sample(cfg.state, cfg.point, 256, seed)
     check("sampler_determinism", bool(np.array_equal(b1.draws, b2.draws)), seed)
@@ -451,9 +448,7 @@ def main(argv=None) -> int:
         if args.tol is not None:
             cfg = replace(cfg, quad=replace(cfg.quad, rel_tol=args.tol))
         if args.seed is not None:
-            est = dict(cfg.estimation or {})
-            est["seed"] = args.seed
-            cfg = replace(cfg, estimation=est)
+            cfg = replace(cfg, estimation={**cfg.estimation, "seed": args.seed})
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
     except ValueError as exc:  # also a flag that ModelPoint or QuadConfig rejects

@@ -5,9 +5,10 @@ densities makes rejection envelopes fiddly, while the CDF table reuses the
 quadrature truncation window).  Each draw's table segment is found once and
 the segment's quartic CDF is inverted by safeguarded Newton steps.
 
-Maximum likelihood works on (mu, log sigma).  The log-likelihood is -inf on
-every line where a sample sits on a density node, which cuts the plane into
-cells a few hundredths of sigma wide; Newton started from the moment
+Maximum likelihood works on (mu, log sigma) from the moment initializer,
+whose E[y] and Var y are sums over the state's table.  The log-likelihood is
+-inf on every line where a sample sits on a density node, which cuts the
+plane into cells a few hundredths of sigma wide; Newton started from the
 initializer can land in the wrong cell.  So a compass search first walks
 uphill from the initializer until its steps fall to 1e-2, which places it in
 the maximum's cell, and Newton on the analytic score and observed
@@ -26,8 +27,7 @@ import numpy as np
 
 from .geometry import crb_bound, metric_quadrature
 from .models import ModelPoint, StateSpec, kernel
-from .quadrature import (QuadConfig, QuadratureError, integrate_real_line,
-                         truncation_halfwidth)
+from .quadrature import QuadratureError, truncation_halfwidth
 
 __all__ = [
     "SampleBatch",
@@ -49,6 +49,8 @@ _FIT_TOL = 1e-9
 _LL_ROUNDING = 1e-12
 # Fewest trials (and surviving fits) that make the covariance meaningful.
 _MIN_TRIALS = 30
+# Objective evaluations, Newton passes included, after which a fit fails.
+_MAX_EVALUATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,9 @@ class CrbReport:
     trials: int
     samples_per_trial: int
     violations: dict
-    failed_trials: tuple = ()
-    failure_reasons: tuple = ()
-    estimates: np.ndarray = field(default=None, repr=False)
+    failed_trials: tuple
+    failure_reasons: tuple
+    estimates: np.ndarray = field(repr=False)
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,7 +89,9 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     w2 = h[1:] + 2.0 * h[:-1]
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
     d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A secant of a density's far tail can be subnormal, so w / m overflows;
+    # 1 / inf = 0 is then the slope intended there.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
     for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
                                 (-1, h[-1], h[-2], m[-1], m[-2])):
@@ -114,7 +118,7 @@ class _CdfTable:
         kf = kernel(spec)
         cut = truncation_halfwidth(kf.degree_hint + 2, 1e-14)
         y = np.linspace(-cut, cut, _CDF_NODES)
-        dens = np.maximum(kf.f(y), 0.0)
+        dens = kf.f(y)
         d = _pchip_slopes(y, dens)
         h = np.diff(y)
         secant = np.diff(dens) / h
@@ -217,14 +221,14 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
     return float(np.sum(np.log(f))) - x.size * math.log(sigma)
 
 
-def mle_fit(batch: SampleBatch, max_iterations: int = 20000) -> ModelPoint:
+def mle_fit(batch: SampleBatch) -> ModelPoint:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
     A compass search walks from the moment-matching point until its steps
     fall to 1e-2 (relative to sigma for mu), then Newton polishes until a
     step is below 1e-9 (relative to sigma for mu).  If Newton fails, the
-    compass search resumes and runs its steps down to 1e-9.
-    ``max_iterations`` caps the objective evaluations, Newton passes included.
+    compass search resumes and runs its steps down to 1e-9.  The fit fails
+    after ``_MAX_EVALUATIONS`` objective evaluations, Newton passes included.
     """
     spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
@@ -248,7 +252,7 @@ def mle_fit(batch: SampleBatch, max_iterations: int = 20000) -> ModelPoint:
                 and step_mu <= _HANDOFF_STEP * math.exp(ls)):
             polish = False
             fit, used = _newton_polish(kernel(spec), x, mu, ls,
-                                       max_iterations - evals)
+                                       _MAX_EVALUATIONS - evals)
             evals += used
             if fit is not None:
                 return fit
@@ -262,9 +266,9 @@ def mle_fit(batch: SampleBatch, max_iterations: int = 20000) -> ModelPoint:
         if not improved:
             step_mu *= 0.5
             step_ls *= 0.5
-        if evals > max_iterations:
+        if evals > _MAX_EVALUATIONS:
             raise RuntimeError(
-                f"MLE search did not converge within {max_iterations} "
+                f"MLE search did not converge within {_MAX_EVALUATIONS} "
                 "objective evaluations")
     return ModelPoint(mu=mu, sigma=math.exp(ls))
 
@@ -320,20 +324,25 @@ def _newton_polish(kf, x, mu, ls, budget):
 
 
 def _y_moments(spec: StateSpec):
-    """(E[y], Var[y]) under the state's dimensionless kernel; raises
-    QuadratureError when the moment integrals do not converge."""
+    """(E[y], Var y) from the table: E[y^p] = sum_nm Re(lambda_nm) <n|y^p|m>.
+
+    By the ladder identity y psi_n = sqrt((n+1)/2) psi_{n+1} + sqrt(n/2) psi_{n-1},
+    <n|y|m> = sqrt(k/2) for |n - m| = 1, <n|y^2|m> = n + 1/2 for n = m and
+    sqrt(k(k-1))/2 for |n - m| = 2 (k = max(n, m)); the rest are zero.
+    """
     moments = spec._kernel_cache.get("y_moments")
     if moments is None:
-        kf = kernel(spec)
-        cfg = QuadConfig(rel_tol=1e-10, abs_tol=1e-12)
-        res = integrate_real_line(lambda y: np.stack([y, y * y]) * kf.f(y),
-                                  cfg, kf.degree_hint + 2)
-        if not res.converged:
-            raise QuadratureError(
-                f"position moments did not converge within {res.evaluations} "
-                "evaluations")
-        e1, e2 = math.sqrt(2.0) * res.value
-        moments = (e1, max(e2 - e1 * e1, 1e-12))
+        e1, e2 = [], []
+        for (n, m), v in spec.table.items():
+            k = max(n, m)
+            if n == m:
+                e2.append(v.real * (n + 0.5))
+            elif abs(n - m) == 1:
+                e1.append(v.real * math.sqrt(k / 2.0))
+            elif abs(n - m) == 2:
+                e2.append(v.real * math.sqrt(k * (k - 1)) / 2.0)
+        ey = math.fsum(e1)
+        moments = (ey, max(math.fsum(e2) - ey * ey, 1e-12))
         spec._kernel_cache["y_moments"] = moments
     return moments
 

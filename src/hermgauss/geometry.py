@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# The curvature stencil divides metric differences by h^2 = 1e-6 sigma^2,
+# so its metrics are integrated far below the default tolerances.
+_FD_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,13 @@ def metric_quadrature(spec: StateSpec, point: ModelPoint,
     Itilde_musigma = int y (f')^2/f,
     Itilde_sigmasigma = sqrt(2) * int y^2 (f')^2/f - 1.
 
-    When the state's kernel is even, the off-diagonal integrand is odd and
-    Itilde_musigma is set to exactly zero without integrating; pass
+    When ``spec.parity_even`` (f is even), the off-diagonal integrand is odd
+    and Itilde_musigma is set to exactly zero without integrating; pass
     ``force_offdiagonal=True`` to evaluate the integral anyway (used by the
     consistency suite to confirm the oddness argument numerically).
     """
-    if config is None:
-        config = QuadConfig()
     kf = kernel(spec)
-    skip_offdiagonal = kf.parity == "even" and not force_offdiagonal
+    skip_offdiagonal = spec.parity_even and not force_offdiagonal
     powers = np.array([0, 2] if skip_offdiagonal else [0, 1, 2])[:, None]
     res = integrate_real_line(lambda y: y ** powers * kf.fisher_ratio(y),
                               config, kf.degree_hint + 6)
@@ -164,10 +165,13 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
     def al(k):
         return a.get(k, 0.0)
 
-    # Off-diagonal: nearest-neighbor couplings enter with +, the offset-3
-    # couplings with -.  The sign of the offset-3 term is fixed by demanding
-    # agreement with the quadrature route (verified to 1e-14 on random
-    # coefficient sets).
+    # For g = sum alpha_n psi_n, sqrt(2 pi) f = g^2.  With d/dy = D =
+    # (a - a+)/sqrt(2) and y = Y = (a + a+)/sqrt(2) the Fisher integrals are
+    # 2 |D alpha|^2, 2 sqrt(2) <D alpha, Y D alpha> and 4 |Y D alpha|^2 - 1,
+    # and normal ordering ([a, a+] = 1) gives the sums below:
+    #   2 D+ D = 2N + 1 - a^2 - a+^2,
+    #   2 sqrt(2) D+ Y D = (a^2 a+ - a) + (a+^2 a + a+) - a^3 - a+^3,
+    #   4 (Y D)+ Y D = 2N^2 + 2N + 3 - a^4 - a+^4.
     ims = math.fsum(
         al(n) * (-al(n - 3) * math.sqrt(n * (n - 1) * (n - 2))
                  + al(n - 1) * n * math.sqrt(n)
@@ -244,8 +248,7 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
     return _report_from_reduced(metric, r, "reduced_formula")
 
 
-def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
-                                config: QuadConfig | None = None) -> CurvatureReport:
+def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> CurvatureReport:
     """Scalar curvature from finite differences of the quadrature metric.
 
     The metric is evaluated on a 3x3 stencil around (mu, sigma) with steps
@@ -255,8 +258,6 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
     route makes no use of the 1/sigma^2 structure and exists to validate
     the reduced formula and the index conventions.
     """
-    if config is None:
-        config = QuadConfig(rel_tol=1e-12, abs_tol=1e-13)
     h = 1e-3 * point.sigma
 
     cache = {}
@@ -265,7 +266,7 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint,
         key = (di, dj)
         if key not in cache:
             p = ModelPoint(point.mu + di * h, point.sigma + dj * h)
-            cache[key] = metric_quadrature(spec, p, config).matrix()
+            cache[key] = metric_quadrature(spec, p, _FD_QUAD).matrix()
         return cache[key]
 
     g0 = gfun(0, 0)

@@ -42,6 +42,16 @@ class InvalidStateError(ValueError):
     """The state description violates a normalization or positivity rule."""
 
 
+def _unit_divisor(total, renormalize, what):
+    """The divisor that brings a table's ``what`` = ``total`` to 1: ``total``
+    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL."""
+    if renormalize and total <= 0.0:
+        raise InvalidStateError(f"{what} must be positive, got {total!r}")
+    if not renormalize and abs(total - 1.0) > _NORM_TOL:
+        raise InvalidStateError(f"{what} is {total!r}, expected 1 within {_NORM_TOL}")
+    return total if renormalize else 1.0
+
+
 def _check_indices(kind, indices):
     for n in indices:
         if not 0 <= n <= MAX_DEGREE:
@@ -143,15 +153,9 @@ class StateSpec:
         _check_indices("mixture", w)
         if any(v < 0.0 for v in w.values()):
             raise InvalidStateError("mixture weights must be non-negative")
-        total = math.fsum(w.values())
-        if renormalize:
-            if total <= 0.0:
-                raise InvalidStateError("mixture weights sum to zero")
-            w = {n: v / total for n, v in w.items()}
-        elif abs(total - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"mixture weights sum to {total!r}, expected 1 within {_NORM_TOL}")
-        table = {(n, n): complex(v) for n, v in w.items() if v != 0.0}
+        total = _unit_divisor(math.fsum(w.values()), renormalize,
+                              "mixture weight sum")
+        table = {(n, n): complex(v / total) for n, v in w.items() if v != 0.0}
         return cls("mixture", table)
 
     @classmethod
@@ -160,16 +164,9 @@ class StateSpec:
         if not a:
             raise InvalidStateError("superposition needs at least one term")
         _check_indices("superposition", a)
-        norm2 = math.fsum(abs(v) ** 2 for v in a.values())
-        if renormalize:
-            if norm2 <= 0.0:
-                raise InvalidStateError("superposition coefficients are all zero")
-            s = math.sqrt(norm2)
-            a = {n: v / s for n, v in a.items()}
-        elif abs(norm2 - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"superposition norm is {norm2!r}, expected 1 within {_NORM_TOL}")
-        a = {n: v for n, v in a.items() if v != 0.0}
+        s = math.sqrt(_unit_divisor(math.fsum(abs(v) ** 2 for v in a.values()),
+                                    renormalize, "superposition norm"))
+        a = {n: v / s for n, v in a.items() if v != 0.0}
         table = {(n, m): an * np.conj(am)
                  for n, an in a.items() for m, am in a.items()}
         return cls("superposition", table, coeffs=a)
@@ -188,14 +185,10 @@ class StateSpec:
             if w is None or abs(np.conj(w) - v) > 1e-10 * max(1.0, abs(v)):
                 raise InvalidStateError(
                     f"density table is not Hermitian at ({n}, {m})")
-        trace = math.fsum(v.real for (n, m), v in table.items() if n == m)
-        if renormalize:
-            if trace <= 0.0:
-                raise InvalidStateError("density trace must be positive")
-            table = {k: v / trace for k, v in table.items()}
-        elif abs(trace - 1.0) > _NORM_TOL:
-            raise InvalidStateError(
-                f"density trace is {trace!r}, expected 1 within {_NORM_TOL}")
+        trace = _unit_divisor(
+            math.fsum(v.real for (n, m), v in table.items() if n == m),
+            renormalize, "density trace")
+        table = {k: v / trace for k, v in table.items()}
         # The indices are capped, so the dense eigenvalue check is cheap.
         dim = max(max(n, m) for (n, m) in table) + 1
         dense = np.zeros((dim, dim), dtype=complex)
@@ -234,16 +227,14 @@ class KernelFn:
     ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 from
     one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
     ``fisher_ratio(y)`` is (f')^2/f, or its limit where f = 0.  All are
-    vectorized over y.  ``parity`` is "even" when every occupied index pair
-    shares evenness (so f is an even function), "none" otherwise.
-    ``degree_hint`` bounds the polynomial degree multiplying exp(-y^2).
+    vectorized over y.  ``degree_hint`` bounds the polynomial degree
+    multiplying exp(-y^2).
     """
 
     f: object
     f_prime: object
     jet: object
     fisher_ratio: object
-    parity: str
     degree_hint: int
 
 
@@ -317,9 +308,7 @@ def kernel(spec: StateSpec) -> KernelFn:
         return out.reshape(y.shape)
 
     kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
-                  jet=jet, fisher_ratio=fisher_ratio,
-                  parity="even" if spec.parity_even else "none",
-                  degree_hint=2 * top + 2)
+                  jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2)
     spec._kernel_cache["kernel"] = kf
     return kf
 

@@ -14,7 +14,7 @@ results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,13 @@ class QuadResult:
     abs_error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
+
+    def __eq__(self, other):
+        # The generated __eq__ compares field tuples: ambiguous for arrays.
+        if not isinstance(other, QuadResult):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1].  First seven nodes are the Gauss

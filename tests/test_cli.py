@@ -266,17 +266,62 @@ class TestMain:
         {"state": {"type": "mixture", "terms": [{"n": 0, "weight": "0.5"},
                                                 {"n": 1, "weight": 0.5}]}},
         {"state": {"type": "superposition", "terms": [{"n": 0, "re": True}]}},
+        {"state": {"type": "wavefunction", "n": 0}},
+        {"quad": {"rel_tol": -1e-10}},
+        {"output": {"format": "xml"}},
+        None,
     ], ids=["point_number", "weight_string", "index_string", "output_string",
             "velocity_length", "trials_string", "renormalize_string",
             "rel_tol_bool", "max_evaluations_string", "max_evaluations_float",
             "index_bool", "sigma_bool", "mu_string", "seed_bool",
-            "tau_end_string", "weight_numeric_string", "re_bool"])
+            "tau_end_string", "weight_numeric_string", "re_bool",
+            "state_type_unknown", "quad_rejected", "format_unknown",
+            "top_level_array"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(config_text(**override))
+        path.write_text("[1, 2]" if override is None else config_text(**override))
         assert main([str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("case", [
+        "density_state", "geodesic_json", "sample_csv", "stdin", "seed_flag",
+        "format_flag"])
+    def test_input_and_output_routes(self, case, tmp_path, monkeypatch, capsys):
+        # (config fields, arguments after the file path or None for stdin,
+        # check on stdout)
+        overrides, flags, check = {
+            "density_state": (
+                {"state": {"type": "density", "entries": [
+                    {"n": 0, "m": 0, "re": 0.5}, {"n": 1, "m": 1, "re": 0.5},
+                    {"n": 0, "m": 1, "im": 0.25}, {"n": 1, "m": 0, "im": -0.25}]}},
+                [], lambda out: json.loads(out)["paths"][0]["path"] == "quadrature"),
+            "geodesic_json": (
+                {"command": "geodesic", "geodesic": {"steps": 4}}, [],
+                lambda out: (json.loads(out)["command"] == "geodesic"
+                             and len(json.loads(out)["samples"]) == 5)),
+            "sample_csv": (
+                {"command": "sample", "estimation": {"count": 3},
+                 "output": {"format": "csv"}}, [],
+                lambda out: (out.splitlines()[0] == "x"
+                             and len(out.splitlines()) == 4)),
+            "stdin": ({}, None, lambda out: json.loads(out)["command"] == "metric"),
+            "seed_flag": (
+                {"command": "sample", "estimation": {"count": 3, "seed": 1}},
+                ["--seed", "5"], lambda out: json.loads(out)["seed"] == 5),
+            "format_flag": ({}, ["--format", "csv"],
+                            lambda out: out.startswith("command,metric\n")),
+        }[case]
+        text = config_text(**overrides)
+        if flags is None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            argv = ["-"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(text)
+            argv = [str(path)] + flags
+        assert main(argv) == 0
+        assert check(capsys.readouterr().out)
 
     @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"]])
     def test_invalid_override_exits_two(self, flags, tmp_path, capsys):

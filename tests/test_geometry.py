@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.special import erf
 
 import hermgauss.geometry
@@ -32,6 +33,27 @@ def rho01_reduced():
     c = math.sqrt(2.0 * math.e * math.pi)
     e = erf(1.0 / math.sqrt(2.0))
     return (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
+
+
+def ladder_metric(size):
+    """Reduced metric of the real state sum_{n < size} alpha_n psi_n as
+    exact polynomials in symbols alpha_n.
+
+    In y, position is Y = (a + a^+)/sqrt(2) and d/dy is D = (a - a^+)/sqrt(2);
+    with sqrt(2 pi) f = g^2 for g = sum alpha_n psi_n, the Fisher integrals
+    are 2 |D alpha|^2, 2 sqrt(2) <D alpha, Y D alpha> and 4 |Y D alpha|^2 - 1.
+    """
+    alpha = sp.symbols(f"alpha0:{size}")
+    dim = size + 2  # Y D reaches two levels above the top one
+    lower = sp.zeros(dim, dim)
+    for n in range(1, dim):
+        lower[n - 1, n] = sp.sqrt(n)
+    d_alpha = (lower - lower.T) / sp.sqrt(2) * sp.Matrix([*alpha, 0, 0])
+    yd_alpha = (lower + lower.T) / sp.sqrt(2) * d_alpha
+    components = (2 * d_alpha.dot(d_alpha),
+                  2 * sp.sqrt(2) * d_alpha.dot(yd_alpha),
+                  4 * yd_alpha.dot(yd_alpha) - 1)
+    return alpha, [sp.expand(c) for c in components]
 
 
 class TestClosedForm:
@@ -162,6 +184,21 @@ class TestSeriesMetric:
     def test_requires_normalization(self):
         with pytest.raises(InvalidStateError):
             metric_series_real({0: 1.0, 2: 0.5}, ORIGIN)
+
+    def test_matches_ladder_operator_derivation(self):
+        # The series against the exact operator form, on random normalized
+        # coefficient sets over levels 0..7 with some levels left empty.
+        alpha, components = ladder_metric(8)
+        reduced = sp.lambdify(alpha, components, "math")
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            c = rng.normal(size=8) * (rng.random(8) < 0.7)
+            c[rng.integers(8)] = 1.0
+            c /= np.linalg.norm(c)
+            want = reduced(*c)
+            got = metric_series_real(
+                {n: v for n, v in enumerate(c) if v != 0.0}, ORIGIN).reduced
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestScalarCurvature:

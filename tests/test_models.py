@@ -109,6 +109,31 @@ class TestStateSpecValidation:
         s = StateSpec.superposition({0: 1.0, 1: 1.0}, renormalize=True)
         assert abs(s.coeffs[0]) == pytest.approx(1 / math.sqrt(2))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StateSpec.mixture({}), "mixture needs"),
+        (lambda: StateSpec.superposition({}), "superposition needs"),
+        (lambda: StateSpec.density({}), "density table is empty"),
+        (lambda: StateSpec.mixture({0: 0.0, 1: 0.0}, renormalize=True),
+         "mixture weight"),
+        (lambda: StateSpec.superposition({0: 0.0, 3: 0.0}, renormalize=True),
+         "superposition"),
+        (lambda: StateSpec.density({(0, 0): -0.5, (1, 1): 0.25},
+                                   renormalize=True), "density trace"),
+        (lambda: StateSpec.density({(0, 0): 0.5, (1, 1): 0.25}),
+         "density trace is 0.75"),
+    ], ids=["mixture_empty", "superposition_empty", "density_empty",
+            "mixture_zero_sum", "superposition_all_zero",
+            "density_negative_trace", "density_trace_not_one"])
+    def test_rejected_tables(self, build, message):
+        with pytest.raises(InvalidStateError, match=message):
+            build()
+
+    def test_density_renormalize(self):
+        s = StateSpec.density({(0, 0): 1.5, (1, 1): 0.5, (0, 1): 0.5j,
+                               (1, 0): -0.5j}, renormalize=True)
+        assert s.table == {(0, 0): 0.75, (1, 1): 0.25, (0, 1): 0.25j,
+                           (1, 0): -0.25j}
+
     def test_density_hermiticity(self):
         with pytest.raises(InvalidStateError):
             StateSpec.density({(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.3})
@@ -208,18 +233,9 @@ class TestPdf:
 class TestKernel:
     def test_eigenstate_kernel_parity(self):
         kf = kernel(StateSpec.eigenstate(3))
-        assert kf.parity == "even"
         rng = np.random.default_rng(5)
         y = rng.uniform(-4, 4, size=100)
         np.testing.assert_array_equal(kf.f(y), kf.f(-y))
-
-    def test_even_superposition_parity(self):
-        s = StateSpec.superposition({0: 1 / math.sqrt(2), 2: 1 / math.sqrt(2)})
-        assert kernel(s).parity == "even"
-
-    def test_mixed_parity(self):
-        s = StateSpec.superposition({0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
-        assert kernel(s).parity == "none"
 
     def test_is_cached(self):
         s = StateSpec.eigenstate(2)

@@ -121,9 +121,21 @@ class TestIntegrateRealLine:
         integrand, degree_hint = fisher_integrand(StateSpec.mixture({0: 0.5, 20: 0.5}))
         a = integrate_real_line(integrand, degree_hint=degree_hint)
         b = integrate_real_line(integrand, degree_hint=degree_hint)
-        assert a.evaluations == b.evaluations
-        assert np.array_equal(a.value, b.value)
-        assert np.array_equal(a.abs_error_estimate, b.abs_error_estimate)
+        assert a == b
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_results_compare_by_value(self, case):
+        integrand, degree_hint = {
+            "scalar": (oscillating, 2),
+            "vector": fisher_integrand(StateSpec.mixture({0: 0.5, 20: 0.5})),
+        }[case]
+        a = integrate_real_line(integrand, QuadConfig(), degree_hint)
+        b = integrate_real_line(integrand, QuadConfig(), degree_hint)
+        c = integrate_real_line(integrand, QuadConfig(rel_tol=1e-6, abs_tol=1e-8),
+                                degree_hint)
+        assert a == b and not a != b
+        assert a != c and not a == c
+        assert a != (a.value, a.abs_error_estimate, a.evaluations, a.converged)
 
     @pytest.mark.parametrize("budget", [120, 149, 150, 1000, 1234, 5000])
     def test_batches_are_trimmed_to_the_budget(self, budget):
