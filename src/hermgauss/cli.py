@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .estimation import crb_experiment, sample
+from .estimation import _MIN_TRIALS, crb_experiment, sample
 from .geometry import (
     curvature_finite_difference,
     geodesic_trace,
@@ -91,6 +91,9 @@ _CONVERT = {
                      "x0", "hbar", "rel_tol", "abs_tol", "tau_end"), _real),
     "velocity": _pair,
 }
+# The least value of each count that the library accepts.
+_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": 1, "count": 1,
+          "steps": 1, "seed": 0}
 
 
 def _typed(obj, where):
@@ -101,6 +104,8 @@ def _typed(obj, where):
     for k, v in obj.items():
         try:
             out[k] = _CONVERT.get(k, lambda v: v)(v)
+            if k in _LEAST and out[k] < _LEAST[k]:
+                raise ValueError(f"must be >= {_LEAST[k]}, got {v}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid {k!r} in {where}: {exc}") from exc
     return out
@@ -448,7 +453,8 @@ def main(argv=None) -> int:
         if args.tol is not None:
             cfg = replace(cfg, quad=replace(cfg.quad, rel_tol=args.tol))
         if args.seed is not None:
-            cfg = replace(cfg, estimation={**cfg.estimation, "seed": args.seed})
+            cfg = replace(cfg, estimation={**cfg.estimation,
+                                           **_typed({"seed": args.seed}, "--seed")})
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
     except ValueError as exc:  # also a flag that ModelPoint or QuadConfig rejects

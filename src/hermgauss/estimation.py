@@ -2,8 +2,9 @@
 
 Sampling is by inverse CDF on a tabulated grid (the node structure of the
 densities makes rejection envelopes fiddly, while the CDF table reuses the
-quadrature truncation window).  Each draw's table segment is found once and
-the segment's quartic CDF is inverted by safeguarded Newton steps.
+quadrature truncation window).  The table's cubic Hermite segments take the
+kernel's exact f and f'; each draw's segment is found once and its quartic
+CDF is inverted by safeguarded Newton steps.
 
 Maximum likelihood works on (mu, log sigma) from the moment initializer,
 whose E[y] and Var y are sums over the state's table.  The log-likelihood is
@@ -73,53 +74,22 @@ class CrbReport:
     estimates: np.ndarray = field(repr=False)
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the monotone piecewise-cubic (PCHIP) interpolant.
-
-    Inside, the weighted harmonic mean of the two neighbouring secants
-    (Fritsch & Butland 1984, SIAM J. Sci. Stat. Comput. 5:300), or 0 where
-    they differ in sign or either is 0.  At each end, the one-sided
-    three-point estimate, set to 0 if its sign differs from the end secant's
-    and clamped to 3x that secant where the first two secants differ in
-    sign.  This is scipy's PchipInterpolator rule, operation for operation.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    d = np.empty_like(y)
-    # A secant of a density's far tail can be subnormal, so w / m overflows;
-    # 1 / inf = 0 is then the slope intended there.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
-                                (-1, h[-1], h[-2], m[-1], m[-2])):
-        e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(e) != np.sign(m0):
-            e = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-            e = 3.0 * m0
-        d[end] = e
-    return d
-
-
 class _CdfTable:
-    """Monotone CDF of the dimensionless variable y: the piecewise-quartic
-    antiderivative of a PCHIP (piecewise-cubic) interpolant of the density.
+    """CDF of the dimensionless variable y: the piecewise-quartic
+    antiderivative of the cubic Hermite interpolant of the kernel's exact f
+    and f' (one ``kf.jet(y, 1)`` call) on the nodes.
 
-    The PCHIP and its antiderivative are built here in numpy.  ``coeffs``
-    holds each segment's quartic in t = y - y_k, highest power first (the
-    layout of scipy's ``PPoly.c``); its last row is the unnormalized CDF at
-    the segment's left end, a running sum of the segments' integrals.
+    ``coeffs`` holds each segment's quartic in t = y - y_k, highest power
+    first (the layout of scipy's ``PPoly.c``); its last row is the
+    unnormalized CDF at the segment's left end, a running sum of the
+    segments' integrals.
     """
 
     def __init__(self, spec: StateSpec):
         kf = kernel(spec)
         cut = truncation_halfwidth(kf.degree_hint + 2, 1e-14)
         y = np.linspace(-cut, cut, _CDF_NODES)
-        dens = kf.f(y)
-        d = _pchip_slopes(y, dens)
+        dens, d = kf.jet(y, 1)
         h = np.diff(y)
         secant = np.diff(dens) / h
         t = (d[:-1] + d[1:] - 2.0 * secant) / h
@@ -144,12 +114,13 @@ class _CdfTable:
     def invert(self, u: np.ndarray) -> np.ndarray:
         """y with CDF(y) = u, vectorized over u.
 
-        Each u's table segment [y_k, y_k + h] is found once.  On it the CDF
-        is the quartic antiderivative of the PCHIP density in t = y - y_k,
-        and its derivative is that density, which is non-negative because
-        PCHIP is monotone on every interval.  Newton runs on the quartic
-        from the linear interpolate of the table; a bracket [lo, hi] is kept
-        and any iterate outside it is replaced by the bracket's midpoint.
+        Each u's table segment [y_k, y_k + h] is found from ``cdf_vals``, so
+        the quartic residual r(t) = CDF(y_k + t) - u has r(0) <= 0 <= r(h).
+        Newton runs on r from the linear interpolate of the table, keeping a
+        bracket [lo, hi] with that sign change and replacing any iterate
+        outside it by the bracket's midpoint.  This needs no monotone cubic:
+        one that dips just below zero near a density zero still puts the
+        draw in its segment.
         """
         k = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
         c4, c3, c2, c1, c0 = self.coeffs[:, k]

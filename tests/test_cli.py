@@ -269,6 +269,11 @@ class TestMain:
         {"state": {"type": "wavefunction", "n": 0}},
         {"quad": {"rel_tol": -1e-10}},
         {"output": {"format": "xml"}},
+        {"command": "sample", "estimation": {"count": 0}},
+        {"command": "crb", "estimation": {"trials": 5}},
+        {"command": "crb", "estimation": {"samples_per_trial": 0}},
+        {"command": "geodesic", "geodesic": {"steps": 0}},
+        {"command": "sample", "estimation": {"seed": -1}},
         None,
     ], ids=["point_number", "weight_string", "index_string", "output_string",
             "velocity_length", "trials_string", "renormalize_string",
@@ -276,7 +281,8 @@ class TestMain:
             "index_bool", "sigma_bool", "mu_string", "seed_bool",
             "tau_end_string", "weight_numeric_string", "re_bool",
             "state_type_unknown", "quad_rejected", "format_unknown",
-            "top_level_array"])
+            "count_zero", "trials_too_few", "samples_per_trial_zero",
+            "steps_zero", "seed_negative", "top_level_array"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]" if override is None else config_text(**override))
@@ -323,7 +329,8 @@ class TestMain:
         assert main(argv) == 0
         assert check(capsys.readouterr().out)
 
-    @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"]])
+    @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"],
+                                       ["--seed", "-3"]])
     def test_invalid_override_exits_two(self, flags, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text())

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
+from scipy.special import erfc
 
 import hermgauss.estimation
 from hermgauss.estimation import (
     SampleBatch,
     _cdf_table,
     _moment_init,
-    _pchip_slopes,
     _y_moments,
     crb_experiment,
     log_likelihood,
@@ -24,14 +24,16 @@ ORIGIN = ModelPoint(0.0, 1.0)
 
 
 def scipy_cdf(spec, y):
-    """scipy's PCHIP antiderivative of the clipped density on the nodes y."""
-    dens = np.maximum(kernel(spec).f(y), 0.0)
-    return PchipInterpolator(y, dens).antiderivative()
+    """scipy's antiderivative of the density's cubic Hermite interpolant,
+    with f and f' from the kernel, on the nodes y."""
+    kf = kernel(spec)
+    return CubicHermiteSpline(y, kf.f(y), kf.f_prime(y)).antiderivative()
 
 
 def bisect_cdf(spec, table, u, iterations=60):
-    """Reference inverse: bisection, segment by segment, on scipy's PCHIP
-    CDF over the table's nodes; it shares no coefficients with the table."""
+    """Reference inverse: bisection, segment by segment, on scipy's cubic
+    Hermite CDF over the table's nodes; it shares no coefficients with the
+    table."""
     cdf = scipy_cdf(spec, table.y)
     vals = cdf(table.y)
     idx = np.clip(np.searchsorted(vals / vals[-1], u), 1, table.y.size - 1)
@@ -43,6 +45,36 @@ def bisect_cdf(spec, table, u, iterations=60):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def exact_cdf(spec, y):
+    """Closed-form CDF of y: sum_nm Re(lambda_nm) I_nm(y) / sqrt(pi), with
+    I_nm = int_{-inf}^y psi_n psi_m over psi_n = H_n e^{-y^2/2} / sqrt(2^n n!).
+
+    psi_n'' = (y^2 - 1 - 2n) psi_n makes (psi_m psi_n' - psi_n psi_m')' =
+    2 (m - n) psi_m psi_n, so for n != m
+    I_nm = (sqrt(2n) psi_m psi_{n-1} - sqrt(2m) psi_n psi_{m-1}) / (2 (m - n));
+    I_nn = I_{n-1,n-1} - psi_n psi_{n-1} / sqrt(2n) and
+    I_00 = sqrt(pi) erfc(-y) / 2.  Neither the kernel nor the table is used.
+    """
+    top = spec.max_index
+    # Row 0 is psi_{-1} = 0, row n + 1 is psi_n.
+    psi = np.zeros((top + 2, y.size))
+    psi[1] = np.exp(-0.5 * y * y)
+    for n in range(top):
+        psi[n + 2] = (math.sqrt(2.0 / (n + 1)) * y * psi[n + 1]
+                      - math.sqrt(n / (n + 1)) * psi[n])
+    diag = [0.5 * math.sqrt(math.pi) * erfc(-y)]
+    for n in range(1, top + 1):
+        diag.append(diag[-1] - psi[n + 1] * psi[n] / math.sqrt(2.0 * n))
+    out = np.zeros_like(y)
+    for (n, m), v in spec.table.items():
+        if n == m:
+            out += v.real * diag[n]
+        else:
+            out += v.real * (math.sqrt(2.0 * n) * psi[m + 1] * psi[n]
+                             - math.sqrt(2.0 * m) * psi[n + 1] * psi[m]) / (2.0 * (m - n))
+    return out / math.sqrt(math.pi)
 
 
 def compass_fit(spec, x, tol=1e-9):
@@ -166,7 +198,7 @@ class TestSampler:
         # Sup distance between the empirical CDF and the kernel's CDF stays
         # under the 1% KS critical value 1.63 / sqrt(N).  The reference CDF
         # is Simpson's rule on a fine grid, independent of the sampler's
-        # PCHIP table.
+        # table.
         spec = StateSpec.superposition({0: 0.6, 2: 0.8})
         n = 20_000
         batch = sample(spec, ORIGIN, n, seed=11)
@@ -189,34 +221,30 @@ class TestSampler:
         np.testing.assert_allclose(table.invert(u), bisect_cdf(spec, table, u),
                                    rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("specs, bound", [
+        ([StateSpec.eigenstate(0), StateSpec.mixture({0: 0.5, 1: 0.5}),
+          StateSpec.superposition({0: 0.6, 1: 0.64, 2: 0.48})], 1e-12),
+        ([StateSpec.eigenstate(7), StateSpec.eigenstate(12),
+          *(s for kind in ("mixture", "real", "complex", "density")
+            for s in random_states(kind))], 5e-11),
+        ([StateSpec.eigenstate(40)], 1e-9),
+        ([StateSpec.eigenstate(150)], 1e-7),
+    ], ids=["shallow", "level12", "n40", "n150"])
+    def test_draws_match_exact_cdf(self, specs, bound):
+        u = np.random.default_rng(31).random(20_000)
+        for spec in specs:
+            table = _cdf_table(spec)
+            assert np.all(np.diff(table.cdf_vals) >= 0.0)
+            assert np.max(np.abs(exact_cdf(spec, table.invert(u)) - u)) <= bound
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample(StateSpec.eigenstate(0), ORIGIN, 0, seed=1)
 
 
-# Non-uniform node sets, each reaching one branch of the PCHIP slope rule;
-# (index, slope) pins the branch's value.
-_PCHIP_NODES = {
-    "interior_sign_change": ([0.0, 0.7, 2.0, 2.4, 3.5], [0.0, 1.0, 0.2, 0.9, 1.0],
-                             (1, 0.0)),
-    "zero_secant": ([0.0, 1.0, 1.5, 3.0, 3.2], [0.0, 1.0, 1.0, 2.0, 4.0], (2, 0.0)),
-    "end_clamped_to_zero": ([0.0, 1.0, 2.0, 4.0], [0.0, 1.0, 6.0, 7.0], (0, 0.0)),
-    "end_clamped_to_3m0": ([0.0, 1.0, 11.0, 12.0], [0.0, 0.1, -29.9, -29.0],
-                           (0, 0.3)),
-    "plain_end_rule": ([0.0, 1.0, 3.0, 3.5, 5.0], [0.0, 1.0, 5.0, 5.5, 9.0],
-                       (0, 2.0 / 3.0)),
-}
-
-
 class TestPchip:
-    @pytest.mark.parametrize("name", sorted(_PCHIP_NODES))
-    def test_slopes_match_scipy(self, name):
-        x, y, (k, slope) = _PCHIP_NODES[name]
-        x, y = np.array(x), np.array(y)
-        d = _pchip_slopes(x, y)
-        np.testing.assert_allclose(d, PchipInterpolator(x, y).derivative()(x),
-                                   rtol=1e-14, atol=1e-15)
-        assert d[k] == pytest.approx(slope, rel=1e-14, abs=0.0)
+    """The table's piecewise cubic Hermite interpolating polynomial
+    against scipy's."""
 
     @pytest.mark.parametrize("spec", [
         StateSpec.eigenstate(0),
@@ -234,16 +262,11 @@ class TestPchip:
 
 
     def test_deep_state_draws_without_warnings(self):
-        # The tabulated tails of |150> reach 5e-324, so some secants are
-        # subnormal and w / m overflows to the intended slope 0; under the
-        # suite's filterwarnings = "error" a warning would fail this draw.
+        # The tabulated tails of |150> reach 5e-324; under the suite's
+        # filterwarnings = "error" an overflow or underflow warning in the
+        # table build or the inversion would fail this draw.
         spec = StateSpec.eigenstate(150)
         assert sample(spec, ORIGIN, 1000, seed=3).draws.size == 1000
-        y = _cdf_table(spec).y
-        dens = kernel(spec).f(y)
-        with np.errstate(over="ignore"):  # scipy's own rule overflows alike
-            ref = PchipInterpolator(y, dens).derivative()(y)
-        np.testing.assert_array_equal(_pchip_slopes(y, dens), ref)
 
 
 class TestMle:
