@@ -1,9 +1,9 @@
-"""Fisher-Rao metric of oscillator eigenstates, three ways.
+"""Fisher-Rao metric of oscillator eigenstates, four ways.
 
 For the n-th eigenstate the reduced (dimensionless) metric has the closed
 form diag(2n+1, 2(n^2+n+1)).  This script recomputes it by adaptive
-quadrature and, for real coefficient vectors, by the series sums, and
-prints the agreement.
+quadrature, by the Gauss-Hermite rule that is exact for pure states and,
+for real coefficient vectors, by the series sums, and prints the agreement.
 """
 
 import numpy as np
@@ -11,24 +11,26 @@ import numpy as np
 from hermgauss import (
     ModelPoint,
     StateSpec,
+    metric_adaptive,
     metric_closed_form,
+    metric_gauss_hermite,
     metric_quadrature,
     metric_series_real,
 )
 
 point = ModelPoint(mu=0.0, sigma=1.0)
 
-print(f"{'n':>3} {'closed form':>24} {'quadrature err':>15} {'series err':>12}")
+print(f"{'n':>3} {'closed form':>24} {'adaptive err':>13} "
+      f"{'Gauss-Hermite err':>18} {'series err':>11}")
 for n in range(8):
     spec = StateSpec.eigenstate(n)
     closed = metric_closed_form(spec, point)
-    quad = metric_quadrature(spec, point)
-    series = metric_series_real({n: 1.0}, point)
     ref = np.asarray(closed.reduced)
-    err_q = np.max(np.abs(np.asarray(quad.reduced) - ref))
-    err_s = np.max(np.abs(np.asarray(series.reduced) - ref))
+    errs = [np.max(np.abs(np.asarray(m.reduced) - ref)) for m in (
+        metric_adaptive(spec, point), metric_gauss_hermite(spec, point),
+        metric_series_real({n: 1.0}, point))]
     label = f"diag({closed.reduced[0]:.0f}, {closed.reduced[2]:.0f})"
-    print(f"{n:>3} {label:>24} {err_q:>15.2e} {err_s:>12.2e}")
+    print(f"{n:>3} {label:>24} {errs[0]:>13.2e} {errs[1]:>18.2e} {errs[2]:>11.2e}")
 
 print()
 print("The reduced metric never depends on the parameter point; the full")

@@ -11,6 +11,7 @@ import numpy as np
 from hermgauss import (
     ModelPoint,
     StateSpec,
+    metric_adaptive,
     metric_quadrature,
     metric_series_real,
 )
@@ -36,7 +37,7 @@ for trial in range(4):
     coeffs = {int(n): float(c) for n, c in zip(levels, v)}
     spec = StateSpec.superposition(coeffs)
     s = metric_series_real(coeffs, point)
-    q = metric_quadrature(spec, point, force_offdiagonal=True)
+    q = metric_adaptive(spec, point, force_offdiagonal=True)
     err = np.max(np.abs(np.asarray(s.reduced) - np.asarray(q.reduced)))
     terms = ", ".join(f"{n}:{c:+.3f}" for n, c in sorted(coeffs.items()))
     print(f"  [{terms}]")

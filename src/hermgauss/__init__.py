@@ -3,8 +3,9 @@
 The library models position distributions of quantum harmonic oscillator
 states over the (mu, sigma) parameter plane and computes their Fisher-Rao
 metric, scalar curvature, geodesics and Cramer-Rao bounds through several
-mutually cross-validating routes (closed form, quadrature, series sums,
-finite differences), plus a Monte Carlo estimation harness.
+mutually cross-validating routes (closed form, exact Gauss-Hermite and
+adaptive quadrature, series sums, finite differences), plus a Monte Carlo
+estimation harness.
 """
 
 from .hermite import orthogonality_residual
@@ -32,6 +33,8 @@ from .geometry import (
     GeodesicTrace,
     metric_closed_form,
     metric_quadrature,
+    metric_gauss_hermite,
+    metric_adaptive,
     metric_series_real,
     scalar_curvature_reduced,
     curvature_finite_difference,
@@ -68,6 +71,8 @@ __all__ = [
     "GeodesicTrace",
     "metric_closed_form",
     "metric_quadrature",
+    "metric_gauss_hermite",
+    "metric_adaptive",
     "metric_series_real",
     "scalar_curvature_reduced",
     "curvature_finite_difference",

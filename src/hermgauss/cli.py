@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .estimation import _MIN_TRIALS, crb_experiment, sample
+from .estimation import _MIN_TRIALS, _y_moments, crb_experiment, sample
 from .geometry import (
     curvature_finite_difference,
     geodesic_trace,
+    metric_adaptive,
     metric_closed_form,
     metric_quadrature,
     metric_series_real,
@@ -324,6 +325,10 @@ def _cmd_sample(cfg, out):
     return 0
 
 
+def _rel_err(got, want):
+    return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
+
+
 def _cmd_verify(cfg, out):
     checks = []
 
@@ -333,23 +338,31 @@ def _cmd_verify(cfg, out):
     mq = metric_quadrature(cfg.state, cfg.point, cfg.quad)
 
     if cfg.state.kind == "eigenstate":
-        mc = metric_closed_form(cfg.state, cfg.point)
-        err = max(abs(q - c) / max(1.0, abs(c))
-                  for q, c in zip(mq.reduced, mc.reduced))
+        err = _rel_err(mq.reduced, metric_closed_form(cfg.state, cfg.point).reduced)
         check("closed_form_vs_quadrature", err <= 1e-8, err)
 
     coeffs = cfg.state.real_superposition_coeffs()
     if coeffs is not None:
-        ms = metric_series_real(coeffs, cfg.point)
-        err = max(abs(q - s) / max(1.0, abs(s))
-                  for q, s in zip(mq.reduced, ms.reduced))
+        err = _rel_err(mq.reduced, metric_series_real(coeffs, cfg.point).reduced)
         check("series_vs_quadrature", err <= 1e-8, err)
 
-    if cfg.state.parity_even:
-        forced = metric_quadrature(cfg.state, cfg.point, cfg.quad,
+    # At rank one mq is the exact rule; one adaptive metric, its
+    # off-diagonal integrated, checks it and the parity argument.
+    rank_one = kernel(cfg.state).rank == 1
+    if rank_one or cfg.state.parity_even:
+        adaptive = metric_adaptive(cfg.state, cfg.point, cfg.quad,
                                    force_offdiagonal=True)
-        check("offdiagonal_vanishes", abs(forced.reduced[1]) <= 1e-10,
-              forced.reduced[1])
+    if rank_one:
+        err = _rel_err(adaptive.reduced, mq.reduced)
+        check("exact_rule_vs_adaptive", err <= 1e-8, err)
+    if cfg.state.parity_even:
+        check("offdiagonal_vanishes", abs(adaptive.reduced[1]) <= 1e-10,
+              adaptive.reduced[1])
+
+    # Location Cramer-Rao: I_mumu >= 1 / Var x with Var x = 2 sigma^2 Var y,
+    # Var y summed over the table by the ladder identity (no quadrature).
+    ratio = 2.0 * mq.reduced[0] * _y_moments(cfg.state)[1]
+    check("location_crb", ratio >= 1.0 - 1e-12, ratio)
 
     reduced = scalar_curvature_reduced(mq)
     fd = curvature_finite_difference(cfg.state, cfg.point)

@@ -3,17 +3,21 @@
 The metric of every state in this family has the reduced structure
 I_ab = Itilde_ab / sigma^2 with Itilde constant (independent of mu and
 sigma), so the Christoffel symbols are available in closed form in sigma.
-Three routes to the metric are provided (closed form for number states,
-quadrature of the Fisher integrals, and the series sums valid for real
-superpositions) together with two routes to the scalar curvature (the
-reduced determinant formula and a finite-difference assembly of the full
-Riemann tensor, which exists to validate conventions).  With Itilde =
-(a, b, c) and v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a scaled
-Poincare half-plane in (v, sigma), so geodesics are sampled exactly.
+Four routes to the metric are provided: the closed form for number states,
+the series sums valid for real superpositions, and two quadratures of the
+Fisher integrals -- Gauss-Hermite, exact for states whose kernel has rank
+one, and adaptive Gauss-Kronrod for any state.  ``metric_quadrature`` takes
+the exact rule at rank one and the adaptive integral otherwise.  Two
+routes lead to the scalar curvature (the reduced determinant formula and a
+finite-difference assembly of the full Riemann tensor, which exists to
+validate conventions).  With Itilde = (a, b, c) and
+v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a scaled Poincare
+half-plane in (v, sigma), so geodesics are sampled exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +33,8 @@ __all__ = [
     "GeodesicTrace",
     "metric_closed_form",
     "metric_quadrature",
+    "metric_gauss_hermite",
+    "metric_adaptive",
     "metric_series_real",
     "scalar_curvature_reduced",
     "curvature_finite_difference",
@@ -118,9 +124,57 @@ def metric_closed_form(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
 
 
 def metric_quadrature(spec: StateSpec, point: ModelPoint,
-                      config: QuadConfig | None = None,
-                      force_offdiagonal: bool = False) -> MetricTensor2:
-    """Metric from the three reduced Fisher integrals, integrated together.
+                      config: QuadConfig | None = None) -> MetricTensor2:
+    """Metric from the Fisher integrals: ``metric_gauss_hermite`` when the
+    kernel has rank one, ``metric_adaptive`` otherwise.  ``config`` applies
+    only to the adaptive route; the exact rule has no tolerance."""
+    if kernel(spec).rank == 1:
+        return metric_gauss_hermite(spec, point)
+    return metric_adaptive(spec, point, config)
+
+
+@functools.cache
+def _hermite_rule(count):
+    """Gauss-Hermite nodes and weights times exp(y^2), for integrands that
+    carry their own exp(-y^2); read-only, as they are shared."""
+    # Imported here: numpy.polynomial is not loaded by ``import numpy``.
+    from numpy.polynomial.hermite import hermgauss
+
+    y, w = hermgauss(count)
+    w = w * np.exp(y * y)
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
+
+
+def metric_gauss_hermite(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
+    """Metric of a rank-one state by Gauss-Hermite quadrature, exact up to
+    rounding.
+
+    At rank one (f')^2/f = 4 p g'^2 / sqrt(2 pi) with g of degree
+    max_index in the Hermite functions, so y^2 (f')^2/f is exp(-y^2) times
+    a polynomial of degree <= 2 max_index + 4.  The rule on
+    N = max_index + 3 nodes is exact to degree 2N - 1 (Golub & Welsch
+    1969), so the three integrals of ``metric_adaptive`` are sums over the
+    nodes.  Itilde_musigma is exactly zero when ``spec.parity_even``.
+    Raises InvalidStateError when the kernel's rank is above one.
+    """
+    kf = kernel(spec)
+    if kf.rank > 1:
+        raise InvalidStateError(
+            f"no exact Gauss-Hermite metric for kernel rank {kf.rank}")
+    y, w = _hermite_rule(spec.max_index + 3)
+    r = w * kf.fisher_ratio(y)
+    imm = math.fsum(r) / _SQRT2
+    ims = 0.0 if spec.parity_even else math.fsum(r * y)
+    iss = _SQRT2 * math.fsum(r * y * y) - 1.0
+    return _validated(point, (imm, ims, iss), "gauss_hermite")
+
+
+def metric_adaptive(spec: StateSpec, point: ModelPoint,
+                    config: QuadConfig | None = None,
+                    force_offdiagonal: bool = False) -> MetricTensor2:
+    """Metric from the three reduced Fisher integrals, integrated together
+    by adaptive Gauss-Kronrod; valid for every state.
 
     Itilde_mumu = 1/sqrt(2) * int (f')^2/f,
     Itilde_musigma = int y (f')^2/f,

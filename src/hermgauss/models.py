@@ -228,7 +228,10 @@ class KernelFn:
     one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
     ``fisher_ratio(y)`` is (f')^2/f, or its limit where f = 0.  All are
     vectorized over y.  ``degree_hint`` bounds the polynomial degree
-    multiplying exp(-y^2).
+    multiplying exp(-y^2).  ``rank`` is the number of wavepackets g_j the
+    real table factors into (the eigenvalues ``kernel`` keeps): 1 for a pure
+    state with real coefficients up to a global phase, and then (f')^2/f
+    is exp(-y^2) times a polynomial.
     """
 
     f: object
@@ -236,6 +239,7 @@ class KernelFn:
     jet: object
     fisher_ratio: object
     degree_hint: int
+    rank: int
 
 
 def kernel(spec: StateSpec) -> KernelFn:
@@ -308,7 +312,8 @@ def kernel(spec: StateSpec) -> KernelFn:
         return out.reshape(y.shape)
 
     kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
-                  jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2)
+                  jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2,
+                  rank=rank)
     spec._kernel_cache["kernel"] = kf
     return kf
 

@@ -18,6 +18,7 @@ from hermgauss.estimation import crb_experiment
 from hermgauss.geometry import (
     curvature_finite_difference,
     geodesic_trace,
+    metric_adaptive,
     metric_quadrature,
     metric_series_real,
     scalar_curvature_reduced,
@@ -106,7 +107,7 @@ def test_criterion_4_diagonality():
         levels = rng.choice(12, size=count, replace=False)
         weights = dict(zip(map(int, levels), map(float, random_weights(rng, count))))
         spec = StateSpec.mixture(weights)
-        m = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+        m = metric_adaptive(spec, ORIGIN, force_offdiagonal=True)
         worst = max(worst, abs(m.reduced[1]))
     for _ in range(20):
         count = int(rng.integers(2, 5))
@@ -114,7 +115,7 @@ def test_criterion_4_diagonality():
         levels = parity + 2 * rng.choice(6, size=count, replace=False)
         coeffs = dict(zip(map(int, levels), map(float, random_unit(rng, count))))
         spec = StateSpec.superposition(coeffs)
-        m = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+        m = metric_adaptive(spec, ORIGIN, force_offdiagonal=True)
         worst = max(worst, abs(m.reduced[1]))
     report(4, f"diagonality of pure-parity states (worst {worst:.2e})",
            worst <= 1e-10)
@@ -128,7 +129,7 @@ def test_criterion_5_series_vs_quadrature():
         levels = rng.choice(10, size=count, replace=False)
         coeffs = dict(zip(map(int, levels), map(float, random_unit(rng, count))))
         spec = StateSpec.superposition(coeffs)
-        q = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+        q = metric_adaptive(spec, ORIGIN, force_offdiagonal=True)
         s = metric_series_real(coeffs, ORIGIN)
         for a, b in zip(q.reduced, s.reduced):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
@@ -138,7 +139,7 @@ def test_criterion_5_series_vs_quadrature():
     spec_im = StateSpec.superposition(
         {n: 1j * float(c) for n, c in zip(levels, v)})
     coeffs_im = spec_im.real_superposition_coeffs()
-    q = metric_quadrature(spec_im, ORIGIN, force_offdiagonal=True)
+    q = metric_adaptive(spec_im, ORIGIN, force_offdiagonal=True)
     s = metric_series_real(coeffs_im, ORIGIN)
     for a, b in zip(q.reduced, s.reduced):
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))

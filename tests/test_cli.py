@@ -117,6 +117,36 @@ class TestCommands:
         assert "offdiagonal_vanishes" in names
         assert "series_vs_quadrature" in names
 
+    @pytest.mark.parametrize("state, rank_one", [
+        ({"type": "eigenstate", "n": 3}, True),
+        ({"type": "superposition",
+          "terms": [{"n": 0, "re": 0.6}, {"n": 1, "re": 0.8}]}, True),
+        ({"type": "mixture",
+          "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]}, False),
+    ], ids=["eigenstate", "non_even", "rho01"])
+    def test_verify_checks_exact_rule_at_rank_one(self, state, rank_one):
+        status, text = run_capture(config_text(state=state, command="verify"))
+        assert status == 0
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert ("exact_rule_vs_adaptive" in checks) == rank_one
+        assert all(c["passed"] for c in checks.values())
+
+    @pytest.mark.parametrize("state, ratio, tol", [
+        ({"type": "eigenstate", "n": 0}, 1.0, 1e-14),
+        # Var y = 1 and Itilde_mumu = 0.68864..: 1/(2 Var y) = 0.5 <= 0.6886.
+        ({"type": "mixture",
+          "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]},
+         2.0 * (2.0 + math.sqrt(2.0 * math.e * math.pi)
+                * (math.erf(1.0 / math.sqrt(2.0)) - 1.0)), 1e-8),
+    ], ids=["ground_tight", "rho01"])
+    def test_verify_location_crb(self, state, ratio, tol):
+        status, text = run_capture(config_text(state=state, command="verify"))
+        assert status == 0
+        check, = [c for c in json.loads(text)["checks"]
+                  if c["name"] == "location_crb"]
+        assert check["passed"]
+        assert abs(check["detail"] - ratio) <= tol
+
     def test_verify_fails_unconverged_normalization(self, monkeypatch):
         # The exact value with converged=False must not pass the check.
         monkeypatch.setattr(
@@ -155,7 +185,7 @@ class TestCommands:
         rows = []
         for i, (path, a, c) in enumerate((
                 ("closed_form", "3.0", "6.0"),
-                ("quadrature", repr(quad[0]), repr(quad[2])),
+                ("gauss_hermite", repr(quad[0]), repr(quad[2])),
                 ("series", "3.0", "6.0"))):
             rows += [f"paths.{i}.path,{path}", f"paths.{i}.reduced.0,{a}",
                      f"paths.{i}.reduced.1,0.0", f"paths.{i}.reduced.2,{c}",

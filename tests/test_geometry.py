@@ -1,8 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import hermgauss.geometry
@@ -13,13 +16,15 @@ from hermgauss.geometry import (
     crb_bound,
     curvature_finite_difference,
     geodesic_trace,
+    metric_adaptive,
     metric_closed_form,
+    metric_gauss_hermite,
     metric_quadrature,
     metric_series_real,
     scalar_curvature_reduced,
     sigma_variance_bound,
 )
-from hermgauss.models import InvalidStateError, ModelPoint, StateSpec
+from hermgauss.models import InvalidStateError, ModelPoint, StateSpec, kernel
 
 ORIGIN = ModelPoint(0.0, 1.0)
 
@@ -33,6 +38,35 @@ def rho01_reduced():
     c = math.sqrt(2.0 * math.e * math.pi)
     e = erf(1.0 / math.sqrt(2.0))
     return (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
+
+
+def scaled_err(got, want):
+    """Largest component error relative to the largest reference component."""
+    return float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
+
+
+@st.composite
+def rank_one_states(draw):
+    """(state, real coefficients) whose kernel has rank one: a real
+    superposition up to level 60, the same times a global phase, a one-term
+    mixture or the density table of a real pure state."""
+    top = draw(st.integers(0, 60))
+    levels = sorted(set(draw(st.lists(st.integers(0, top), max_size=4))) | {top})
+    size = st.floats(0.05, 1.0)
+    v = np.array([draw(size) * draw(st.sampled_from([-1.0, 1.0]))
+                  for _ in levels])
+    coeffs = dict(zip(levels, map(float, v / np.linalg.norm(v))))
+    kind = draw(st.sampled_from(["real", "phase", "mixture", "density"]))
+    if kind == "real":
+        return StateSpec.superposition(coeffs), coeffs
+    if kind == "phase":
+        phase = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        return StateSpec.superposition(
+            {n: phase * a for n, a in coeffs.items()}), coeffs
+    if kind == "mixture":
+        return StateSpec.mixture({top: 1.0}), {top: 1.0}
+    return StateSpec.density({(n, m): a * b for n, a in coeffs.items()
+                              for m, b in coeffs.items()}), coeffs
 
 
 def ladder_metric(size):
@@ -93,7 +127,7 @@ class TestQuadratureMetric:
         assert q.reduced[1] == 0.0
 
     def test_forced_offdiagonal_confirms_oddness(self):
-        q = metric_quadrature(mixture_rho01(), ORIGIN, force_offdiagonal=True)
+        q = metric_adaptive(mixture_rho01(), ORIGIN, force_offdiagonal=True)
         assert abs(q.reduced[1]) <= 1e-10
 
     @pytest.mark.parametrize("spec, force, components", [
@@ -110,7 +144,7 @@ class TestQuadratureMetric:
             return results[-1]
 
         monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
-        metric_quadrature(spec, ORIGIN, force_offdiagonal=force)
+        metric_adaptive(spec, ORIGIN, force_offdiagonal=force)
         assert len(results) == 1
         assert results[0].value.shape == (components,)
 
@@ -129,7 +163,7 @@ class TestQuadratureMetric:
             return real(*args)
 
         monkeypatch.setattr(hermgauss.quadrature, "_panel", counting)
-        metric_quadrature(spec, ORIGIN)
+        metric_adaptive(spec, ORIGIN)
         assert 1 <= len(calls) <= most
 
     def test_rank_one_density_matches_series(self):
@@ -148,7 +182,7 @@ class TestQuadratureMetric:
         e = 5e-11
         spec = StateSpec.density({(0, 0): 0.5, (1, 1): 0.5,
                                   (0, 1): 0.5 + e, (1, 0): 0.5 + e})
-        q = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+        q = metric_adaptive(spec, ORIGIN, force_offdiagonal=True)
         assert np.all(np.isfinite(q.reduced))
         assert np.all(np.linalg.eigvalsh(q.matrix()) > 0.0)
         pure = metric_series_real({0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)},
@@ -161,6 +195,51 @@ class TestQuadratureMetric:
         b = metric_quadrature(s, ModelPoint(7.3, 0.5))
         assert a.reduced == b.reduced
         assert b.i_mumu == pytest.approx(4.0 * a.i_mumu)
+
+
+class TestGaussHermiteMetric:
+    @pytest.mark.parametrize("n", [0, 100, 200])
+    def test_matches_closed_form(self, n):
+        spec = StateSpec.eigenstate(n)
+        g = metric_gauss_hermite(spec, ORIGIN)
+        c = metric_closed_form(spec, ORIGIN)
+        assert g.path == "gauss_hermite"
+        assert g.reduced[1] == 0.0
+        np.testing.assert_allclose(g.reduced, c.reduced, rtol=1e-12, atol=0.0)
+
+    def test_rejects_rank_two(self):
+        with pytest.raises(InvalidStateError, match="rank 2"):
+            metric_gauss_hermite(mixture_rho01(), ORIGIN)
+
+    @pytest.mark.parametrize("spec, path", [
+        (StateSpec.eigenstate(40), "gauss_hermite"),
+        (StateSpec.superposition({0: 0.6j, 3: -0.8j}), "gauss_hermite"),
+        (mixture_rho01(), "quadrature"),
+        (StateSpec.superposition({0: 0.6, 1: 0.8j}), "quadrature"),
+    ], ids=["eigenstate", "imaginary", "rho01", "complex"])
+    def test_dispatch_by_rank(self, monkeypatch, spec, path):
+        real = hermgauss.geometry.integrate_real_line
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
+        m = metric_quadrature(spec, ORIGIN)
+        assert m.path == path
+        assert len(calls) == (path == "quadrature")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_one_states())
+    def test_matches_adaptive_and_series(self, state):
+        spec, coeffs = state
+        assert kernel(spec).rank == 1
+        g = metric_gauss_hermite(spec, ORIGIN).reduced
+        a = metric_adaptive(spec, ORIGIN, force_offdiagonal=True).reduced
+        s = metric_series_real(coeffs, ORIGIN).reduced
+        assert scaled_err(g, a) <= 1e-10
+        assert scaled_err(g, s) <= 1e-12
 
 
 class TestSeriesMetric:
@@ -361,5 +440,5 @@ class TestInvariances:
             StateSpec.superposition({1: 0.6, 3: -0.8}),
         ]
         for spec in specs:
-            q = metric_quadrature(spec, ORIGIN, force_offdiagonal=True)
+            q = metric_adaptive(spec, ORIGIN, force_offdiagonal=True)
             assert abs(q.reduced[1]) <= 1e-10

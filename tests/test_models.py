@@ -320,6 +320,19 @@ class TestKernel:
     def test_kernel_type(self):
         assert isinstance(kernel(StateSpec.eigenstate(0)), KernelFn)
 
+    @pytest.mark.parametrize("spec, rank", [
+        (StateSpec.eigenstate(7), 1),
+        (StateSpec.superposition({0: 0.6, 2: -0.8}), 1),
+        (StateSpec.superposition({1: 0.6j, 2: 0.8j}), 1),
+        (StateSpec.density({(0, 0): 0.36, (0, 1): 0.48, (1, 0): 0.48,
+                            (1, 1): 0.64}), 1),
+        (StateSpec.superposition({0: 0.6, 1: 0.8j}), 2),
+        (StateSpec.mixture({0: 0.2, 3: 0.3, 5: 0.5}), 3),
+    ], ids=["eigenstate", "real", "imaginary", "pure_density", "complex",
+            "mixture"])
+    def test_rank(self, spec, rank):
+        assert kernel(spec).rank == rank
+
 
 def plain_ratio(kf, y):
     """(f')^2/f from the kernel jet, where f > 0."""
