@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# The curvature stencil divides metric differences by h^2 = 1e-6 sigma^2,
-# so its metrics are integrated far below the default tolerances.
+# Tolerance of the finite-difference curvature's reduced integral.  The nine
+# stencil metrics share that one integral, so its error enters the curvature
+# relatively, not divided by h^2; the default tolerance would do, at about a
+# quarter fewer evaluations, but would move the reported curvature's last digits.
 _FD_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
@@ -187,9 +188,13 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
     """
     kf = kernel(spec)
     skip_offdiagonal = spec.parity_even and not force_offdiagonal
-    powers = np.array([0, 2] if skip_offdiagonal else [0, 1, 2])[:, None]
-    res = integrate_real_line(lambda y: y ** powers * kf.fisher_ratio(y),
-                              config, kf.degree_hint + 6)
+
+    def integrand(y):
+        r = kf.fisher_ratio(y)
+        yr = y * r
+        return np.array([r, y * yr] if skip_offdiagonal else [r, yr, y * yr])
+
+    res = integrate_real_line(integrand, config, kf.degree_hint + 6)
     if not res.converged:
         raise QuadratureError(
             f"Fisher integrals did not converge within {res.evaluations} "
@@ -289,39 +294,37 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
     For a diagonal reduced metric this is R = -2 / Itilde_sigmasigma.  The
     Christoffel/Riemann/Ricci components in the report come from the exact
     1/sigma^2 structure of the metric (2D identities: R_1212 = R det(g)/2,
-    Ric = R g / 2).
+    Ric = R g / 2).  Raises ValueError unless the reduced metric is
+    positive definite (a NaN component fails too); R is then negative.
     """
     a, b, c = metric.reduced
     det = a * c - b * b
-    if det <= 0.0 or a <= 0.0:
-        raise ValueError(f"degenerate reduced metric {metric.reduced!r}")
+    if not (a > 0.0 and det > 0.0):
+        raise ValueError(
+            f"reduced metric {metric.reduced!r} is not positive definite")
     r = 2.0 * a / (b * b - a * c)
-    if r >= 0.0:
-        warnings.warn(f"non-negative scalar curvature {r!r}; outside the "
-                      "families for which negativity is proven", stacklevel=2)
     return _report_from_reduced(metric, r, "reduced_formula")
 
 
 def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> CurvatureReport:
     """Scalar curvature from finite differences of the quadrature metric.
 
-    The metric is evaluated on a 3x3 stencil around (mu, sigma) with steps
-    h = 1e-3 * sigma in both directions; first and second partials by
-    central differences feed the Levi-Civita Christoffel symbols, the
-    lowered Riemann tensor, the Ricci contraction and the scalar.  This
-    route makes no use of the 1/sigma^2 structure and exists to validate
-    the reduced formula and the index conventions.
+    The metric g = Itilde / sigma^2 is evaluated on a 3x3 stencil around
+    (mu, sigma) with steps h = 1e-3 * sigma in both directions; first and
+    second partials by central differences feed the Levi-Civita
+    Christoffel symbols, the lowered Riemann tensor, the Ricci contraction
+    and the scalar.  The reduced integrals Itilde do not depend on the
+    point, so they are integrated once and rescaled at each stencil point.
+    The route differentiates g numerically and assembles the full tensors
+    generically; it exists to validate that assembly and its index
+    conventions against the reduced formula.
     """
     h = 1e-3 * point.sigma
-
-    cache = {}
+    center = metric_quadrature(spec, point, _FD_QUAD)
 
     def gfun(di, dj):
-        key = (di, dj)
-        if key not in cache:
-            p = ModelPoint(point.mu + di * h, point.sigma + dj * h)
-            cache[key] = metric_quadrature(spec, p, _FD_QUAD).matrix()
-        return cache[key]
+        p = ModelPoint(point.mu + di * h, point.sigma + dj * h)
+        return MetricTensor2(p, center.reduced, center.path).matrix()
 
     g0 = gfun(0, 0)
     ginv = np.linalg.inv(g0)
@@ -430,12 +433,12 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
 
 def crb_bound(metric: MetricTensor2) -> np.ndarray:
     """Inverse Fisher matrix: the covariance lower bound for unbiased
-    estimators of (mu, sigma)."""
-    g = metric.matrix()
-    det = float(np.linalg.det(g))
-    if det <= 0.0 or g[0, 0] <= 0.0:
-        raise ValueError("metric is not positive definite")
-    return np.linalg.inv(g)
+    estimators of (mu, sigma).  Raises ValueError unless the metric is
+    positive definite (a NaN component fails too)."""
+    a, b, c = metric.reduced
+    if not (a > 0.0 and a * c - b * b > 0.0):
+        raise ValueError(f"metric {metric.reduced!r} is not positive definite")
+    return np.linalg.inv(metric.matrix())
 
 
 def sigma_variance_bound(metric: MetricTensor2) -> float:

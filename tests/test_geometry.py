@@ -40,6 +40,13 @@ def rho01_reduced():
     return (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
 
 
+def complex_density():
+    """Rank-three density table with complex coherences; not parity even."""
+    return StateSpec.density({(0, 0): 0.5, (1, 1): 0.3, (3, 3): 0.2,
+                              (0, 1): 0.1 + 0.2j, (1, 0): 0.1 - 0.2j,
+                              (1, 3): 0.05 - 0.1j, (3, 1): 0.05 + 0.1j})
+
+
 def scaled_err(got, want):
     """Largest component error relative to the largest reference component."""
     return float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
@@ -304,6 +311,15 @@ class TestScalarCurvature:
         with pytest.raises(ValueError):
             scalar_curvature_reduced(m)
 
+    @pytest.mark.parametrize("bound", [scalar_curvature_reduced, crb_bound],
+                             ids=["curvature", "crb"])
+    def test_nan_metric_rejected(self, bound):
+        # A NaN compares False both ways, so the guard must not be written
+        # as "<= 0.0".
+        m = MetricTensor2(ORIGIN, (math.nan, 0.0, 1.0), "closed_form")
+        with pytest.raises(ValueError):
+            bound(m)
+
     def test_two_dimensional_identities(self):
         m = metric_closed_form(StateSpec.eigenstate(1), ModelPoint(0.0, 1.5))
         rep = scalar_curvature_reduced(m)
@@ -328,12 +344,40 @@ class TestFiniteDifferenceCurvature:
         assert rep.scalar_r == pytest.approx(-0.604, abs=1e-3)
 
     def test_christoffel_matches_analytic(self):
-        spec = StateSpec.eigenstate(1)
+        # An eigenstate, rho01 (a diagonal mixed metric) and a density table
+        # with an off-diagonal metric, each against the reduced formula.
         point = ModelPoint(0.3, 0.8)
-        fd = curvature_finite_difference(spec, point)
-        analytic = christoffel_reduced(
-            metric_closed_form(spec, point).reduced, point.sigma)
-        np.testing.assert_allclose(fd.christoffel, analytic, atol=1e-5)
+        eigen = StateSpec.eigenstate(1)
+        density = complex_density()
+        for spec, reduced in [
+                (eigen, metric_closed_form(eigen, point).reduced),
+                (mixture_rho01(), rho01_reduced()),
+                (density, metric_quadrature(density, point).reduced)]:
+            fd = curvature_finite_difference(spec, point)
+            analytic = christoffel_reduced(reduced, point.sigma)
+            np.testing.assert_allclose(fd.christoffel, analytic, atol=1e-5)
+
+    @pytest.mark.parametrize("spec, integrals", [
+        (mixture_rho01(), 1),
+        (StateSpec.superposition({0: 0.6, 2: 0.8j}), 1),
+        (complex_density(), 1),
+        (StateSpec.eigenstate(2), 0),
+    ], ids=["rho01", "complex_superposition", "complex_density",
+            "eigenstate_2"])
+    def test_one_integral_per_stencil(self, monkeypatch, spec, integrals):
+        # The reduced integrals do not depend on the point: the nine stencil
+        # metrics share one adaptive integral, and a rank-one state takes
+        # the exact rule, which integrates nothing adaptively.
+        real = hermgauss.geometry.integrate_real_line
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
+        curvature_finite_difference(spec, ModelPoint(-0.4, 1.3))
+        assert len(calls) == integrals
 
 
 class TestGeodesics:
