@@ -66,10 +66,14 @@ def _need(obj, key, where):
 
 
 def _real(v):
-    """A JSON number, never a boolean, as a float."""
+    """A finite JSON number, never a boolean, as a float.  Python's json
+    reads NaN, Infinity and overflowing literals such as 1e999."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return v
 
 
 def _index(v):
@@ -453,7 +457,7 @@ def main(argv=None) -> int:
         else:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ back to the compass search.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,19 +175,11 @@ def sample(spec: StateSpec, point: ModelPoint, count: int, seed: int) -> SampleB
 
 
 def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> float:
-    """Sum of log P(x_i | mu, sigma); density zeros are nudged, not fatal."""
-    kf = kernel(spec)
+    """Sum of log P(x_i | mu, sigma); -inf when a sample sits on a density zero."""
     y = (x - mu) / (math.sqrt(2.0) * sigma)
-    f = kf.f(y)
-    bad = f <= 0.0
-    if bad.any():
-        # A sample sitting exactly on a node of the density; shift it off by
-        # one ulp of y rather than returning -inf.
-        warnings.warn("sample on a density zero; perturbing by machine epsilon",
-                      stacklevel=2)
-        yb = y[bad]
-        f[bad] = kf.f(yb + np.spacing(np.maximum(np.abs(yb), 1.0)))
-        f = np.maximum(f, 1e-300)
+    f = kernel(spec).f(y)
+    if not np.all(f > 0.0):
+        return -math.inf
     return float(np.sum(np.log(f))) - x.size * math.log(sigma)
 
 

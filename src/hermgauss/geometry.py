@@ -7,7 +7,10 @@ Four routes to the metric are provided: the closed form for number states,
 the series sums valid for real superpositions, and two quadratures of the
 Fisher integrals -- Gauss-Hermite, exact for states whose kernel has rank
 one, and adaptive Gauss-Kronrod for any state.  ``metric_quadrature`` takes
-the exact rule at rank one and the adaptive integral otherwise.  Two
+the exact rule at rank one and the adaptive integral otherwise, and is
+the metric of the finite-difference curvature and the geodesics.  Every
+route returns a ``MetricTensor2``, which holds only finite, positive-definite
+metrics, so its consumers need no check of their own.  Two
 routes lead to the scalar curvature (the reduced determinant formula and a
 finite-difference assembly of the full Riemann tensor, which exists to
 validate conventions).  With Itilde = (a, b, c) and
@@ -43,11 +46,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Tolerance of the finite-difference curvature's reduced integral.  The nine
-# stencil metrics share that one integral, so its error enters the curvature
-# relatively, not divided by h^2; the default tolerance would do, at about a
-# quarter fewer evaluations, but would move the reported curvature's last digits.
-_FD_QUAD = QuadConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -55,12 +53,24 @@ class MetricTensor2:
     """Symmetric 2x2 Fisher-Rao metric at a point.
 
     ``reduced`` holds the dimensionless (Itilde_mumu, Itilde_musigma,
-    Itilde_sigmasigma); the physical components are reduced / sigma^2.
+    Itilde_sigmasigma) as three floats; the physical components are
+    reduced / sigma^2.  The metric is finite and positive definite:
+    construction raises ValueError unless Itilde_mumu and the determinant
+    lie in (0, inf), so a NaN or infinite component, a numerical failure or
+    an invalid state never yields one.
     """
 
     point: ModelPoint
     reduced: tuple
     path: str
+
+    def __post_init__(self):
+        a, b, c = map(float, self.reduced)
+        # Written so that a NaN fails: it compares False both ways.  An
+        # infinite b or c makes the determinant infinite or NaN.
+        if not (0.0 < a < math.inf and 0.0 < a * c - b * b < math.inf):
+            raise ValueError(f"metric {(a, b, c)!r} is not positive definite")
+        object.__setattr__(self, "reduced", (a, b, c))
 
     @property
     def i_mumu(self) -> float:
@@ -105,23 +115,13 @@ class GeodesicTrace:
         return a * vm * vm + 2.0 * b * vm * vs + c * vs * vs
 
 
-def _validated(point, reduced, path) -> MetricTensor2:
-    a, b, c = reduced
-    if not (a > 0.0 and a * c - b * b > 0.0):
-        raise QuadratureError(
-            f"computed metric {reduced!r} is not positive definite; "
-            "numerical failure or invalid state")
-    return MetricTensor2(point=point, reduced=(float(a), float(b), float(c)),
-                         path=path)
-
-
 def metric_closed_form(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
     """diag((2n+1), 2(n^2+n+1)) / sigma^2, available for number states only."""
     if spec.kind != "eigenstate":
         raise InvalidStateError(f"no closed-form metric for kind {spec.kind!r}")
     (n, _), = spec.table.keys()
-    return _validated(point, (2.0 * n + 1.0, 0.0, 2.0 * (n * n + n + 1.0)),
-                      "closed_form")
+    return MetricTensor2(point, (2.0 * n + 1.0, 0.0, 2.0 * (n * n + n + 1.0)),
+                         "closed_form")
 
 
 def metric_quadrature(spec: StateSpec, point: ModelPoint,
@@ -168,7 +168,7 @@ def metric_gauss_hermite(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
     imm = math.fsum(r) / _SQRT2
     ims = 0.0 if spec.parity_even else math.fsum(r * y)
     iss = _SQRT2 * math.fsum(r * y * y) - 1.0
-    return _validated(point, (imm, ims, iss), "gauss_hermite")
+    return MetricTensor2(point, (imm, ims, iss), "gauss_hermite")
 
 
 def metric_adaptive(spec: StateSpec, point: ModelPoint,
@@ -202,7 +202,7 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
     imm = res.value[0] / _SQRT2
     ims = 0.0 if skip_offdiagonal else res.value[1]
     iss = _SQRT2 * res.value[-1] - 1.0
-    return _validated(point, (imm, ims, iss), "quadrature")
+    return MetricTensor2(point, (imm, ims, iss), "quadrature")
 
 
 def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
@@ -247,7 +247,7 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
                  + al(n) * (2 * n * n + 2 * n + 3)
                  - al(n + 4) * math.sqrt((n + 4) * (n + 3) * (n + 2) * (n + 1)))
         for n in a) - 1.0
-    return _validated(point, (imm, ims, iss), "series")
+    return MetricTensor2(point, (imm, ims, iss), "series")
 
 
 def christoffel_reduced(reduced, sigma: float) -> np.ndarray:
@@ -274,36 +274,25 @@ def christoffel_reduced(reduced, sigma: float) -> np.ndarray:
     return gamma
 
 
-def _report_from_reduced(metric: MetricTensor2, scalar_r: float,
-                         path: str) -> CurvatureReport:
-    sigma = metric.point.sigma
-    g = metric.matrix()
-    det = float(np.linalg.det(g))
-    return CurvatureReport(
-        scalar_r=float(scalar_r),
-        christoffel=christoffel_reduced(metric.reduced, sigma),
-        riemann_1212=0.5 * scalar_r * det,
-        ricci=0.5 * scalar_r * g,
-        path=path,
-    )
-
-
 def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
     """R = 2 Itilde_mumu / (Itilde_musigma^2 - Itilde_mumu Itilde_sigmasigma).
 
     For a diagonal reduced metric this is R = -2 / Itilde_sigmasigma.  The
     Christoffel/Riemann/Ricci components in the report come from the exact
     1/sigma^2 structure of the metric (2D identities: R_1212 = R det(g)/2,
-    Ric = R g / 2).  Raises ValueError unless the reduced metric is
-    positive definite (a NaN component fails too); R is then negative.
+    Ric = R g / 2).  ``MetricTensor2`` guarantees a positive-definite
+    metric, so R is negative.
     """
     a, b, c = metric.reduced
-    det = a * c - b * b
-    if not (a > 0.0 and det > 0.0):
-        raise ValueError(
-            f"reduced metric {metric.reduced!r} is not positive definite")
     r = 2.0 * a / (b * b - a * c)
-    return _report_from_reduced(metric, r, "reduced_formula")
+    g = metric.matrix()
+    return CurvatureReport(
+        scalar_r=r,
+        christoffel=christoffel_reduced(metric.reduced, metric.point.sigma),
+        riemann_1212=0.5 * r * float(np.linalg.det(g)),
+        ricci=0.5 * r * g,
+        path="reduced_formula",
+    )
 
 
 def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> CurvatureReport:
@@ -313,18 +302,20 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> Curvature
     (mu, sigma) with steps h = 1e-3 * sigma in both directions; first and
     second partials by central differences feed the Levi-Civita
     Christoffel symbols, the lowered Riemann tensor, the Ricci contraction
-    and the scalar.  The reduced integrals Itilde do not depend on the
-    point, so they are integrated once and rescaled at each stencil point.
+    and the scalar.  Itilde does not depend on the point, so it is taken
+    once from ``metric_quadrature`` at the default tolerance and divided by
+    each stencil point's sigma^2.
     The route differentiates g numerically and assembles the full tensors
     generically; it exists to validate that assembly and its index
     conventions against the reduced formula.
     """
     h = 1e-3 * point.sigma
-    center = metric_quadrature(spec, point, _FD_QUAD)
+    a, b, c = metric_quadrature(spec, point).reduced
+    amat = np.array([[a, b], [b, c]])
 
     def gfun(di, dj):
-        p = ModelPoint(point.mu + di * h, point.sigma + dj * h)
-        return MetricTensor2(p, center.reduced, center.path).matrix()
+        # g does not depend on mu, so the mu step di leaves it unchanged.
+        return amat / (point.sigma + dj * h) ** 2
 
     g0 = gfun(0, 0)
     ginv = np.linalg.inv(g0)
@@ -391,15 +382,17 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
     the start point bit for bit.  ``boundary_hit`` is True when sigma
     leaves the normal double range before tau_end: it underflows toward
     sigma = 0 or, going straight up, overflows.  The samples stop there,
-    so each one keeps full precision.
+    so each one keeps full precision.  Raises ValueError unless ``steps``
+    >= 1 and ``tau_end`` and ``velocity`` are finite.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    reduced = (metric_closed_form(spec, start) if spec.kind == "eigenstate"
-               else metric_quadrature(spec, start, config)).reduced
+    vm0, vs0 = float(velocity[0]), float(velocity[1])
+    if not all(map(math.isfinite, (tau_end, vm0, vs0))):
+        raise ValueError("tau_end and velocity must be finite")
+    reduced = metric_quadrature(spec, start, config).reduced
     a, b, c = reduced
     root_det = math.sqrt(a * c - b * b)
-    vm0, vs0 = float(velocity[0]), float(velocity[1])
     vv0 = (a * vm0 + b * vs0) / root_det
     w = math.hypot(vv0, vs0)
     # Unit direction (p, q); any one serves at zero speed, where E = 1.
@@ -433,11 +426,8 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
 
 def crb_bound(metric: MetricTensor2) -> np.ndarray:
     """Inverse Fisher matrix: the covariance lower bound for unbiased
-    estimators of (mu, sigma).  Raises ValueError unless the metric is
-    positive definite (a NaN component fails too)."""
-    a, b, c = metric.reduced
-    if not (a > 0.0 and a * c - b * b > 0.0):
-        raise ValueError(f"metric {metric.reduced!r} is not positive definite")
+    estimators of (mu, sigma); ``MetricTensor2`` guarantees the metric is
+    positive definite, so the inverse exists."""
     return np.linalg.inv(metric.matrix())
 
 

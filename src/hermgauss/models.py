@@ -44,10 +44,11 @@ class InvalidStateError(ValueError):
 
 def _unit_divisor(total, renormalize, what):
     """The divisor that brings a table's ``what`` = ``total`` to 1: ``total``
-    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL."""
-    if renormalize and total <= 0.0:
-        raise InvalidStateError(f"{what} must be positive, got {total!r}")
-    if not renormalize and abs(total - 1.0) > _NORM_TOL:
+    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL.
+    The checks are written so that a NaN ``total`` fails them."""
+    if renormalize and not 0.0 < total < math.inf:
+        raise InvalidStateError(f"{what} must be positive and finite, got {total!r}")
+    if not renormalize and not abs(total - 1.0) <= _NORM_TOL:
         raise InvalidStateError(f"{what} is {total!r}, expected 1 within {_NORM_TOL}")
     return total if renormalize else 1.0
 
@@ -86,8 +87,10 @@ class PhysicalOscillator:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.omega0 <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass, omega0 and hbar must be positive")
+        if not (all(0.0 < v < math.inf for v in (self.mass, self.omega0, self.hbar))
+                and math.isfinite(self.x0)):
+            raise ValueError("mass, omega0 and hbar must be positive and "
+                             "finite, and x0 finite")
 
     @property
     def sigma(self) -> float:
@@ -151,8 +154,8 @@ class StateSpec:
         if not w:
             raise InvalidStateError("mixture needs at least one term")
         _check_indices("mixture", w)
-        if any(v < 0.0 for v in w.values()):
-            raise InvalidStateError("mixture weights must be non-negative")
+        if not all(0.0 <= v < math.inf for v in w.values()):
+            raise InvalidStateError("mixture weights must be non-negative and finite")
         total = _unit_divisor(math.fsum(w.values()), renormalize,
                               "mixture weight sum")
         table = {(n, n): complex(v / total) for n, v in w.items() if v != 0.0}
@@ -182,7 +185,8 @@ class StateSpec:
             raise InvalidStateError("density table is empty")
         for (n, m), v in table.items():
             w = table.get((m, n))
-            if w is None or abs(np.conj(w) - v) > 1e-10 * max(1.0, abs(v)):
+            # Not "> tol": a NaN or infinite entry must fail too.
+            if w is None or not abs(w.conjugate() - v) <= 1e-10 * max(1.0, abs(v)):
                 raise InvalidStateError(
                     f"density table is not Hermitian at ({n}, {m})")
         trace = _unit_divisor(

@@ -53,8 +53,10 @@ class QuadConfig:
     max_evaluations: int = 2_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_evaluations <= 0:
-            raise ValueError("QuadConfig fields must be positive")
+        # Written so that NaN fails: it compares False both ways.
+        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol,
+                                               self.max_evaluations)):
+            raise ValueError("QuadConfig fields must be positive and finite")
 
 
 @dataclass(frozen=True)

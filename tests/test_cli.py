@@ -359,8 +359,35 @@ class TestMain:
         assert main(argv) == 0
         assert check(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("override, literal", [
+        ({"state": {"type": "mixture", "terms": [{"n": 0, "weight": "X"},
+                                                 {"n": 1, "weight": 0.5}]}},
+         "NaN"),
+        ({"state": {"type": "superposition", "terms": [{"n": 0, "re": "X"},
+                                                       {"n": 1, "re": 0.5}]}},
+         "NaN"),
+        ({"state": {"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": "X"}, {"n": 1, "m": 1, "re": 0.5}]}}, "NaN"),
+        ({"quad": {"abs_tol": "X"}}, "Infinity"),
+        ({"quad": {"rel_tol": "X"}}, "1e999"),
+        ({"command": "geodesic", "geodesic": {"tau_end": "X"}}, "NaN"),
+        ({"command": "geodesic", "geodesic": {"velocity": ["X", 0.0]}},
+         "Infinity"),
+    ], ids=["weight_nan", "re_nan", "density_nan", "abs_tol_infinity",
+            "rel_tol_overflow", "tau_end_nan", "velocity_infinity"])
+    def test_non_finite_number_exits_two(self, override, literal, tmp_path,
+                                         capsys):
+        # Python's json reads NaN, Infinity and 1e999 (as inf).
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(**override).replace('"X"', literal))
+        assert main([str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "finite" in err["error"]["message"]
+
     @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"],
-                                       ["--seed", "-3"]])
+                                       ["--seed", "-3"], ["--tol", "nan"],
+                                       ["--tol", "inf"]])
     def test_invalid_override_exits_two(self, flags, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text())
@@ -370,6 +397,12 @@ class TestMain:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main([str(path)]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
 

@@ -327,11 +327,11 @@ class TestMle:
                               - math.log(1.1 * math.sqrt(2 * math.pi))))
         assert ll == pytest.approx(expect, rel=1e-12)
 
-    def test_sample_on_node_warns_not_fatal(self):
+    def test_sample_on_node_is_minus_inf(self):
+        # |1> vanishes at y = 0: log L is -inf there, as in the Newton jet.
         spec = StateSpec.eigenstate(1)
-        with pytest.warns(UserWarning):
-            ll = log_likelihood(spec, np.array([0.0, 1.0]), 0.0, 1.0)
-        assert np.isfinite(ll)
+        ll = log_likelihood(spec, np.array([0.0, 1.0]), 0.0, 1.0)
+        assert ll == -math.inf
 
     def test_degenerate_batch_rejected(self):
         batch = SampleBatch(spec=StateSpec.eigenstate(0), true_point=ORIGIN,

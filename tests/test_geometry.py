@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -307,18 +308,37 @@ class TestScalarCurvature:
         assert scalar_curvature_reduced(m).scalar_r == -2.0 / 8.0
 
     def test_degenerate_metric_rejected(self):
-        m = MetricTensor2(ORIGIN, (1.0, 2.0, 1.0), "closed_form")
-        with pytest.raises(ValueError):
-            scalar_curvature_reduced(m)
+        # The type, not the consumer, rejects a metric that is not
+        # positive definite.
+        with pytest.raises(ValueError, match="not positive definite"):
+            MetricTensor2(ORIGIN, (1.0, 2.0, 1.0), "closed_form")
 
     @pytest.mark.parametrize("bound", [scalar_curvature_reduced, crb_bound],
                              ids=["curvature", "crb"])
     def test_nan_metric_rejected(self, bound):
-        # A NaN compares False both ways, so the guard must not be written
-        # as "<= 0.0".
-        m = MetricTensor2(ORIGIN, (math.nan, 0.0, 1.0), "closed_form")
-        with pytest.raises(ValueError):
-            bound(m)
+        # A NaN compares False both ways, so the check must not be written
+        # as "<= 0.0".  No NaN metric reaches ``bound``: the type rejects
+        # one built directly or by replacing the components of a valid one.
+        valid = MetricTensor2(ORIGIN, (3.0, 0.0, 8.0), "closed_form")
+        for build in (
+                lambda: MetricTensor2(ORIGIN, (math.nan, 0.0, 1.0), "closed_form"),
+                lambda: dataclasses.replace(valid, reduced=(math.nan, 0.0, 1.0))):
+            with pytest.raises(ValueError, match="not positive definite") as info:
+                bound(build())
+            assert info.traceback[-1].name == "__post_init__"
+
+    @pytest.mark.parametrize("reduced", [
+        (-1.0, 0.0, -1.0), (0.0, 0.0, 1.0), (1.0, math.nan, 1.0),
+        (1.0, 0.0, math.nan), (math.inf, 0.0, 1.0), (1.0, 0.0, math.inf),
+        (1.0, math.inf, 1.0)])
+    def test_metric_tensor_invariant(self, reduced):
+        with pytest.raises(ValueError, match="not positive definite"):
+            MetricTensor2(ORIGIN, reduced, "closed_form")
+
+    def test_metric_tensor_holds_floats(self):
+        m = MetricTensor2(ORIGIN, (np.float64(3.0), 0, 8), "closed_form")
+        assert m.reduced == (3.0, 0.0, 8.0)
+        assert all(type(v) is float for v in m.reduced)
 
     def test_two_dimensional_identities(self):
         m = metric_closed_form(StateSpec.eigenstate(1), ModelPoint(0.0, 1.5))
@@ -433,6 +453,22 @@ class TestGeodesics:
             for i in range(1, len(x) - 1)])
         assert np.max(np.abs(acc + gamma_vv)) <= 1e-5 * np.max(np.abs(acc))
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_eigenstate_takes_metric_quadrature(self, n):
+        # One metric path for every state: the exact Gauss-Hermite rule at
+        # rank one, not the closed form.
+        spec, start = StateSpec.eigenstate(n), ModelPoint(0.3, 1.4)
+        tr = geodesic_trace(spec, start, (0.3, 0.2), 1.0, 4)
+        assert tr.reduced == metric_quadrature(spec, start).reduced
+
+    @pytest.mark.parametrize("velocity, tau_end", [
+        ((0.3, 0.2), math.nan), ((0.3, 0.2), math.inf),
+        ((math.inf, 0.0), 1.0), ((0.0, math.nan), 1.0)],
+        ids=["tau_end_nan", "tau_end_inf", "velocity_inf", "velocity_nan"])
+    def test_non_finite_input_rejected(self, velocity, tau_end):
+        with pytest.raises(ValueError, match="must be finite"):
+            geodesic_trace(StateSpec.eigenstate(1), ORIGIN, velocity, tau_end, 10)
+
     def test_boundary_halt(self):
         tr = geodesic_trace(StateSpec.eigenstate(0), ModelPoint(0.0, 0.05),
                             (0.0, -5.0), 10.0, 200)
@@ -462,9 +498,8 @@ class TestCrbBound:
                                                         rel=1e-13)
 
     def test_singular_metric_rejected(self):
-        m = MetricTensor2(ORIGIN, (1.0, 1.0, 1.0), "closed_form")
-        with pytest.raises(ValueError):
-            crb_bound(m)
+        with pytest.raises(ValueError, match="not positive definite"):
+            MetricTensor2(ORIGIN, (1.0, 1.0, 1.0), "closed_form")
 
 
 class TestInvariances:

@@ -89,6 +89,13 @@ class TestPhysicalOscillator:
         with pytest.raises(ValueError):
             PhysicalOscillator(mass=1, omega0=-2, x0=0)
 
+    @pytest.mark.parametrize("field", ["mass", "omega0", "hbar", "x0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_constants(self, field, value):
+        constants = {"mass": 1.0, "omega0": 1.0, "x0": 0.0, "hbar": 1.0}
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalOscillator(**{**constants, field: value})
+
 
 class TestStateSpecValidation:
     def test_mixture_must_sum_to_one(self):
@@ -133,6 +140,23 @@ class TestStateSpecValidation:
                                (1, 0): -0.5j}, renormalize=True)
         assert s.table == {(0, 0): 0.75, (1, 1): 0.25, (0, 1): 0.25j,
                            (1, 0): -0.25j}
+
+    @pytest.mark.parametrize("build", [
+        lambda: StateSpec.mixture({0: math.nan, 1: 0.5}),
+        lambda: StateSpec.mixture({0: math.inf, 1: 0.5}, renormalize=True),
+        lambda: StateSpec.superposition({0: math.nan, 1: 0.5}),
+        lambda: StateSpec.superposition({0: 1.0, 1: math.inf}, renormalize=True),
+        lambda: StateSpec.density({(0, 0): math.nan, (1, 1): 0.5}),
+        lambda: StateSpec.density({(0, 0): 0.5, (1, 1): 0.5,
+                                   (0, 1): math.nan, (1, 0): math.nan}),
+        lambda: StateSpec.density({(0, 0): math.inf, (1, 1): 0.5},
+                                  renormalize=True),
+    ], ids=["mixture_weight_nan", "mixture_weight_inf", "superposition_nan",
+            "superposition_inf", "density_diagonal_nan",
+            "density_coherence_nan", "density_diagonal_inf"])
+    def test_non_finite_table_rejected(self, build):
+        with pytest.raises(InvalidStateError):
+            build()
 
     def test_density_hermiticity(self):
         with pytest.raises(InvalidStateError):

@@ -202,6 +202,14 @@ class TestIntegrateRealLine:
         with pytest.raises(IntegrandError):
             integrate_real_line(lambda y: np.exp(-y * y)[:-1])
 
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", math.nan), ("rel_tol", math.inf), ("abs_tol", math.inf),
+        ("abs_tol", math.nan), ("max_evaluations", math.nan),
+        ("max_evaluations", math.inf)])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadConfig(**{field: value})
+
     def test_truncation_halfwidth_grows_with_degree(self):
         assert truncation_halfwidth(40, 1e-12) > truncation_halfwidth(2, 1e-12)
 
