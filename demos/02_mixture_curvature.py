@@ -2,7 +2,8 @@
 
 Eigenstates give R(n) = -1/(n^2+n+1); mixing levels changes the curvature.
 The equal 0/1 mixture has an erf-based closed form and R close to -0.604.
-Both the reduced-formula and finite-difference curvature paths are shown.
+Both curvature paths are shown, the reduced formula and the finite-difference
+assembly, each taking the same quadrature metric.
 """
 
 import math
@@ -33,7 +34,7 @@ closed = (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
 print(f"  reduced metric (quadrature):  {m.reduced}")
 print(f"  reduced metric (erf form):    {closed}")
 r_reduced = scalar_curvature_reduced(m).scalar_r
-r_fd = curvature_finite_difference(mix, point).scalar_r
+r_fd = curvature_finite_difference(m).scalar_r
 print(f"  R (reduced formula):      {r_reduced:+.7f}")
 print(f"  R (finite differences):   {r_fd:+.7f}")
 print(f"  discrepancy:              {abs(r_reduced - r_fd):.2e}")

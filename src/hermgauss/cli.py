@@ -144,6 +144,8 @@ def _parse_state(block, renormalize):
             return StateSpec.density(table, renormalize=renormalize)
     except InvalidStateError as exc:
         raise ConfigError(f"invalid 'state': {exc}") from exc
+    except ConfigError:  # a term's field, already named by _typed
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed 'state' term: {exc}") from exc
     raise ConfigError(f"unknown state type {kind!r}")
@@ -264,7 +266,7 @@ def _cmd_metric(cfg, out):
 def _cmd_curvature(cfg, out):
     metric = metric_quadrature(cfg.state, cfg.point, cfg.quad)
     reduced = scalar_curvature_reduced(metric)
-    fd = curvature_finite_difference(cfg.state, cfg.point)
+    fd = curvature_finite_difference(metric)
     report = {
         "command": "curvature",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
@@ -302,7 +304,8 @@ def _cmd_geodesic(cfg, out):
     velocity = cfg.geodesic.get("velocity", [0.0, 1.0])
     tau_end = cfg.geodesic.get("tau_end", 1.0)
     steps = cfg.geodesic.get("steps", 1000)
-    trace = geodesic_trace(cfg.state, cfg.point, velocity, tau_end, steps, cfg.quad)
+    trace = geodesic_trace(metric_quadrature(cfg.state, cfg.point, cfg.quad),
+                           velocity, tau_end, steps)
     if cfg.output_format == "json":
         report = {
             "command": "geodesic",
@@ -369,7 +372,7 @@ def _cmd_verify(cfg, out):
     check("location_crb", ratio >= 1.0 - 1e-12, ratio)
 
     reduced = scalar_curvature_reduced(mq)
-    fd = curvature_finite_difference(cfg.state, cfg.point)
+    fd = curvature_finite_difference(mq)
     check("curvature_paths_agree",
           abs(reduced.scalar_r - fd.scalar_r) <= 1e-4,
           abs(reduced.scalar_r - fd.scalar_r))
@@ -392,7 +395,7 @@ def _cmd_verify(cfg, out):
           err if res.converged
           else f"not converged within {res.evaluations} evaluations")
 
-    trace = geodesic_trace(cfg.state, cfg.point, (0.3, 0.2), 5.0, 2000, cfg.quad)
+    trace = geodesic_trace(mq, (0.3, 0.2), 5.0, 2000)
     speeds = trace.metric_speeds()
     drift = float(np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]))
     check("geodesic_speed_conservation", drift <= 1e-6, drift)

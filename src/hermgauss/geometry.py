@@ -1,21 +1,20 @@
 """Fisher-Rao geometry of the (mu, sigma) manifold.
 
 The metric of every state in this family has the reduced structure
-I_ab = Itilde_ab / sigma^2 with Itilde constant (independent of mu and
-sigma), so the Christoffel symbols are available in closed form in sigma.
-Four routes to the metric are provided: the closed form for number states,
-the series sums valid for real superpositions, and two quadratures of the
-Fisher integrals -- Gauss-Hermite, exact for states whose kernel has rank
-one, and adaptive Gauss-Kronrod for any state.  ``metric_quadrature`` takes
-the exact rule at rank one and the adaptive integral otherwise, and is
-the metric of the finite-difference curvature and the geodesics.  Every
-route returns a ``MetricTensor2``, which holds only finite, positive-definite
-metrics, so its consumers need no check of their own.  Two
-routes lead to the scalar curvature (the reduced determinant formula and a
-finite-difference assembly of the full Riemann tensor, which exists to
-validate conventions).  With Itilde = (a, b, c) and
-v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a scaled Poincare
-half-plane in (v, sigma), so geodesics are sampled exactly.
+I_ab = Itilde_ab / sigma^2 with Itilde constant (independent of mu and sigma),
+so the Christoffel symbols are available in closed form in sigma.  Four routes
+to the metric are provided: the closed form for number states, the series sums
+valid for real superpositions, and two quadratures of the Fisher integrals --
+Gauss-Hermite, exact for states whose kernel has rank one, and adaptive
+Gauss-Kronrod for any state.  ``metric_quadrature`` takes the exact rule at
+rank one and the adaptive integral otherwise.  Every route returns a
+``MetricTensor2``, which holds only finite, positive-definite metrics; its
+consumers (the curvatures, the geodesics, the Cramer-Rao bound) take one from
+any route and neither integrate nor check it.  Two routes lead to the scalar
+curvature (the reduced determinant formula and a finite-difference assembly of
+the full Riemann tensor, which exists to validate conventions).  With
+Itilde = (a, b, c) and v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a
+scaled Poincare half-plane in (v, sigma), so geodesics are sampled exactly.
 """
 
 from __future__ import annotations
@@ -295,27 +294,26 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
     )
 
 
-def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> CurvatureReport:
-    """Scalar curvature from finite differences of the quadrature metric.
+def curvature_finite_difference(metric: MetricTensor2) -> CurvatureReport:
+    """Scalar curvature from finite differences of ``metric``.
 
-    The metric g = Itilde / sigma^2 is evaluated on a 3x3 stencil around
-    (mu, sigma) with steps h = 1e-3 * sigma in both directions; first and
-    second partials by central differences feed the Levi-Civita
-    Christoffel symbols, the lowered Riemann tensor, the Ricci contraction
-    and the scalar.  Itilde does not depend on the point, so it is taken
-    once from ``metric_quadrature`` at the default tolerance and divided by
-    each stencil point's sigma^2.
-    The route differentiates g numerically and assembles the full tensors
-    generically; it exists to validate that assembly and its index
-    conventions against the reduced formula.
+    g = Itilde / sigma^2 is evaluated on a 3x3 stencil around
+    ``metric.point`` = (mu, sigma) with steps h = 1e-3 * sigma in both
+    directions; first and second partials by central differences feed the
+    Levi-Civita Christoffel symbols, the lowered Riemann tensor, the Ricci
+    contraction and the scalar.  Itilde does not depend on the point, so
+    each stencil matrix is ``metric.reduced``, from any route, over that
+    point's sigma^2.  The route differentiates g numerically and assembles
+    the full tensors generically; it exists to validate that assembly and
+    its index conventions against the reduced formula.
     """
-    h = 1e-3 * point.sigma
-    a, b, c = metric_quadrature(spec, point).reduced
+    h = 1e-3 * metric.point.sigma
+    a, b, c = metric.reduced
     amat = np.array([[a, b], [b, c]])
 
     def gfun(di, dj):
         # g does not depend on mu, so the mu step di leaves it unchanged.
-        return amat / (point.sigma + dj * h) ** 2
+        return amat / (metric.point.sigma + dj * h) ** 2
 
     g0 = gfun(0, 0)
     ginv = np.linalg.inv(g0)
@@ -361,16 +359,15 @@ def curvature_finite_difference(spec: StateSpec, point: ModelPoint) -> Curvature
     )
 
 
-def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
-                   tau_end: float, steps: int,
-                   config: QuadConfig | None = None) -> GeodesicTrace:
-    """Sample the geodesic from ``start`` with initial ``velocity`` exactly.
+def geodesic_trace(metric: MetricTensor2, velocity, tau_end: float,
+                   steps: int) -> GeodesicTrace:
+    """Sample the geodesic from ``metric.point`` with ``velocity`` exactly.
 
-    With reduced metric (a, b, c) and v = (a mu + b sigma) / sqrt(det), the
-    metric is (det/a)(dv^2 + dsigma^2)/sigma^2: a scaled Poincare half-plane,
-    whose geodesics are the semicircles v - c0 = r tanh(theta), sigma =
-    r sech(theta) with theta = theta0 +- s tau, and the vertical lines sigma =
-    sigma0 exp(sigma'0 tau / sigma0); here s = |(v'0, sigma'0)| / sigma0.
+    With (a, b, c) = ``metric.reduced`` and v = (a mu + b sigma) / sqrt(det),
+    the metric is (det/a)(dv^2 + dsigma^2)/sigma^2: a scaled Poincare
+    half-plane, whose geodesics are the semicircles v - c0 = r tanh(theta),
+    sigma = r sech(theta) with theta = theta0 +- s tau, and the vertical
+    lines sigma = sigma0 exp(sigma'0 tau / sigma0); s = |(v'0, sigma'0)| / sigma0.
     Written relative to the start, with (p, q) the unit direction of
     (v'0, sigma'0) and E = exp(-s tau), both cases are
 
@@ -390,8 +387,7 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
     vm0, vs0 = float(velocity[0]), float(velocity[1])
     if not all(map(math.isfinite, (tau_end, vm0, vs0))):
         raise ValueError("tau_end and velocity must be finite")
-    reduced = metric_quadrature(spec, start, config).reduced
-    a, b, c = reduced
+    start, (a, b, c) = metric.point, metric.reduced
     root_det = math.sqrt(a * c - b * b)
     vv0 = (a * vm0 + b * vs0) / root_det
     w = math.hypot(vv0, vs0)
@@ -420,7 +416,7 @@ def geodesic_trace(spec: StateSpec, start: ModelPoint, velocity,
     boundary = not inside.all()
     if boundary:
         samples = samples[:int(np.argmin(inside))]
-    return GeodesicTrace(samples=samples, reduced=reduced,
+    return GeodesicTrace(samples=samples, reduced=metric.reduced,
                          boundary_hit=boundary)
 
 

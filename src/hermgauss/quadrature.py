@@ -193,8 +193,9 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     per_bisection = 2 * _GK_NODES.size
 
     while True:
-        total = np.array([math.fsum(v) for v in values])
-        total_err = np.array([math.fsum(e) for e in errors])
+        # fsum over Python floats: on numpy scalars it takes twice as long.
+        total = np.array([math.fsum(v) for v in values.tolist()])
+        total_err = np.array([math.fsum(e) for e in errors.tolist()])
         tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
         converged = bool(np.all(total_err <= tol))
         budget = (config.max_evaluations - evaluations) // per_bisection

@@ -72,9 +72,10 @@ def test_criterion_2_curvature_closed_forms():
     for n in range(11):
         spec = StateSpec.eigenstate(n)
         exact = -1.0 / (n * n + n + 1)
-        r = scalar_curvature_reduced(metric_quadrature(spec, ORIGIN)).scalar_r
+        m = metric_quadrature(spec, ORIGIN)
+        r = scalar_curvature_reduced(m).scalar_r
         worst_reduced = max(worst_reduced, abs(r - exact))
-        fd = curvature_finite_difference(spec, ORIGIN).scalar_r
+        fd = curvature_finite_difference(m).scalar_r
         worst_fd = max(worst_fd, abs(fd - exact))
     report(2, f"eigenstate curvature (reduced {worst_reduced:.2e}, "
               f"fd {worst_fd:.2e})",
@@ -87,7 +88,7 @@ def test_criterion_3_mixture_rho01():
     spec = StateSpec.mixture({0: 0.5, 1: 0.5})
     m = metric_quadrature(spec, ORIGIN)
     r1 = scalar_curvature_reduced(m).scalar_r
-    r2 = curvature_finite_difference(spec, ORIGIN).scalar_r
+    r2 = curvature_finite_difference(m).scalar_r
     c = math.sqrt(2.0 * math.e * math.pi)
     e = erf(1.0 / math.sqrt(2.0))
     closed = (2.0 + c * (e - 1.0), 0.0, 2.0 + c * (1.0 - e))
@@ -200,8 +201,8 @@ def test_criterion_8_hermite_kernel():
 def test_criterion_9_geodesic_speed():
     worst = 0.0
     for n in (0, 2):
-        tr = geodesic_trace(StateSpec.eigenstate(n), ModelPoint(0.0, 1.0),
-                            (0.3, 0.2), 5.0, 2000)
+        m = metric_quadrature(StateSpec.eigenstate(n), ModelPoint(0.0, 1.0))
+        tr = geodesic_trace(m, (0.3, 0.2), 5.0, 2000)
         speeds = tr.metric_speeds()
         worst = max(worst, float(np.max(np.abs(speeds - speeds[0]))
                                  / abs(speeds[0])))

@@ -10,6 +10,7 @@ import pytest
 
 import hermgauss
 import hermgauss.estimation
+import hermgauss.geometry
 from hermgauss.cli import ConfigError, main, parse_config, run
 from hermgauss.geometry import metric_quadrature
 from hermgauss.quadrature import QuadResult
@@ -105,6 +106,27 @@ class TestCommands:
         assert report["reduced_formula"]["scalar_r"] == pytest.approx(-0.604,
                                                                       abs=1e-3)
         assert report["discrepancy"] <= 1e-4
+
+    @pytest.mark.parametrize("command, integrals", [
+        ("verify", 5), ("curvature", 1)])
+    def test_fisher_integrals_per_command(self, monkeypatch, command, integrals):
+        # rho01 (rank two, parity even).  verify integrates at the point, once
+        # with the off-diagonal forced, at the shifted and the scaled point
+        # and again for metric_determinism; the finite-difference curvature
+        # and the geodesic take the metric it holds, as curvature's does.
+        real = hermgauss.geometry.integrate_real_line
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
+        state = {"type": "mixture",
+                 "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]}
+        status, _ = run_capture(config_text(state=state, command=command))
+        assert status == 0
+        assert len(calls) == integrals
 
     def test_verify_even_superposition(self):
         state = {"type": "superposition",
@@ -384,6 +406,17 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert "finite" in err["error"]["message"]
+
+    def test_state_term_error_has_one_prefix(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(state={"type": "mixture", "terms": [
+            {"n": 0, "weight": "X"}, {"n": 1, "weight": 0.5}]}
+        ).replace('"X"', "NaN"))
+        assert main([str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == (
+            "invalid 'weight' in a 'state' term: expected a finite number, "
+            "got nan")
 
     @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"],
                                        ["--seed", "-3"], ["--tol", "nan"],

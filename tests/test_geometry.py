@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.special import erf
 
 import hermgauss.geometry
 import hermgauss.quadrature
+from hermgauss.cli import parse_config, run
 from hermgauss.geometry import (
     MetricTensor2,
     christoffel_reduced,
@@ -46,6 +49,11 @@ def complex_density():
     return StateSpec.density({(0, 0): 0.5, (1, 1): 0.3, (3, 3): 0.2,
                               (0, 1): 0.1 + 0.2j, (1, 0): 0.1 - 0.2j,
                               (1, 3): 0.05 - 0.1j, (3, 1): 0.05 + 0.1j})
+
+
+def ground_metric(point):
+    """The |0> metric at ``point`` by the exact Gauss-Hermite rule."""
+    return metric_quadrature(StateSpec.eigenstate(0), point)
 
 
 def scaled_err(got, want):
@@ -351,16 +359,18 @@ class TestScalarCurvature:
 
 class TestFiniteDifferenceCurvature:
     def test_gaussian(self):
-        rep = curvature_finite_difference(StateSpec.eigenstate(0), ORIGIN)
+        rep = curvature_finite_difference(
+            metric_quadrature(StateSpec.eigenstate(0), ORIGIN))
         assert rep.scalar_r == pytest.approx(-1.0, abs=1e-4)
 
     def test_second_level(self):
-        rep = curvature_finite_difference(StateSpec.eigenstate(2),
-                                          ModelPoint(0.5, 1.2))
+        rep = curvature_finite_difference(
+            metric_quadrature(StateSpec.eigenstate(2), ModelPoint(0.5, 1.2)))
         assert rep.scalar_r == pytest.approx(-1.0 / 7.0, abs=1e-4)
 
     def test_mixture_rho01(self):
-        rep = curvature_finite_difference(mixture_rho01(), ORIGIN)
+        rep = curvature_finite_difference(metric_quadrature(mixture_rho01(),
+                                                            ORIGIN))
         assert rep.scalar_r == pytest.approx(-0.604, abs=1e-3)
 
     def test_christoffel_matches_analytic(self):
@@ -373,43 +383,35 @@ class TestFiniteDifferenceCurvature:
                 (eigen, metric_closed_form(eigen, point).reduced),
                 (mixture_rho01(), rho01_reduced()),
                 (density, metric_quadrature(density, point).reduced)]:
-            fd = curvature_finite_difference(spec, point)
+            fd = curvature_finite_difference(metric_quadrature(spec, point))
             analytic = christoffel_reduced(reduced, point.sigma)
             np.testing.assert_allclose(fd.christoffel, analytic, atol=1e-5)
 
-    @pytest.mark.parametrize("spec, integrals", [
-        (mixture_rho01(), 1),
-        (StateSpec.superposition({0: 0.6, 2: 0.8j}), 1),
-        (complex_density(), 1),
-        (StateSpec.eigenstate(2), 0),
-    ], ids=["rho01", "complex_superposition", "complex_density",
-            "eigenstate_2"])
-    def test_one_integral_per_stencil(self, monkeypatch, spec, integrals):
-        # The reduced integrals do not depend on the point: the nine stencil
-        # metrics share one adaptive integral, and a rank-one state takes
-        # the exact rule, which integrates nothing adaptively.
-        real = hermgauss.geometry.integrate_real_line
-        calls = []
+    def test_integrates_nothing(self, monkeypatch):
+        # The stencil is assembled from the given metric's reduced
+        # components; curvature_finite_difference integrates nothing itself.
+        metric = metric_quadrature(complex_density(), ModelPoint(-0.4, 1.3))
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_real_line called")
 
-        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
-        curvature_finite_difference(spec, ModelPoint(-0.4, 1.3))
-        assert len(calls) == integrals
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", refuse)
+        rep = curvature_finite_difference(metric)
+        assert rep.scalar_r == pytest.approx(
+            scalar_curvature_reduced(metric).scalar_r, abs=1e-4)
 
 
 class TestGeodesics:
     def test_zero_velocity_is_constant(self):
-        tr = geodesic_trace(StateSpec.eigenstate(0), ModelPoint(1.0, 2.0),
-                            (0.0, 0.0), 1.0, 100)
+        tr = geodesic_trace(ground_metric(ModelPoint(1.0, 2.0)), (0.0, 0.0),
+                            1.0, 100)
         np.testing.assert_array_equal(tr.samples[:, 1], 1.0)
         np.testing.assert_array_equal(tr.samples[:, 2], 2.0)
 
     def test_pure_sigma_motion_keeps_mu_fixed(self):
-        tr = geodesic_trace(StateSpec.eigenstate(2), ModelPoint(0.4, 1.0),
-                            (0.0, 0.5), 3.0, 500)
+        tr = geodesic_trace(
+            metric_quadrature(StateSpec.eigenstate(2), ModelPoint(0.4, 1.0)),
+            (0.0, 0.5), 3.0, 500)
         np.testing.assert_allclose(tr.samples[:, 1], 0.4, atol=1e-14)
         assert not tr.boundary_hit
 
@@ -419,7 +421,7 @@ class TestGeodesics:
         # (u - u0)^2 + sigma^2 = r^2.
         start = ModelPoint(0.0, 1.0)
         v = (0.8, 0.4)
-        tr = geodesic_trace(StateSpec.eigenstate(0), start, v, 4.0, 4000)
+        tr = geodesic_trace(ground_metric(start), v, 4.0, 4000)
         u = tr.samples[:, 1] / math.sqrt(2.0)
         sig = tr.samples[:, 2]
         du0 = v[0] / math.sqrt(2.0)
@@ -429,8 +431,8 @@ class TestGeodesics:
 
     def test_speed_conservation(self):
         for n in (0, 2):
-            tr = geodesic_trace(StateSpec.eigenstate(n), ModelPoint(0.0, 1.0),
-                                (0.3, 0.2), 5.0, 2000)
+            m = metric_quadrature(StateSpec.eigenstate(n), ORIGIN)
+            tr = geodesic_trace(m, (0.3, 0.2), 5.0, 2000)
             speeds = tr.metric_speeds()
             drift = np.max(np.abs(speeds - speeds[0])) / abs(speeds[0])
             assert drift <= 1e-6
@@ -440,7 +442,8 @@ class TestGeodesics:
         # the samples must satisfy x'' + Gamma(x', x') = 0 with Gamma from
         # christoffel_reduced, which shares no code with the half-plane map.
         spec = StateSpec.superposition({0: 0.6, 1: 0.8})
-        tr = geodesic_trace(spec, ORIGIN, (0.3, 0.2), 5.0, 2000)
+        tr = geodesic_trace(metric_quadrature(spec, ORIGIN), (0.3, 0.2), 5.0,
+                            2000)
         assert tr.reduced[1] == pytest.approx(0.96, rel=1e-9)
         x, v = tr.samples[:, 1:3], tr.samples[:, 3:5]
         h = tr.samples[1, 0]
@@ -453,13 +456,26 @@ class TestGeodesics:
             for i in range(1, len(x) - 1)])
         assert np.max(np.abs(acc + gamma_vv)) <= 1e-5 * np.max(np.abs(acc))
 
+    def test_accepts_any_route(self):
+        metric = metric_closed_form(StateSpec.eigenstate(2), ModelPoint(0.3, 1.4))
+        tr = geodesic_trace(metric, (0.3, 0.2), 1.0, 4)
+        assert tr.reduced == metric.reduced
+        assert tuple(tr.samples[0, 1:3]) == (0.3, 1.4)
+
     @pytest.mark.parametrize("n", [0, 5])
     def test_eigenstate_takes_metric_quadrature(self, n):
-        # One metric path for every state: the exact Gauss-Hermite rule at
-        # rank one, not the closed form.
+        # One metric path for every state: the geodesic command traces the
+        # exact Gauss-Hermite rule's metric at rank one, not the closed form.
         spec, start = StateSpec.eigenstate(n), ModelPoint(0.3, 1.4)
-        tr = geodesic_trace(spec, start, (0.3, 0.2), 1.0, 4)
-        assert tr.reduced == metric_quadrature(spec, start).reduced
+        out = io.StringIO()
+        cfg = parse_config(json.dumps({
+            "state": {"type": "eigenstate", "n": n},
+            "point": {"mu": start.mu, "sigma": start.sigma},
+            "command": "geodesic",
+            "geodesic": {"velocity": [0.3, 0.2], "tau_end": 1.0, "steps": 4}}))
+        assert run(cfg, out) == 0
+        tr = geodesic_trace(metric_quadrature(spec, start), (0.3, 0.2), 1.0, 4)
+        assert json.loads(out.getvalue())["samples"] == tr.samples.tolist()
 
     @pytest.mark.parametrize("velocity, tau_end", [
         ((0.3, 0.2), math.nan), ((0.3, 0.2), math.inf),
@@ -467,11 +483,12 @@ class TestGeodesics:
         ids=["tau_end_nan", "tau_end_inf", "velocity_inf", "velocity_nan"])
     def test_non_finite_input_rejected(self, velocity, tau_end):
         with pytest.raises(ValueError, match="must be finite"):
-            geodesic_trace(StateSpec.eigenstate(1), ORIGIN, velocity, tau_end, 10)
+            geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
+                           velocity, tau_end, 10)
 
     def test_boundary_halt(self):
-        tr = geodesic_trace(StateSpec.eigenstate(0), ModelPoint(0.0, 0.05),
-                            (0.0, -5.0), 10.0, 200)
+        tr = geodesic_trace(ground_metric(ModelPoint(0.0, 0.05)), (0.0, -5.0),
+                            10.0, 200)
         assert tr.boundary_hit
         assert np.all(tr.samples[:, 2] > 0.0)
 
