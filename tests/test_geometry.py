@@ -165,11 +165,11 @@ class TestQuadratureMetric:
         assert results[0].value.shape == (components,)
 
     @pytest.mark.parametrize("spec, most", [
-        (StateSpec.mixture({0: 0.5, 20: 0.5}), 20),
+        (StateSpec.mixture({0: 0.5, 20: 0.5}), 10),
         (StateSpec.eigenstate(40), 3),
     ], ids=["mixture_0_20", "eigenstate_40"])
     def test_refinement_is_batched(self, monkeypatch, spec, most):
-        # Every pass bisects all the panels it picks in one integrand call;
+        # Every pass quarters all the panels it picks in one integrand call;
         # one bisection per call takes 160 and 25 calls for these metrics.
         real = hermgauss.quadrature._panel
         calls = []

@@ -146,6 +146,16 @@ class TestIntegrateRealLine:
         assert not res.converged
         assert budget - 30 < res.evaluations <= budget
 
+    def test_every_budget_ends_within_one_bisection(self):
+        # Four sub-panels (60 evaluations) per picked panel while they fit,
+        # then one bisection: every budget stops less than one bisection
+        # (30 evaluations) short of it.
+        for budget in range(120, 601):
+            cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_evaluations=budget)
+            res = integrate_real_line(oscillating, cfg, 2)
+            assert not res.converged
+            assert budget - 30 < res.evaluations <= budget, budget
+
     def test_initial_partition_is_evaluated_past_the_budget(self):
         cfg = QuadConfig(max_evaluations=50)
         res = integrate_real_line(lambda y: np.exp(-y * y), cfg, 2)
@@ -163,6 +173,23 @@ class TestIntegrateRealLine:
                     lambda y: y ** (2 * k) * np.exp(-y * y), cfg, 2 * k + 1)
                 err = abs(res.value - exact)
                 assert err <= rel * exact + 64 * np.finfo(float).eps * exact
+
+    def test_narrow_spike_has_closed_form(self):
+        # int e^{-y^2} / (y^2 + eps^2) dy = (pi/eps) e^{eps^2} erfc(eps):
+        # a peak 1e8 high and 1e-4 wide.  Each pass quarters the panels
+        # next to it, so the passes grow with log4 of the width ratio.
+        eps = 1e-4
+        calls = []
+
+        def spike(y):
+            calls.append(y.size)
+            return np.exp(-y * y) / (y * y + eps * eps)
+
+        res = integrate_real_line(spike)
+        exact = math.pi / eps * math.exp(eps * eps) * math.erfc(eps)
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-12 * exact
+        assert len(calls) <= 10
 
     def test_non_finite_integrand_raises_with_location(self):
         def f(y):
@@ -209,6 +236,11 @@ class TestIntegrateRealLine:
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="positive and finite"):
             QuadConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [300.0, True])
+    def test_config_rejects_non_integer_budget(self, value):
+        with pytest.raises(ValueError, match="must be an int"):
+            QuadConfig(max_evaluations=value)
 
     def test_truncation_halfwidth_grows_with_degree(self):
         assert truncation_halfwidth(40, 1e-12) > truncation_halfwidth(2, 1e-12)
