@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .estimation import (
     SampleBatch,
+    MleFit,
     CrbReport,
     sample,
     mle_fit,
@@ -80,6 +81,7 @@ __all__ = [
     "crb_bound",
     "sigma_variance_bound",
     "SampleBatch",
+    "MleFit",
     "CrbReport",
     "sample",
     "mle_fit",

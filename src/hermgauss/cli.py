@@ -295,6 +295,8 @@ def _cmd_crb(cfg, out):
         "violations": rep.violations,
         "failed_trials": list(rep.failed_trials),
         "failure_reasons": list(rep.failure_reasons),
+        "compass_evaluations": rep.compass_evaluations,
+        "newton_passes": rep.newton_passes,
     }
     _emit(report, cfg.output_format, out)
     return 0

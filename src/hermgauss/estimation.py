@@ -8,14 +8,20 @@ CDF is inverted by safeguarded Newton steps.
 
 Maximum likelihood works on (mu, log sigma) from the moment initializer,
 whose E[y] and Var y are sums over the state's table.  The log-likelihood is
--inf on every line where a sample sits on a density node, which cuts the
-plane into cells a few hundredths of sigma wide; Newton started from the
-initializer can land in the wrong cell.  So a compass search first walks
+-inf on every line where a sample sits on a density node, and nearly so
+where it sits in a deep dip of f; such lines cut the plane into cells a few
+hundredths of sigma wide, and Newton started from the initializer can land
+in the wrong cell.  The dips of f sit at the roots of its packets
+(``KernelFn.roots``): at the real part z of each, f is locally
+f(z) (1 + u^2 / delta^2) with half-width delta = sqrt(2 f(z) / f''(z)).  When
+every dip is at least 1e-2 sqrt(Var y) wide, the state is shallow: its
+likelihood has no barriers on the scale of a fit, and Newton on the analytic
+score and observed information runs straight from the initializer.
+Otherwise, or when that Newton attempt fails, a compass search first walks
 uphill from the initializer until its steps fall to 1e-2, which places it in
-the maximum's cell, and Newton on the analytic score and observed
-information then polishes the estimate.  A Newton step that lowers the
-likelihood, meets a density zero or sees an indefinite Hessian hands the fit
-back to the compass search.
+the maximum's cell, and Newton then polishes the estimate.  A Newton step
+that lowers the likelihood, meets a density zero or sees an indefinite
+Hessian hands the fit back to the compass search.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .quadrature import QuadratureError, truncation_halfwidth
 
 __all__ = [
     "SampleBatch",
+    "MleFit",
     "CrbReport",
     "sample",
     "mle_fit",
@@ -51,6 +58,8 @@ _LL_ROUNDING = 1e-12
 _MIN_TRIALS = 30
 # Objective evaluations, Newton passes included, after which a fit fails.
 _MAX_EVALUATIONS = 20000
+# Narrowest dip half-width of f, relative to sqrt(Var y), of a shallow state.
+_SHALLOW_DIP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,16 @@ class SampleBatch:
 
 
 @dataclass(frozen=True)
+class MleFit(ModelPoint):
+    """A maximum-likelihood point with the work that found it: the compass
+    search's objective evaluations (its start included; 0 when Newton ran
+    first and converged) and the Newton passes."""
+
+    compass_evaluations: int = 0
+    newton_passes: int = 0
+
+
+@dataclass(frozen=True)
 class CrbReport:
     bound: np.ndarray
     empirical_cov: np.ndarray
@@ -70,6 +89,8 @@ class CrbReport:
     violations: dict
     failed_trials: tuple
     failure_reasons: tuple
+    compass_evaluations: int
+    newton_passes: int
     estimates: np.ndarray = field(repr=False)
 
 
@@ -183,14 +204,16 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
     return float(np.sum(np.log(f))) - x.size * math.log(sigma)
 
 
-def mle_fit(batch: SampleBatch) -> ModelPoint:
+def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
-    A compass search walks from the moment-matching point until its steps
-    fall to 1e-2 (relative to sigma for mu), then Newton polishes until a
-    step is below 1e-9 (relative to sigma for mu).  If Newton fails, the
-    compass search resumes and runs its steps down to 1e-9.  The fit fails
-    after ``_MAX_EVALUATIONS`` objective evaluations, Newton passes included.
+    On a shallow state (see the module docstring) Newton runs from the
+    moment-matching point until a step is below 1e-9 (relative to sigma for
+    mu).  Otherwise, or if that Newton attempt fails, a compass search walks
+    from the moment-matching point until its steps fall to 1e-2, then Newton
+    polishes; if Newton fails again, the compass search resumes and runs its
+    steps down to 1e-9.  The fit fails after ``_MAX_EVALUATIONS`` objective
+    evaluations, Newton passes included.
     """
     spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
@@ -198,41 +221,72 @@ def mle_fit(batch: SampleBatch) -> ModelPoint:
         raise ValueError("empty batch")
     if x.size > 1 and np.ptp(x) == 0.0:
         raise ValueError("degenerate batch: all samples identical")
+    kf = kernel(spec)
     init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
+    passes = 0
+    if _shallow(spec):
+        fit, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
+        if fit is not None:
+            return MleFit(fit.mu, fit.sigma, 0, passes)
 
     def objective(m, l):
         return log_likelihood(spec, x, m, math.exp(l))
 
     best = objective(mu, ls)
+    # Compass steps after the start, which the budget does not count.
+    steps = 0
     step_mu = max(0.25 * math.exp(ls), 10.0 * _FIT_TOL)
     step_ls = 0.25
-    evals = 0
     polish = True
     while step_mu > _FIT_TOL or step_ls > _FIT_TOL:
         if (polish and step_ls <= _HANDOFF_STEP
                 and step_mu <= _HANDOFF_STEP * math.exp(ls)):
             polish = False
-            fit, used = _newton_polish(kernel(spec), x, mu, ls,
-                                       _MAX_EVALUATIONS - evals)
-            evals += used
+            fit, used = _newton_polish(kf, x, mu, ls,
+                                       _MAX_EVALUATIONS - steps - passes)
+            passes += used
             if fit is not None:
-                return fit
+                return MleFit(fit.mu, fit.sigma, steps + 1, passes)
         improved = False
         for dm, dl in ((step_mu, 0.0), (-step_mu, 0.0), (0.0, step_ls), (0.0, -step_ls)):
             cand = objective(mu + dm, ls + dl)
-            evals += 1
+            steps += 1
             if cand > best:
                 best, mu, ls = cand, mu + dm, ls + dl
                 improved = True
         if not improved:
             step_mu *= 0.5
             step_ls *= 0.5
-        if evals > _MAX_EVALUATIONS:
+        if steps + passes > _MAX_EVALUATIONS:
             raise RuntimeError(
                 f"MLE search did not converge within {_MAX_EVALUATIONS} "
                 "objective evaluations")
-    return ModelPoint(mu=mu, sigma=math.exp(ls))
+    return MleFit(mu, math.exp(ls), steps + 1, passes)
+
+
+def _shallow(spec: StateSpec) -> bool:
+    """Whether every dip of f is at least ``_SHALLOW_DIP`` sqrt(Var y) wide;
+    cached on the spec.
+
+    A dip is the real part z of a packet root where f'' > 0, and its
+    half-width is sqrt(2 f(z) / f''(z)).  Testing f(z) > 0 instead would not
+    do: f at the nodes of |2> rounds to ~1e-33, not 0.  A non-finite root
+    makes the state not shallow.
+    """
+    shallow = spec._kernel_cache.get("shallow")
+    if shallow is None:
+        kf = kernel(spec)
+        z = np.concatenate(kf.roots())
+        shallow = bool(np.all(np.isfinite(z)))
+        if shallow and z.size:
+            f, _, d2 = kf.jet(z.real, 2)
+            dip = d2 > 0.0
+            width = np.sqrt(2.0 * f[dip] / d2[dip])
+            narrowest = _SHALLOW_DIP * math.sqrt(_y_moments(spec)[1])
+            shallow = bool(np.all(width >= narrowest))
+        spec._kernel_cache["shallow"] = shallow
+    return shallow
 
 
 def _loglik_jet(kf, x, mu, ls):
@@ -335,7 +389,9 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     so the scaled variances should sit at the bound, never clearly below).
     Failed fits are listed in ``failed_trials``, with ``"ExcType: message"``
     for each in ``failure_reasons``; RuntimeError is raised,
-    chained to the first failure, when fewer than 30 fits succeed.
+    chained to the first failure, when fewer than 30 fits succeed.  The
+    compass objective evaluations and Newton passes of the fits that
+    succeed are summed in ``compass_evaluations`` and ``newton_passes``.
     """
     if trials < _MIN_TRIALS:
         raise ValueError(
@@ -346,11 +402,14 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     failed = []
     reasons = []
     first_error = None
+    compass = passes = 0
     for t in range(trials):
         batch = sample(spec, point, samples_per_trial, _trial_seed(seed, t))
         try:
             fit = mle_fit(batch)
             estimates[t] = (fit.mu, fit.sigma)
+            compass += fit.compass_evaluations
+            passes += fit.newton_passes
         except (RuntimeError, ValueError) as exc:
             estimates[t] = np.nan
             failed.append(t)
@@ -377,4 +436,6 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     return CrbReport(bound=bound, empirical_cov=cov, trials=trials,
                      samples_per_trial=samples_per_trial,
                      violations=violations, failed_trials=tuple(failed),
-                     failure_reasons=tuple(reasons), estimates=good)
+                     failure_reasons=tuple(reasons),
+                     compass_evaluations=compass, newton_passes=passes,
+                     estimates=good)

@@ -235,7 +235,9 @@ class KernelFn:
     multiplying exp(-y^2).  ``rank`` is the number of wavepackets g_j the
     real table factors into (the eigenvalues ``kernel`` keeps): 1 for a pure
     state with real coefficients up to a global phase, and then (f')^2/f
-    is exp(-y^2) times a polynomial.
+    is exp(-y^2) times a polynomial.  ``roots()`` locates the dips of f:
+    one array per packet g_j holding all its roots, complex ones included,
+    computed on the first call.
     """
 
     f: object
@@ -244,6 +246,7 @@ class KernelFn:
     fisher_ratio: object
     degree_hint: int
     rank: int
+    roots: object
 
 
 def kernel(spec: StateSpec) -> KernelFn:
@@ -257,6 +260,12 @@ def kernel(spec: StateSpec) -> KernelFn:
     and g_j'' = (y^2 - 1) g_j - sum_k 2k V_kj psi_k.  The Fisher integrand
     (f')^2/f is 4 (p . g g')^2 / (sqrt(2 pi) p . g^2); at rank one, and
     where every g_j vanishes, it is 4 p . g'^2 / sqrt(2 pi) (Cauchy-Schwarz).
+
+    The roots of g_j are those of sum_k V_kj a_k H_k, a_k = 1/sqrt(2^k k!),
+    from ``hermroots``; components below eps of the packet's largest are
+    rounding and are dropped first, so they add no spurious far roots.  A
+    packet on one level n has the roots of H_n, the Gauss-Hermite nodes:
+    the eigenvalues of H_n's companion matrix, which is symmetric.
     """
     cached = spec._kernel_cache.get("kernel")
     if cached is not None:
@@ -315,9 +324,36 @@ def kernel(spec: StateSpec) -> KernelFn:
         np.divide(4.0 * t * t, s, out=out, where=s > 0.0)
         return out.reshape(y.shape)
 
+    found = None
+
+    def roots():
+        nonlocal found
+        if found is not None:
+            return found
+        # Imported here: numpy.polynomial is not loaded by ``import numpy``.
+        from numpy.polynomial.hermite import hermcompanion, hermroots
+
+        # a_k by its recurrence: 2^k k! overflows a float from k = 171.
+        a = np.cumprod(np.sqrt(0.5 / np.arange(1.0, top + 1)))
+        a = np.concatenate(([1.0], a))
+        out = []
+        for v in vecs.T:
+            big = np.abs(v) > np.abs(v).max() * np.finfo(float).eps
+            deg = levels[big]
+            c = np.zeros(deg[-1] + 1)
+            c[deg] = v[big] * a[deg]
+            if deg.size > 1:
+                out.append(hermroots(c))
+            elif deg[0] > 0:
+                out.append(np.linalg.eigvalsh(hermcompanion(c)))
+            else:
+                out.append(np.empty(0))
+        found = tuple(out)
+        return found
+
     kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
                   jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2,
-                  rank=rank)
+                  rank=rank, roots=roots)
     spec._kernel_cache["kernel"] = kf
     return kf
 

@@ -243,6 +243,21 @@ class TestCommands:
         assert report["failed_trials"] == [1]
         assert report["failure_reasons"] == ["RuntimeError: no convergence"]
 
+    @pytest.mark.parametrize("state, newton_first", [
+        ({"type": "mixture",
+          "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]}, True),
+        ({"type": "eigenstate", "n": 2}, False),
+    ], ids=["rho01", "n2"])
+    def test_crb_reports_fit_counters(self, state, newton_first):
+        raw = json.loads(config_text(command="crb", state=state))
+        raw["estimation"] = {"trials": 30, "samples_per_trial": 200, "seed": 2}
+        _, a = run_capture(json.dumps(raw))
+        _, b = run_capture(json.dumps(raw))
+        assert a == b
+        report = json.loads(a)
+        assert (report["compass_evaluations"] == 0) is newton_first
+        assert report["newton_passes"] >= 30
+
     def test_json_floats_round_trip(self):
         status, text = run_capture(config_text(
             state={"type": "mixture",

@@ -11,16 +11,34 @@ from hermgauss.estimation import (
     SampleBatch,
     _cdf_table,
     _moment_init,
+    _shallow,
     _y_moments,
     crb_experiment,
     log_likelihood,
     mle_fit,
     sample,
 )
+from hermgauss.hermite import MAX_DEGREE
 from hermgauss.models import ModelPoint, StateSpec, kernel
 from hermgauss.quadrature import QuadConfig, integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
+RHO01 = StateSpec.mixture({0: 0.5, 1: 0.5})
+# States whose narrowest dip of f is at least 1e-2 sqrt(Var y) wide.
+SHALLOW = {
+    "ground": StateSpec.eigenstate(0),
+    "rho01": RHO01,
+    "mixture_0_4": StateSpec.mixture({0: 0.5, 4: 0.5}),
+    "mixture_2_5_11": StateSpec.mixture({2: 0.3, 5: 0.3, 11: 0.4}),
+    "complex_0_1": StateSpec.superposition({0: 0.6, 1: 0.8j}),
+}
+
+
+def thermal(nbar):
+    """The thermal state of mean occupation nbar over every level."""
+    q = nbar / (nbar + 1.0)
+    return StateSpec.mixture({n: q ** n for n in range(MAX_DEGREE + 1)},
+                             renormalize=True)
 
 
 def scipy_cdf(spec, y):
@@ -346,6 +364,66 @@ class TestMle:
             mle_fit(batch)
 
 
+class TestNewtonFirst:
+    @pytest.mark.parametrize("spec", SHALLOW.values(), ids=SHALLOW)
+    def test_matches_reference_compass_search(self, spec):
+        point = ModelPoint(0.3, 1.2)
+        for seed in range(40, 60):
+            batch = sample(spec, point, 5000, seed=seed)
+            fit = mle_fit(batch)
+            mu, sigma = compass_fit(spec, batch.draws)
+            assert abs(fit.mu - mu) <= 1e-6 * sigma
+            assert abs(fit.sigma - sigma) <= 1e-6 * sigma
+            assert fit.compass_evaluations == 0
+            assert fit.newton_passes > 0
+
+    def test_refused_newton_falls_back_to_compass_search(self, monkeypatch):
+        monkeypatch.setattr(hermgauss.estimation, "_loglik_jet",
+                            lambda *args: None)
+        batch = sample(RHO01, ModelPoint(0.4, 0.9), 2000, seed=6)
+        fit = mle_fit(batch)
+        assert (fit.mu, fit.sigma) == compass_fit(RHO01, batch.draws)
+        # One refused pass from the start, one at the compass hand-over.
+        assert fit.newton_passes == 2
+        assert fit.compass_evaluations > 0
+
+    @pytest.mark.parametrize("spec, shallow", [
+        *((s, True) for s in SHALLOW.values()),
+        (StateSpec.eigenstate(1), False),
+        (StateSpec.eigenstate(2), False),
+        (StateSpec.superposition({0: 0.6, 1: 0.8}), False),
+        # f > 0 at every packet root, but the outer dips of psi_12 and
+        # psi_20 are 1.1e-4 and 7.7e-8 sqrt(Var y) wide.
+        (StateSpec.mixture({0: 0.5, 12: 0.5}), False),
+        (StateSpec.mixture({0: 0.5, 20: 0.5}), False),
+    ], ids=[*SHALLOW, "n1", "n2", "real_0_1", "mixture_0_12", "mixture_0_20"])
+    def test_dip_width_classification(self, spec, shallow):
+        assert _shallow(spec) is shallow
+
+    @pytest.mark.parametrize("spec, shallow", [
+        (StateSpec.eigenstate(150), False),
+        (StateSpec.eigenstate(200), False),
+        (thermal(5.0), True),
+    ], ids=["n150", "n200", "thermal5"])
+    def test_deep_states_classify_without_warnings(self, spec, shallow):
+        # The suite's filterwarnings = "error" fails any overflow or
+        # invalid-value warning in the root locator or the dip widths.
+        assert _shallow(spec) is shallow
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_near_barrier_mixture_takes_compass_path(self, seed):
+        # Newton started from the initializer lands about 0.07 sigma away
+        # from the maximum on these batches: a dip narrower than a sample
+        # spacing is as much a barrier as a density zero.
+        spec = StateSpec.mixture({0: 0.5, 20: 0.5})
+        batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed=seed)
+        fit = mle_fit(batch)
+        mu, sigma = compass_fit(spec, batch.draws)
+        assert abs(fit.mu - mu) <= 1e-6 * sigma
+        assert abs(fit.sigma - sigma) <= 1e-6 * sigma
+        assert fit.compass_evaluations > 0
+
+
 class TestCrbExperiment:
     def test_small_run_is_clean(self):
         rep = crb_experiment(StateSpec.eigenstate(0), ORIGIN,
@@ -355,6 +433,9 @@ class TestCrbExperiment:
         assert not any(v["violated"] for v in rep.violations.values())
         assert rep.empirical_cov.shape == (2, 2)
         assert rep.estimates.shape == (40, 2)
+        # |0> takes Newton-first on every trial.
+        assert rep.compass_evaluations == 0
+        assert rep.newton_passes >= 40
 
     def test_report_determinism(self):
         a = crb_experiment(StateSpec.eigenstate(1), ORIGIN,

@@ -8,7 +8,7 @@ from numpy.polynomial.hermite import hermder, hermval
 
 import hermgauss.models
 from hermgauss.estimation import _loglik_jet
-from hermgauss.hermite import MAX_DEGREE
+from hermgauss.hermite import MAX_DEGREE, hermite_normalized_all
 from hermgauss.models import (
     InvalidStateError,
     KernelFn,
@@ -446,6 +446,55 @@ class TestFactoredKernel:
         big = f > 1e-3 * f.max()
         np.testing.assert_allclose(ratio[big], plain_ratio(kf, y[big]),
                                    rtol=1e-10)
+
+
+class TestPacketRoots:
+    def test_closed_forms(self):
+        # rho01's packets are psi_0, with no root, and psi_1, with root 0.
+        roots = kernel(StateSpec.mixture({0: 0.5, 1: 0.5})).roots()
+        assert sorted(r.tolist() for r in roots) == [[], [0.0]]
+        # 0.6 psi_0 + s 0.8 psi_2 vanishes where 0.6 + s 0.8 (4y^2 - 2)/sqrt(8)
+        # does: y^2 = (2 - s 0.75 sqrt(8)) / 4, below zero for s = 1.
+        for s in (1.0, -1.0):
+            (roots,) = kernel(StateSpec.superposition({0: 0.6, 2: 0.8 * s})).roots()
+            y = np.sqrt(complex((2.0 - s * 0.75 * math.sqrt(8.0)) / 4.0))
+            np.testing.assert_allclose(np.sort_complex(roots),
+                                       np.sort_complex([-y, y]),
+                                       rtol=0.0, atol=1e-14)
+
+    def test_is_cached(self):
+        kf = kernel(StateSpec.mixture({0: 0.2, 3: 0.3, 5: 0.5}))
+        assert kf.roots() is kf.roots()
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_deep_eigenstate_roots(self, n):
+        (roots,) = kernel(StateSpec.eigenstate(n)).roots()
+        assert roots.size == n
+        assert np.max(np.abs(hermite_normalized_all(n, roots)[n])) <= 1e-12
+
+    def test_thermal_packets_are_levels(self):
+        # Mean occupation 5 over every level: the kernel keeps the 169
+        # levels above its eigenvalue cut, each a packet with n roots.
+        q = 5.0 / 6.0
+        spec = StateSpec.mixture({n: q ** n for n in range(MAX_DEGREE + 1)},
+                                 renormalize=True)
+        roots = sorted(kernel(spec).roots(), key=len)
+        assert [r.size for r in roots] == list(range(169))
+        for n, r in enumerate(roots):
+            assert np.all(np.abs(hermite_normalized_all(n, r)[n]) <= 1e-12)
+
+    def test_deep_superposition_real_roots(self):
+        # The real roots of 0.8 psi_0 + 0.6 psi_150 are its sign changes.
+        spec = StateSpec.superposition({0: 0.8, 150: 0.6})
+        (roots,) = kernel(spec).roots()
+        real = roots.real[roots.imag == 0.0]
+        y = np.linspace(-20.0, 20.0, 40_001)
+        psi = hermite_normalized_all(150, y)
+        g = 0.8 * psi[0] + 0.6 * psi[150]
+        assert roots.size == 150
+        assert real.size == np.count_nonzero(np.diff(np.sign(g)))
+        psi = hermite_normalized_all(150, real)
+        assert np.max(np.abs(0.8 * psi[0] + 0.6 * psi[150])) <= 1e-12
 
 
 class TestWavefunction:
