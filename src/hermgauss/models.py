@@ -263,9 +263,7 @@ def kernel(spec: StateSpec) -> KernelFn:
 
     The roots of g_j are those of sum_k V_kj a_k H_k, a_k = 1/sqrt(2^k k!),
     from ``hermroots``; components below eps of the packet's largest are
-    rounding and are dropped first, so they add no spurious far roots.  A
-    packet on one level n has the roots of H_n, the Gauss-Hermite nodes:
-    the eigenvalues of H_n's companion matrix, which is symmetric.
+    rounding and are dropped first, so they add no spurious far roots.
     """
     cached = spec._kernel_cache.get("kernel")
     if cached is not None:
@@ -331,7 +329,7 @@ def kernel(spec: StateSpec) -> KernelFn:
         if found is not None:
             return found
         # Imported here: numpy.polynomial is not loaded by ``import numpy``.
-        from numpy.polynomial.hermite import hermcompanion, hermroots
+        from numpy.polynomial.hermite import hermroots
 
         # a_k by its recurrence: 2^k k! overflows a float from k = 171.
         a = np.cumprod(np.sqrt(0.5 / np.arange(1.0, top + 1)))
@@ -342,12 +340,7 @@ def kernel(spec: StateSpec) -> KernelFn:
             deg = levels[big]
             c = np.zeros(deg[-1] + 1)
             c[deg] = v[big] * a[deg]
-            if deg.size > 1:
-                out.append(hermroots(c))
-            elif deg[0] > 0:
-                out.append(np.linalg.eigvalsh(hermcompanion(c)))
-            else:
-                out.append(np.empty(0))
+            out.append(hermroots(c))
         found = tuple(out)
         return found
 

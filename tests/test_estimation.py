@@ -8,6 +8,7 @@ from scipy.special import erfc
 
 import hermgauss.estimation
 from hermgauss.estimation import (
+    MleFit,
     SampleBatch,
     _cdf_table,
     _moment_init,
@@ -24,7 +25,8 @@ from hermgauss.quadrature import QuadConfig, integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
 RHO01 = StateSpec.mixture({0: 0.5, 1: 0.5})
-# States whose narrowest dip of f is at least 1e-2 sqrt(Var y) wide.
+# States shallow at 5,000 samples: the narrowest dip of f is at least
+# 50 / 5,000 = 1e-2 sqrt(Var y) wide.
 SHALLOW = {
     "ground": StateSpec.eigenstate(0),
     "rho01": RHO01,
@@ -398,7 +400,7 @@ class TestNewtonFirst:
         (StateSpec.mixture({0: 0.5, 20: 0.5}), False),
     ], ids=[*SHALLOW, "n1", "n2", "real_0_1", "mixture_0_12", "mixture_0_20"])
     def test_dip_width_classification(self, spec, shallow):
-        assert _shallow(spec) is shallow
+        assert _shallow(spec, 5000) is shallow
 
     @pytest.mark.parametrize("spec, shallow", [
         (StateSpec.eigenstate(150), False),
@@ -408,7 +410,31 @@ class TestNewtonFirst:
     def test_deep_states_classify_without_warnings(self, spec, shallow):
         # The suite's filterwarnings = "error" fails any overflow or
         # invalid-value warning in the root locator or the dip widths.
-        assert _shallow(spec) is shallow
+        assert _shallow(spec, 5000) is shallow
+
+    def test_fit_equality_ignores_counters(self):
+        a, b = MleFit(0.1, 1.2, 0, 3), MleFit(0.1, 1.2, 25, 4)
+        assert a == b and hash(a) == hash(b)
+        assert a != MleFit(0.1, 1.3, 0, 3)
+
+    def test_threshold_scales_with_sample_count(self):
+        # {0: 1/2, 4: 1/2}'s narrowest dip is 0.091 sqrt(Var y) wide: shallow
+        # from 548 samples on.  A state without dips is shallow at any count.
+        spec = SHALLOW["mixture_0_4"]
+        assert [_shallow(spec, n) for n in (50, 547, 548)] == [False, False, True]
+        assert _shallow(StateSpec.eigenstate(0), 1)
+
+    def test_small_batch_takes_compass_path(self):
+        # {0: 1/2, 5: 1/2} is shallow at 5,000 samples, but on this batch of
+        # 50 Newton from the initializer ends 0.39 sigma away, at a local
+        # maximum 11 below the compass search's log L.
+        spec = StateSpec.mixture({0: 0.5, 5: 0.5})
+        batch = sample(spec, ModelPoint(0.3, 1.2), 50, seed=14)
+        fit = mle_fit(batch)
+        mu, sigma = compass_fit(spec, batch.draws)
+        assert abs(fit.mu - mu) <= 1e-6 * sigma
+        assert abs(fit.sigma - sigma) <= 1e-6 * sigma
+        assert fit.compass_evaluations > 0
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_near_barrier_mixture_takes_compass_path(self, seed):
