@@ -97,7 +97,7 @@ _CONVERT = {
     "velocity": _pair,
 }
 # The least value of each count that the library accepts.
-_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": 1, "count": 1,
+_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": 2, "count": 1,
           "steps": 1, "seed": 0}
 
 

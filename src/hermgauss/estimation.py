@@ -213,47 +213,44 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
 def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
-    On a shallow batch (see the module docstring) Newton runs from the
-    moment-matching point until a step is below 1e-9 (relative to sigma for
-    mu).  Otherwise, or if that Newton attempt fails, a compass search walks
-    from the moment-matching point until its steps fall to 1e-2, then Newton
-    polishes; if Newton fails again, the compass search resumes and runs its
-    steps down to 1e-9.  The fit fails after ``_MAX_EVALUATIONS`` objective
-    evaluations, Newton passes included.
+    A compass search walks from the moment-matching point and hands the fit
+    to Newton once its steps fall to each scale in turn: at once on a
+    shallow batch (see the module docstring), then at 1e-2.  Newton stops
+    at a step below 1e-9 (relative to sigma for mu); if it fails, the
+    compass search resumes and runs its steps down to 1e-9.  The fit fails
+    after ``_MAX_EVALUATIONS`` objective evaluations, Newton passes
+    included, and a batch of fewer than two distinct samples, whose
+    likelihood has no maximum, is refused.
     """
     spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty batch")
-    if x.size > 1 and np.ptp(x) == 0.0:
-        raise ValueError("degenerate batch: all samples identical")
+    if x.size == 0 or np.ptp(x) == 0.0:
+        raise ValueError("need at least two distinct samples")
     kf = kernel(spec)
     init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
-    passes = 0
-    if _shallow(spec, x.size):
-        fit, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
-        if fit is not None:
-            return MleFit(fit.mu, fit.sigma, 0, passes)
+    handoffs = ([math.inf, _HANDOFF_STEP] if _shallow(spec, x.size)
+                else [_HANDOFF_STEP])
 
     def objective(m, l):
         return log_likelihood(spec, x, m, math.exp(l))
 
-    best = objective(mu, ls)
-    # Compass steps after the start, which the budget does not count.
-    steps = 0
+    # The start's log L, evaluated when the compass search first needs it.
+    best = None
+    steps = passes = 0
     step_mu = max(0.25 * math.exp(ls), 10.0 * _FIT_TOL)
     step_ls = 0.25
-    polish = True
     while step_mu > _FIT_TOL or step_ls > _FIT_TOL:
-        if (polish and step_ls <= _HANDOFF_STEP
-                and step_mu <= _HANDOFF_STEP * math.exp(ls)):
-            polish = False
+        if (handoffs and step_ls <= handoffs[0]
+                and step_mu <= handoffs[0] * math.exp(ls)):
+            handoffs.pop(0)
             fit, used = _newton_polish(kf, x, mu, ls,
                                        _MAX_EVALUATIONS - steps - passes)
             passes += used
             if fit is not None:
-                return MleFit(fit.mu, fit.sigma, steps + 1, passes)
+                return MleFit(fit.mu, fit.sigma, steps, passes)
+        if best is None:
+            best, steps = objective(mu, ls), 1
         improved = False
         for dm, dl in ((step_mu, 0.0), (-step_mu, 0.0), (0.0, step_ls), (0.0, -step_ls)):
             cand = objective(mu + dm, ls + dl)
@@ -268,7 +265,7 @@ def mle_fit(batch: SampleBatch) -> MleFit:
             raise RuntimeError(
                 f"MLE search did not converge within {_MAX_EVALUATIONS} "
                 "objective evaluations")
-    return MleFit(mu, math.exp(ls), steps + 1, passes)
+    return MleFit(mu, math.exp(ls), steps, passes)
 
 
 def _shallow(spec: StateSpec, count: int) -> bool:
@@ -405,29 +402,23 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
             f"need at least {_MIN_TRIALS} trials for a meaningful covariance")
     metric = metric_quadrature(spec, point)
     bound = crb_bound(metric)
-    estimates = np.empty((trials, 2))
+    fits = []
     failed = []
     reasons = []
     first_error = None
-    compass = passes = 0
     for t in range(trials):
         batch = sample(spec, point, samples_per_trial, _trial_seed(seed, t))
         try:
-            fit = mle_fit(batch)
-            estimates[t] = (fit.mu, fit.sigma)
-            compass += fit.compass_evaluations
-            passes += fit.newton_passes
+            fits.append(mle_fit(batch))
         except (RuntimeError, ValueError) as exc:
-            estimates[t] = np.nan
             failed.append(t)
             reasons.append(f"{type(exc).__name__}: {exc}")
             first_error = first_error or exc
-    if trials - len(failed) < _MIN_TRIALS:
+    if len(fits) < _MIN_TRIALS:
         raise RuntimeError(
             f"{len(failed)} of {trials} MLE trials failed, leaving fewer "
             f"than {_MIN_TRIALS} estimates") from first_error
-    ok = ~np.isnan(estimates[:, 0])
-    good = estimates[ok]
+    good = np.array([(fit.mu, fit.sigma) for fit in fits])
     cov = np.cov(good, rowvar=False) * samples_per_trial
     # Relative standard error of a sample variance over T trials.
     se = math.sqrt(2.0 / (good.shape[0] - 1))
@@ -444,5 +435,6 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
                      samples_per_trial=samples_per_trial,
                      violations=violations, failed_trials=tuple(failed),
                      failure_reasons=tuple(reasons),
-                     compass_evaluations=compass, newton_passes=passes,
+                     compass_evaluations=sum(f.compass_evaluations for f in fits),
+                     newton_passes=sum(f.newton_passes for f in fits),
                      estimates=good)

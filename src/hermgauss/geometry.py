@@ -254,23 +254,13 @@ def christoffel_reduced(reduced, sigma: float) -> np.ndarray:
 
     With coordinates (mu, sigma) = (0, 1), only d_sigma g_ij = -2 A_ij /
     sigma^3 is nonzero, and the Levi-Civita formula reduces to
-        Gamma^k_ij = -(d_{j,1} d^k_i + d_{i,1} d^k_j - (A^-1)_{k1} A_ij) / sigma.
+        Gamma^k_ij = -(d_{j,1} d^k_i + d_{i,1} d^k_j - (A^-1)_{k1} A_ij) / sigma,
+    written out below for A = [[a, b], [b, c]], over (ac - b^2) sigma.
     """
     a, b, c = reduced
-    amat = np.array([[a, b], [b, c]])
-    ainv = np.linalg.inv(amat)
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                v = 0.0
-                if j == 1 and k == i:
-                    v += 1.0
-                if i == 1 and k == j:
-                    v += 1.0
-                v -= ainv[k, 1] * amat[i, j]
-                gamma[k, i, j] = -v / sigma
-    return gamma
+    scale = (a * c - b * b) * sigma
+    return np.array([[[-a * b, -a * c], [-a * c, -b * c]],
+                     [[a * a, a * b], [a * b, 2.0 * b * b - a * c]]]) / scale
 
 
 def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:

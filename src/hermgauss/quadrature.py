@@ -26,7 +26,6 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "IntegrandError",
-    "truncation_halfwidth",
     "integrate_real_line",
 ]
 

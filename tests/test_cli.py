@@ -339,6 +339,7 @@ class TestMain:
         {"command": "sample", "estimation": {"count": 0}},
         {"command": "crb", "estimation": {"trials": 5}},
         {"command": "crb", "estimation": {"samples_per_trial": 0}},
+        {"command": "crb", "estimation": {"samples_per_trial": 1}},
         {"command": "geodesic", "geodesic": {"steps": 0}},
         {"command": "sample", "estimation": {"seed": -1}},
         None,
@@ -349,7 +350,8 @@ class TestMain:
             "tau_end_string", "weight_numeric_string", "re_bool",
             "state_type_unknown", "quad_rejected", "format_unknown",
             "count_zero", "trials_too_few", "samples_per_trial_zero",
-            "steps_zero", "seed_negative", "top_level_array"])
+            "samples_per_trial_one", "steps_zero", "seed_negative",
+            "top_level_array"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]" if override is None else config_text(**override))

@@ -366,6 +366,15 @@ class TestMle:
             mle_fit(batch)
 
 
+    @pytest.mark.parametrize("spec", [StateSpec.eigenstate(0), RHO01],
+                             ids=["n0", "rho01"])
+    def test_single_sample_rejected(self, spec):
+        # One sample's likelihood has no maximum: sigma -> 0 on |0>.
+        batch = sample(spec, ModelPoint(0.3, 1.2), 1, seed=1)
+        with pytest.raises(ValueError, match="two distinct samples"):
+            mle_fit(batch)
+
+
 class TestNewtonFirst:
     @pytest.mark.parametrize("spec", SHALLOW.values(), ids=SHALLOW)
     def test_matches_reference_compass_search(self, spec):
@@ -462,6 +471,18 @@ class TestCrbExperiment:
         # |0> takes Newton-first on every trial.
         assert rep.compass_evaluations == 0
         assert rep.newton_passes >= 40
+
+    @pytest.mark.parametrize("spec, compass, passes", [
+        (StateSpec.eigenstate(2), 922, 99),
+        (RHO01, 0, 118),
+        (StateSpec.eigenstate(0), 0, 30),
+    ], ids=["n2", "rho01", "n0"])
+    def test_fit_counters(self, spec, compass, passes):
+        # The compass search then Newton on |2>, Newton-first on the others:
+        # any change to the order of hand-offs moves these counts.
+        rep = crb_experiment(spec, ModelPoint(0.3, 1.2),
+                             trials=30, samples_per_trial=500, seed=1)
+        assert (rep.compass_evaluations, rep.newton_passes) == (compass, passes)
 
     def test_report_determinism(self):
         a = crb_experiment(StateSpec.eigenstate(1), ORIGIN,

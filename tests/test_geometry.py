@@ -387,6 +387,25 @@ class TestFiniteDifferenceCurvature:
             analytic = christoffel_reduced(reduced, point.sigma)
             np.testing.assert_allclose(fd.christoffel, analytic, atol=1e-5)
 
+    def test_christoffel_matches_levi_civita_sum(self):
+        # Gamma^k_ij = g^kl (d_i g_lj + d_j g_li - d_l g_ij) / 2 with the
+        # exact d_sigma g = -2 A / sigma^3 (d_mu g = 0), on random positive-
+        # definite A up to |b| = 0.999 sqrt(ac).
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a, c = np.exp(rng.uniform(-2.0, 2.0, 2))
+            b = 0.999 * math.sqrt(a * c) * rng.uniform(-1.0, 1.0)
+            sigma = math.exp(rng.uniform(-1.5, 1.5))
+            amat = np.array([[a, b], [b, c]])
+            ginv = np.linalg.inv(amat / sigma**2)
+            dg = np.zeros((2, 2, 2))  # dg[l, i, j] = d_l g_ij
+            dg[1] = -2.0 * amat / sigma**3
+            expect = 0.5 * (np.einsum("kl,ilj->kij", ginv, dg)
+                            + np.einsum("kl,jli->kij", ginv, dg)
+                            - np.einsum("kl,lij->kij", ginv, dg))
+            got = christoffel_reduced((a, b, c), sigma)
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
     def test_integrates_nothing(self, monkeypatch):
         # The stencil is assembled from the given metric's reduced
         # components; curvature_finite_difference integrates nothing itself.
