@@ -41,8 +41,6 @@ from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-_COMMANDS = ("metric", "curvature", "crb", "geodesic", "sample", "verify")
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed; the message names the field."""
@@ -132,15 +130,15 @@ def _parse_state(block, renormalize):
         if kind == "eigenstate":
             return StateSpec.eigenstate(_need(block, "n", "'state'"))
         if kind == "mixture":
-            weights = {t["n"]: t["weight"] for t in terms("terms")}
+            weights = [(t["n"], t["weight"]) for t in terms("terms")]
             return StateSpec.mixture(weights, renormalize=renormalize)
         if kind == "superposition":
-            coeffs = {t["n"]: complex(t.get("re", 0.0), t.get("im", 0.0))
-                      for t in terms("terms")}
+            coeffs = [(t["n"], complex(t.get("re", 0.0), t.get("im", 0.0)))
+                      for t in terms("terms")]
             return StateSpec.superposition(coeffs, renormalize=renormalize)
         if kind == "density":
-            table = {(t["n"], t["m"]): complex(t.get("re", 0.0), t.get("im", 0.0))
-                     for t in terms("entries")}
+            table = [((t["n"], t["m"]), complex(t.get("re", 0.0), t.get("im", 0.0)))
+                     for t in terms("entries")]
             return StateSpec.density(table, renormalize=renormalize)
     except InvalidStateError as exc:
         raise ConfigError(f"invalid 'state': {exc}") from exc
@@ -180,12 +178,15 @@ def parse_config(text: str) -> RunConfig:
                 omega0=_need(blk, "omega0", "'physical'"),
                 x0=_need(blk, "x0", "'physical'"),
                 hbar=blk.get("hbar", 1.0)))
+    except ConfigError:  # a field, already named by _typed or _need
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameter point: {exc}") from exc
 
     command = _need(raw, "command", "config")
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
+    if command not in tuple(_DISPATCH):  # a tuple: the name may be unhashable
+        raise ConfigError(f"unknown command {command!r}; "
+                          f"expected one of {tuple(_DISPATCH)}")
 
     qblk = _block(raw, "quad")
     try:
@@ -217,15 +218,28 @@ def _metric_entry(m):
     }
 
 
+# The commands whose CSV form is a table: (header, report key of the rows).
+_TABLES = {"geodesic": (("tau", "mu", "sigma", "dmu_dtau", "dsigma_dtau"), "samples"),
+           "sample": (("x",), "draws")}
+
+
 def _emit(report, fmt, out):
+    """Write a report, converting its arrays (a CSV table row by row)."""
     if fmt == "json":
-        json.dump(report, out, indent=2)
+        json.dump(report, out, indent=2, default=np.ndarray.tolist)
         out.write("\n")
+    elif report["command"] in _TABLES:
+        header, key = _TABLES[report["command"]]
+        rows = report[key]
+        out.write(",".join(header) + "\n")
+        for row in rows.reshape(len(rows), -1):
+            out.write(",".join(map(repr, row.tolist())) + "\n")
     else:
         _emit_csv(report, out, prefix="")
 
 
 def _emit_csv(obj, out, prefix):
+    obj = obj.tolist() if isinstance(obj, np.ndarray) else obj
     if isinstance(obj, dict):
         for k in obj:
             _emit_csv(obj[k], out, f"{prefix}{k}.")
@@ -237,16 +251,10 @@ def _emit_csv(obj, out, prefix):
                   else f"{prefix.rstrip('.')},{obj}\n")
 
 
-def _rows_csv(header, rows, out):
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 # -- commands -------------------------------------------------------------
 
 
-def _cmd_metric(cfg, out):
+def _cmd_metric(cfg):
     paths = []
     if cfg.state.kind == "eigenstate":
         paths.append(_metric_entry(metric_closed_form(cfg.state, cfg.point)))
@@ -254,20 +262,18 @@ def _cmd_metric(cfg, out):
     coeffs = cfg.state.real_superposition_coeffs()
     if coeffs is not None:
         paths.append(_metric_entry(metric_series_real(coeffs, cfg.point)))
-    report = {
+    return {
         "command": "metric",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
         "paths": paths,
     }
-    _emit(report, cfg.output_format, out)
-    return 0
 
 
-def _cmd_curvature(cfg, out):
+def _cmd_curvature(cfg):
     metric = metric_quadrature(cfg.state, cfg.point, cfg.quad)
     reduced = scalar_curvature_reduced(metric)
     fd = curvature_finite_difference(metric)
-    report = {
+    return {
         "command": "curvature",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
         "reduced_formula": {"scalar_r": reduced.scalar_r,
@@ -276,69 +282,51 @@ def _cmd_curvature(cfg, out):
                               "riemann_1212": fd.riemann_1212},
         "discrepancy": abs(reduced.scalar_r - fd.scalar_r),
     }
-    _emit(report, cfg.output_format, out)
-    return 0
 
 
-def _cmd_crb(cfg, out):
+def _cmd_crb(cfg):
     trials = cfg.estimation.get("trials", 50)
     spt = cfg.estimation.get("samples_per_trial", 1000)
     seed = cfg.estimation.get("seed", 0)
     rep = crb_experiment(cfg.state, cfg.point, trials, spt, seed)
-    report = {
+    return {
         "command": "crb",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
         "trials": rep.trials,
         "samples_per_trial": rep.samples_per_trial,
-        "bound": [list(map(float, r)) for r in rep.bound],
-        "empirical_scaled_cov": [list(map(float, r)) for r in rep.empirical_cov],
+        "bound": rep.bound,
+        "empirical_scaled_cov": rep.empirical_cov,
         "violations": rep.violations,
-        "failed_trials": list(rep.failed_trials),
-        "failure_reasons": list(rep.failure_reasons),
+        "failed_trials": rep.failed_trials,
+        "failure_reasons": rep.failure_reasons,
         "compass_evaluations": rep.compass_evaluations,
         "newton_passes": rep.newton_passes,
     }
-    _emit(report, cfg.output_format, out)
-    return 0
 
 
-def _cmd_geodesic(cfg, out):
+def _cmd_geodesic(cfg):
     velocity = cfg.geodesic.get("velocity", [0.0, 1.0])
     tau_end = cfg.geodesic.get("tau_end", 1.0)
     steps = cfg.geodesic.get("steps", 1000)
     trace = geodesic_trace(metric_quadrature(cfg.state, cfg.point, cfg.quad),
                            velocity, tau_end, steps)
-    if cfg.output_format == "json":
-        report = {
-            "command": "geodesic",
-            "boundary_hit": trace.boundary_hit,
-            "samples": [list(map(float, r)) for r in trace.samples],
-        }
-        _emit(report, "json", out)
-    else:
-        _rows_csv(("tau", "mu", "sigma", "dmu_dtau", "dsigma_dtau"),
-                  trace.samples, out)
-    return 0
+    return {"command": "geodesic", "boundary_hit": trace.boundary_hit,
+            "samples": trace.samples}
 
 
-def _cmd_sample(cfg, out):
+def _cmd_sample(cfg):
     count = cfg.estimation.get("count", 1000)
     seed = cfg.estimation.get("seed", 0)
     batch = sample(cfg.state, cfg.point, count, seed)
-    if cfg.output_format == "json":
-        report = {"command": "sample", "seed": seed, "count": count,
-                  "draws": [float(v) for v in batch.draws]}
-        _emit(report, "json", out)
-    else:
-        _rows_csv(("x",), [(v,) for v in batch.draws], out)
-    return 0
+    return {"command": "sample", "seed": seed, "count": count,
+            "draws": batch.draws}
 
 
 def _rel_err(got, want):
     return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
 
-def _cmd_verify(cfg, out):
+def _cmd_verify(cfg):
     checks = []
 
     def check(name, passed, detail):
@@ -410,34 +398,26 @@ def _cmd_verify(cfg, out):
     mq_again = metric_quadrature(cfg.state, cfg.point, cfg.quad)
     check("metric_determinism", mq_again.reduced == mq.reduced, mq.reduced)
 
-    all_passed = all(c["passed"] for c in checks)
-    report = {"command": "verify", "all_passed": all_passed, "checks": checks}
-    _emit(report, cfg.output_format, out)
-    return 0 if all_passed else 1
+    return {"command": "verify",
+            "all_passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-_DISPATCH = {
-    "metric": _cmd_metric,
-    "curvature": _cmd_curvature,
-    "crb": _cmd_crb,
-    "geodesic": _cmd_geodesic,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-}
+_DISPATCH = {"metric": _cmd_metric, "curvature": _cmd_curvature, "crb": _cmd_crb,
+             "geodesic": _cmd_geodesic, "sample": _cmd_sample, "verify": _cmd_verify}
 
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one configured command; returns the process exit status."""
-    if out is None:
-        out = sys.stdout
     try:
-        return _DISPATCH[config.command](config, out)
+        report = _DISPATCH[config.command](config)
+        _emit(report, config.output_format, sys.stdout if out is None else out)
     except (QuadratureError, InvalidStateError, ValueError, RuntimeError,
             OverflowError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
                   sys.stderr)
         sys.stderr.write("\n")
         return 1
+    return 0 if report.get("all_passed", True) else 1
 
 
 def main(argv=None) -> int:

@@ -53,6 +53,18 @@ def _unit_divisor(total, renormalize, what):
     return total if renormalize else 1.0
 
 
+def _unique(terms, key, value, what):
+    """``terms`` (a mapping or (k, v) pairs) as {key(k): value(v)}; a key
+    given twice is refused, where a dict would keep its last value."""
+    out = {}
+    for k, v in terms.items() if hasattr(terms, "items") else terms:
+        k = key(k)
+        if k in out:
+            raise InvalidStateError(f"{what} {k} is given twice")
+        out[k] = value(v)
+    return out
+
+
 def _check_indices(kind, indices):
     for n in indices:
         if not 0 <= n <= MAX_DEGREE:
@@ -150,7 +162,7 @@ class StateSpec:
 
     @classmethod
     def mixture(cls, weights, renormalize: bool = False) -> "StateSpec":
-        w = {int(n): float(v) for n, v in dict(weights).items()}
+        w = _unique(weights, int, float, "mixture level")
         if not w:
             raise InvalidStateError("mixture needs at least one term")
         _check_indices("mixture", w)
@@ -163,7 +175,7 @@ class StateSpec:
 
     @classmethod
     def superposition(cls, coeffs, renormalize: bool = False) -> "StateSpec":
-        a = {int(n): complex(v) for n, v in dict(coeffs).items()}
+        a = _unique(coeffs, int, complex, "superposition level")
         if not a:
             raise InvalidStateError("superposition needs at least one term")
         _check_indices("superposition", a)
@@ -176,11 +188,10 @@ class StateSpec:
 
     @classmethod
     def density(cls, entries, renormalize: bool = False) -> "StateSpec":
-        table = {}
-        for (n, m), v in dict(entries).items():
-            n, m = int(n), int(m)
+        table = _unique(entries, lambda nm: tuple(map(int, nm)), complex,
+                        "density entry")
+        for n, m in table:
             _check_indices("density", (n, m))
-            table[(n, m)] = complex(v)
         if not table:
             raise InvalidStateError("density table is empty")
         for (n, m), v in table.items():

@@ -343,6 +343,7 @@ class TestMain:
         {"command": "geodesic", "geodesic": {"steps": 0}},
         {"command": "sample", "estimation": {"seed": -1}},
         None,
+        {"command": ["metric"]},
     ], ids=["point_number", "weight_string", "index_string", "output_string",
             "velocity_length", "trials_string", "renormalize_string",
             "rel_tol_bool", "max_evaluations_string", "max_evaluations_float",
@@ -351,7 +352,7 @@ class TestMain:
             "state_type_unknown", "quad_rejected", "format_unknown",
             "count_zero", "trials_too_few", "samples_per_trial_zero",
             "samples_per_trial_one", "steps_zero", "seed_negative",
-            "top_level_array"])
+            "top_level_array", "command_unhashable"])
     def test_malformed_config_exits_two(self, override, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]" if override is None else config_text(**override))
@@ -434,6 +435,38 @@ class TestMain:
         assert err["error"]["message"] == (
             "invalid 'weight' in a 'state' term: expected a finite number, "
             "got nan")
+
+    @pytest.mark.parametrize("override, message", [
+        ({"point": {"mu": "a", "sigma": 1.0}},
+         "invalid 'mu' in 'point': expected a number, got 'a'"),
+        ({"point": None, "physical": {"mass": 1.0, "omega0": 1.0}},
+         "missing field 'x0' in 'physical'"),
+        ({"state": {"type": "mixture", "terms": [{"n": 0}]}},
+         "malformed 'state' term: 'weight'"),
+        ({"state": {"type": "mixture", "terms": [
+            {"n": 0, "weight": 0.3}, {"n": 0, "weight": 0.2},
+            {"n": 1, "weight": 0.5}]}, "renormalize": True},
+         "invalid 'state': mixture level 0 is given twice"),
+        ({"state": {"type": "superposition", "terms": [
+            {"n": 0, "re": 0.6}, {"n": 1, "re": 0.8}, {"n": 1, "im": 0.8}]}},
+         "invalid 'state': superposition level 1 is given twice"),
+        ({"state": {"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": 0.5}, {"n": 1, "m": 1, "re": 0.5},
+            {"n": 0, "m": 1, "re": 0.1}, {"n": 1, "m": 0, "re": 0.1},
+            {"n": 0, "m": 1, "re": 0.2}]}},
+         "invalid 'state': density entry (0, 1) is given twice"),
+    ], ids=["point_mu_string", "physical_x0_missing", "term_weight_missing",
+            "mixture_level_repeated", "superposition_level_repeated",
+            "density_entry_repeated"])
+    def test_config_error_message(self, override, message, tmp_path, capsys):
+        # Each message names the field once, under one prefix; a None
+        # override drops the field.
+        raw = {k: v for k, v in json.loads(config_text(**override)).items()
+               if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
     @pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--tol", "0"],
                                        ["--seed", "-3"], ["--tol", "nan"],

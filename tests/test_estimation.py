@@ -12,6 +12,7 @@ from hermgauss.estimation import (
     SampleBatch,
     _cdf_table,
     _moment_init,
+    _newton_polish,
     _shallow,
     _y_moments,
     crb_experiment,
@@ -373,6 +374,23 @@ class TestMle:
         batch = sample(spec, ModelPoint(0.3, 1.2), 1, seed=1)
         with pytest.raises(ValueError, match="two distinct samples"):
             mle_fit(batch)
+
+    @pytest.mark.parametrize("n, seed, start, node, passes", [
+        (1, 1, (0.3, math.log(1.2)), True, 1),
+        (0, 2, (5.0, 0.0), False, 1),
+        (0, 2, (0.0, 2.0), False, 2),
+    ], ids=["sample_on_node", "hessian_indefinite", "step_overshoots"])
+    def test_newton_polish_refusals(self, n, seed, start, node, passes):
+        # A sample on the node of |1> makes f = 0 there, so the jet is None;
+        # far off in mu the Hessian of |0> is not negative definite; from
+        # sigma = e^2 the first Newton step overshoots to sigma ~ e^-25,
+        # where f underflows to 0, and the polish stops after two passes.
+        spec = StateSpec.eigenstate(n)
+        truth = ModelPoint(0.3, 1.2) if node else ORIGIN
+        x = sample(spec, truth, 500, seed).draws
+        if node:
+            x = np.append(x, 0.3)
+        assert _newton_polish(kernel(spec), x, *start, 50) == (None, passes)
 
 
 class TestNewtonFirst:

@@ -280,6 +280,10 @@ class TestSeriesMetric:
         with pytest.raises(InvalidStateError):
             metric_series_real({0: 1.0, 2: 0.5}, ORIGIN)
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(InvalidStateError, match="non-negative"):
+            metric_series_real({-1: 0.6, 0: 0.8}, ORIGIN)
+
     def test_matches_ladder_operator_derivation(self):
         # The series against the exact operator form, on random normalized
         # coefficient sets over levels 0..7 with some levels left empty.
@@ -505,6 +509,11 @@ class TestGeodesics:
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
                            velocity, tau_end, 10)
 
+    def test_requires_a_step(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
+                           (0.3, 0.2), 1.0, 0)
+
     def test_boundary_halt(self):
         tr = geodesic_trace(ground_metric(ModelPoint(0.0, 0.05)), (0.0, -5.0),
                             10.0, 200)
@@ -532,6 +541,12 @@ class TestCrbBound:
         assert sigma_variance_bound(m) == pytest.approx(1.0 / 6.0, rel=1e-13)
         assert sigma_variance_bound(m) == pytest.approx(crb_bound(m)[1, 1],
                                                         rel=1e-13)
+
+    def test_sigma_bound_requires_diagonal_metric(self):
+        m = metric_series_real({0: 0.6, 1: 0.8}, ORIGIN)
+        assert m.reduced[1] != 0.0
+        with pytest.raises(ValueError, match="diagonal metrics only"):
+            sigma_variance_bound(m)
 
     def test_singular_metric_rejected(self):
         with pytest.raises(ValueError, match="not positive definite"):

@@ -64,6 +64,11 @@ class TestModelPoint:
         with pytest.raises(ValueError):
             ModelPoint(0.0, -1.0)
 
+    @pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_requires_finite_coordinates(self, mu, sigma):
+        with pytest.raises(ValueError, match="must be finite"):
+            ModelPoint(mu, sigma)
+
     def test_y_mapping(self):
         p = ModelPoint(1.0, 2.0)
         assert p.y_of_x(1.0 + 2.0 * math.sqrt(2.0)) == pytest.approx(1.0)
@@ -133,6 +138,20 @@ class TestStateSpecValidation:
             "density_negative_trace", "density_trace_not_one"])
     def test_rejected_tables(self, build, message):
         with pytest.raises(InvalidStateError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StateSpec.mixture([(0, 0.3), (0, 0.2), (1, 0.5)],
+                                   renormalize=True), "mixture level 0"),
+        (lambda: StateSpec.superposition([(1, 0.6), (1.0, 0.8)]),
+         "superposition level 1"),
+        (lambda: StateSpec.density([((0, 0), 0.5), ((1, 1), 0.5),
+                                    ((0, 1), 0.1), ((1, 0), 0.1), ((0, 1), 0.2)]),
+         r"density entry \(0, 1\)"),
+    ], ids=["mixture", "superposition", "density"])
+    def test_repeated_level_rejected(self, build, message):
+        # A dict would silently keep the last value given for the level.
+        with pytest.raises(InvalidStateError, match=message + " is given twice"):
             build()
 
     def test_density_renormalize(self):
@@ -205,6 +224,15 @@ class TestStateSpecValidation:
         s = StateSpec.eigenstate(0)
         with pytest.raises(AttributeError):
             s.kind = "other"
+
+    @pytest.mark.parametrize("coeffs, real", [
+        ({0: 0.6, 1: 0.8}, {0: 0.6, 1: 0.8}),
+        ({0: 0.6j, 1: 0.8j}, {0: 0.6, 1: 0.8}),
+        ({0: 0.6, 1: 0.8j}, None),  # neither all real nor all imaginary
+    ], ids=["real", "imaginary", "mixed_phase"])
+    def test_real_superposition_coeffs(self, coeffs, real):
+        spec = StateSpec.superposition(coeffs)
+        assert spec.real_superposition_coeffs() == real
 
     def test_parity_flags(self):
         assert StateSpec.mixture({0: 0.25, 3: 0.75}).parity_even
