@@ -13,7 +13,9 @@ from hermgauss.estimation import (
     _cdf_table,
     _moment_init,
     _newton_polish,
+    _real_nodes,
     _shallow,
+    _start_cell,
     _y_moments,
     crb_experiment,
     log_likelihood,
@@ -34,6 +36,26 @@ SHALLOW = {
     "mixture_0_4": StateSpec.mixture({0: 0.5, 4: 0.5}),
     "mixture_2_5_11": StateSpec.mixture({2: 0.3, 5: 0.3, 11: 0.4}),
     "complex_0_1": StateSpec.superposition({0: 0.6, 1: 0.8j}),
+}
+# Nodal states, none shallow: Newton from the start's cell, or the
+# compass search when that fit is refused.
+NODAL = {
+    "n1": StateSpec.eigenstate(1),
+    "n3": StateSpec.eigenstate(3),
+    "real_0_1": StateSpec.superposition({0: 0.6, 1: 0.8}),
+}
+# 5,000-sample batches (state, true point, seed) on which Newton from the
+# start ends in the start's own cell at a log L 7.2, 3.8 and 14.5 below the
+# compass search's: the maximum lies in a cell one sample over.
+WORSE_CELL = {
+    "n2_a": (StateSpec.eigenstate(2),
+             (2.379974043807424, 0.8509286671057771), 3982035768),
+    "n2_b": (StateSpec.eigenstate(2),
+             (-2.56904919480751, 1.8584366793938507), 2810294827),
+    "real_0_1_2": (StateSpec.superposition({0: 0.2917337690280108,
+                                            1: -0.5399633859710288,
+                                            2: 0.7895131093398089}),
+                   (1.8018136727319076, 2.7118096197822106), 1351693725),
 }
 
 
@@ -477,6 +499,73 @@ class TestNewtonFirst:
         assert fit.compass_evaluations > 0
 
 
+def assert_matches_compass(spec, batch, fit):
+    mu, sigma = compass_fit(spec, batch.draws)
+    assert abs(fit.mu - mu) <= 1e-6 * sigma
+    assert abs(fit.sigma - sigma) <= 1e-6 * sigma
+
+
+class TestCellStart:
+    @pytest.mark.parametrize("spec", NODAL.values(), ids=NODAL)
+    def test_matches_reference_compass_search(self, spec):
+        newton_first = 0
+        for seed in range(40, 60):
+            batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed)
+            fit = mle_fit(batch)
+            assert_matches_compass(spec, batch, fit)
+            newton_first += fit.compass_evaluations == 0
+        # 19, 15 and 18 of the 20 take Newton from the start's cell.
+        assert newton_first >= 10
+
+    @pytest.mark.parametrize("spec, point, seed", WORSE_CELL.values(),
+                             ids=WORSE_CELL)
+    def test_worse_cell_is_refused(self, spec, point, seed):
+        batch = sample(spec, ModelPoint(*point), 5000, seed)
+        assert _start_cell(spec, batch.draws,
+                           _moment_init(spec, batch.draws)) is not None
+        fit = mle_fit(batch)
+        assert_matches_compass(spec, batch, fit)
+        assert fit.compass_evaluations > 0
+
+    def test_complex_roots_take_compass_path(self):
+        # The packet's roots are +-0.0139i: f dips to 7e-8 of its peak at
+        # y = 0 but has no node, so the cells are no concavity domains.
+        spec = StateSpec.superposition({0: 0.5775, 2: math.sqrt(1 - 0.5775 ** 2)})
+        assert _real_nodes(spec) is None and not _shallow(spec, 5000)
+        for seed in range(40, 45):
+            batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed)
+            fit = mle_fit(batch)
+            assert_matches_compass(spec, batch, fit)
+            assert fit.compass_evaluations > 0
+
+    def test_small_batch_takes_compass_path(self):
+        # 500 samples are below the cell-start floor.
+        spec = StateSpec.eigenstate(1)
+        for seed in range(40, 45):
+            batch = sample(spec, ModelPoint(0.3, 1.2), 500, seed)
+            fit = mle_fit(batch)
+            assert_matches_compass(spec, batch, fit)
+            assert fit.compass_evaluations > 0
+
+    @pytest.mark.parametrize("spec, nodes", [
+        (StateSpec.eigenstate(2), [-math.sqrt(0.5), math.sqrt(0.5)]),
+        (StateSpec.superposition({0: 0.6, 1: 0.8}), [-0.75 / math.sqrt(2.0)]),
+        (StateSpec.superposition({0: 0.6j, 1: 0.8j}), [-0.75 / math.sqrt(2.0)]),
+        (StateSpec.superposition({0: 0.6, 2: 0.8}), None),
+        (StateSpec.superposition({0: 0.6, 1: 0.8j}), None),
+        (RHO01, None),
+    ], ids=["n2", "real_0_1", "imaginary_0_1", "complex_roots", "complex_0_1",
+            "rho01"])
+    def test_real_nodes(self, spec, nodes):
+        # 0.6 psi_0 + 0.8 psi_1 vanishes where 0.6 + 0.8 sqrt(2) y = 0.
+        got = _real_nodes(spec)
+        if nodes is None:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got, nodes, rtol=1e-14, atol=1e-15)
+        assert _real_nodes(spec) is got
+
+
 class TestCrbExperiment:
     def test_small_run_is_clean(self):
         rep = crb_experiment(StateSpec.eigenstate(0), ORIGIN,
@@ -490,16 +579,19 @@ class TestCrbExperiment:
         assert rep.compass_evaluations == 0
         assert rep.newton_passes >= 40
 
-    @pytest.mark.parametrize("spec, compass, passes", [
-        (StateSpec.eigenstate(2), 922, 99),
-        (RHO01, 0, 118),
-        (StateSpec.eigenstate(0), 0, 30),
-    ], ids=["n2", "rho01", "n0"])
-    def test_fit_counters(self, spec, compass, passes):
-        # The compass search then Newton on |2>, Newton-first on the others:
-        # any change to the order of hand-offs moves these counts.
+    @pytest.mark.parametrize("spec, samples, compass, passes", [
+        (StateSpec.eigenstate(2), 500, 922, 99),
+        (StateSpec.eigenstate(2), 5000, 58, 109),
+        (RHO01, 500, 0, 118),
+        (StateSpec.eigenstate(0), 500, 0, 30),
+    ], ids=["n2", "n2_5000", "rho01", "n0"])
+    def test_fit_counters(self, spec, samples, compass, passes):
+        # The compass search then Newton on |2> at 500 samples, below the
+        # cell-start floor; at 5,000 Newton from the start's cell stands on
+        # 28 of 30 trials.  Newton-first on the others: any change to the
+        # order of hand-offs moves these counts.
         rep = crb_experiment(spec, ModelPoint(0.3, 1.2),
-                             trials=30, samples_per_trial=500, seed=1)
+                             trials=30, samples_per_trial=samples, seed=1)
         assert (rep.compass_evaluations, rep.newton_passes) == (compass, passes)
 
     def test_report_determinism(self):
