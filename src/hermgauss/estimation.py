@@ -3,8 +3,9 @@
 Sampling is by inverse CDF on a tabulated grid (the node structure of the
 densities makes rejection envelopes fiddly, while the CDF table reuses the
 quadrature truncation window).  The table's cubic Hermite segments take the
-kernel's exact f and f'; each draw's segment is found once and its quartic
-CDF is inverted by safeguarded Newton steps.
+kernel's exact f and f'.  The keys are sorted once for an in-order segment
+lookup, each draw's quartic CDF is inverted by safeguarded Newton steps, and
+the draws are scattered back: bit for bit those of the unsorted keys.
 
 Maximum likelihood works on (mu, log sigma) from the moment initializer,
 whose E[y] and Var y are sums over the state's table.  The log-likelihood is
@@ -178,7 +179,7 @@ class _CdfTable:
         self.total = total
 
     def invert(self, u: np.ndarray) -> np.ndarray:
-        """y with CDF(y) = u, vectorized over u.
+        """y with CDF(y) = u, vectorized over a 1-D u.
 
         Each u's table segment [y_k, y_k + h] is found from ``cdf_vals``, so
         the quartic residual r(t) = CDF(y_k + t) - u has r(0) <= 0 <= r(h).
@@ -187,10 +188,21 @@ class _CdfTable:
         outside it by the bracket's midpoint.  This needs no monotone cubic:
         one that dips just below zero near a density zero still puts the
         draw in its segment.
+
+        The keys are sorted once, so the segment lookup and the gather walk
+        the table in order, and the draws are scattered back.  They are the
+        unsorted keys' draws bit for bit: each pass is elementwise IEEE
+        arithmetic, the passes stop when the whole batch has converged (so
+        their count depends on the set of keys, not its order), and tied
+        keys give identical draws.
         """
+        order = np.argsort(u)
+        u = u[order]
         k = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
-        c4, c3, c2, c1, c0 = self.coeffs[:, k]
+        c4, c3, c2, c1, c0 = np.take(self.coeffs, k, axis=1)
+        d4, d3, d2 = 4.0 * c4, 3.0 * c3, 2.0 * c2
         h = self.y[k + 1] - self.y[k]
+        tol = _INVERT_TOL * h
         target = u * self.total
         lo = np.zeros_like(h)
         hi = h.copy()
@@ -203,18 +215,20 @@ class _CdfTable:
             # exhaust double precision on any segment.
             for _ in range(60):
                 r = (((c4 * t + c3) * t + c2) * t + c1) * t + c0 - target
-                d = ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+                d = ((d4 * t + d3) * t + d2) * t + c1
                 below = r < 0.0
                 lo = np.where(below, t, lo)
                 hi = np.where(below, hi, t)
                 step = t - r / d
                 # Closed bracket: a converged iterate sits on an end point.
                 step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-                done = np.abs(step - t) <= _INVERT_TOL * h
+                done = np.abs(step - t) <= tol
                 t = step
                 if done.all():
                     break
-        return self.y[k] + t
+        out = np.empty_like(t)
+        out[order] = self.y[k] + t
+        return out
 
 
 def _cdf_table(spec: StateSpec) -> _CdfTable:
@@ -231,8 +245,9 @@ def sample(spec: StateSpec, point: ModelPoint, count: int, seed: int) -> SampleB
     Reproducible: the same (spec, point, count, seed) always yields the
     same draws.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    # A float or bool count would reach ``rng.random`` as a shape.
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"count must be an int >= 1, got {count!r}")
     table = _cdf_table(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = rng.random(count)

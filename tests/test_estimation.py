@@ -10,6 +10,7 @@ import hermgauss.estimation
 from hermgauss.estimation import (
     MleFit,
     SampleBatch,
+    _INVERT_TOL,
     _cdf_table,
     _moment_init,
     _newton_polish,
@@ -88,6 +89,36 @@ def bisect_cdf(spec, table, u, iterations=60):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def unsorted_invert(table, u):
+    """Reference inversion on u in its own order: the segment lookup, the
+    coefficient gather and the bracketed Newton passes of ``invert`` without
+    the sort and the scatter back.  ``invert`` must match it bit for bit."""
+    k = np.clip(np.searchsorted(table.cdf_vals, u), 1, table.y.size - 1) - 1
+    c4, c3, c2, c1, c0 = table.coeffs[:, k]
+    h = table.y[k + 1] - table.y[k]
+    target = u * table.total
+    lo = np.zeros_like(h)
+    hi = h.copy()
+    mass = table.cdf_vals[k + 1] - table.cdf_vals[k]
+    frac = np.divide(u - table.cdf_vals[k], mass,
+                     out=np.full_like(h, 0.5), where=mass > 0.0)
+    t = h * np.clip(frac, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            r = (((c4 * t + c3) * t + c2) * t + c1) * t + c0 - target
+            d = ((4.0 * c4 * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
+            below = r < 0.0
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            step = t - r / d
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(step - t) <= _INVERT_TOL * h
+            t = step
+            if done.all():
+                break
+    return table.y[k] + t
 
 
 def exact_cdf(spec, y):
@@ -284,6 +315,41 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample(StateSpec.eigenstate(0), ORIGIN, 0, seed=1)
 
+    @pytest.mark.parametrize("count", [2.5, True, 3.0])
+    def test_count_that_is_not_an_int_is_refused(self, count):
+        with pytest.raises(ValueError, match="count"):
+            sample(StateSpec.eigenstate(0), ORIGIN, count, seed=1)
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.eigenstate(0),
+        StateSpec.eigenstate(2),
+        StateSpec.eigenstate(150),
+        RHO01,
+        StateSpec.mixture({0: 0.5, 20: 0.5}),
+        StateSpec.superposition({0: 0.6, 1: 0.48j, 2: 0.64}),
+    ], ids=["ground", "n2", "n150", "rho01", "mixture_0_20", "complex_0_1_2"])
+    @pytest.mark.parametrize("size", [1, 7, 256, 5000])
+    def test_sorted_inversion_is_bit_identical(self, spec, size):
+        table = _cdf_table(spec)
+        rng = np.random.default_rng(size)
+        u = rng.random(size)
+        # Ties and a key of exactly 0.0, when the batch has room for them.
+        u[size // 2:] = u[:size - size // 2]
+        u[size // 3] = 0.0
+        got = table.invert(u)
+        assert np.array_equal(got.view(np.int64),
+                              unsorted_invert(table, u).view(np.int64))
+        p = rng.permutation(size)
+        assert np.array_equal(table.invert(u[p]).view(np.int64),
+                              got[p].view(np.int64))
+
+    def test_deep_state_draws_without_warnings(self):
+        # The tabulated tails of |150> reach 5e-324; under the suite's
+        # filterwarnings = "error" an overflow or underflow warning in the
+        # table build or the inversion would fail this draw.
+        spec = StateSpec.eigenstate(150)
+        assert sample(spec, ORIGIN, 1000, seed=3).draws.size == 1000
+
 
 class TestPchip:
     """The table's piecewise cubic Hermite interpolating polynomial
@@ -303,13 +369,6 @@ class TestPchip:
                                    rtol=0.0, atol=1e-13)
         assert table.total == pytest.approx(vals[-1], rel=1e-13)
 
-
-    def test_deep_state_draws_without_warnings(self):
-        # The tabulated tails of |150> reach 5e-324; under the suite's
-        # filterwarnings = "error" an overflow or underflow warning in the
-        # table build or the inversion would fail this draw.
-        spec = StateSpec.eigenstate(150)
-        assert sample(spec, ORIGIN, 1000, seed=3).draws.size == 1000
 
 
 class TestMle:
