@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .estimation import _MIN_TRIALS, _y_moments, crb_experiment, sample
+from .estimation import _MIN_SAMPLES, _MIN_TRIALS, _y_moments, crb_experiment, sample
 from .geometry import (
     curvature_finite_difference,
     geodesic_trace,
@@ -95,7 +95,7 @@ _CONVERT = {
     "velocity": _pair,
 }
 # The least value of each count that the library accepts.
-_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": 2, "count": 1,
+_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": _MIN_SAMPLES, "count": 1,
           "steps": 1, "seed": 0}
 
 

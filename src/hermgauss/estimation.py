@@ -43,7 +43,8 @@ Otherwise, or when a Newton attempt fails or is refused, a compass search
 first walks uphill from the initializer until its steps fall to 1e-2, which
 places it in the maximum's cell, and Newton then polishes the estimate.  A
 Newton step that lowers the likelihood, meets a density zero or sees an
-indefinite Hessian hands the fit back to the compass search.
+indefinite Hessian hands the fit back to the compass search.  ``_start_cell``
+picks the start from one scan of the packet roots, ``_dips``, kept per spec.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import crb_bound, metric_quadrature
-from .models import ModelPoint, StateSpec, kernel
+from .models import ModelPoint, StateSpec, _per_spec, kernel
 from .quadrature import QuadratureError, truncation_halfwidth
 
 __all__ = [
@@ -78,6 +79,8 @@ _FIT_TOL = 1e-9
 _LL_ROUNDING = 1e-12
 # Fewest trials (and surviving fits) that make the covariance meaningful.
 _MIN_TRIALS = 30
+# Fewest samples per trial whose likelihood can have a maximum.
+_MIN_SAMPLES = 2
 # Objective evaluations, Newton passes included, after which a fit fails.
 _MAX_EVALUATIONS = 20000
 # Narrowest dip half-width of f, relative to sqrt(Var y) and times the
@@ -231,12 +234,9 @@ class _CdfTable:
         return out
 
 
+@_per_spec
 def _cdf_table(spec: StateSpec) -> _CdfTable:
-    table = spec._kernel_cache.get("cdf")
-    if table is None:
-        table = _CdfTable(spec)
-        spec._kernel_cache["cdf"] = table
-    return table
+    return _CdfTable(spec)
 
 
 def sample(spec: StateSpec, point: ModelPoint, count: int, seed: int) -> SampleBatch:
@@ -269,26 +269,26 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
     A compass search walks from the moment-matching point and hands the fit
-    to Newton once its steps fall to each scale in turn: at once on a
-    shallow batch or one that starts in a qualifying cell (see the module
-    docstring; a fit from the cell stands only if certified), then at 1e-2.
-    Newton stops at a step below 1e-9 (relative to sigma for mu); if it
-    fails, the compass search resumes and runs its steps down to 1e-9.
-    The fit fails after ``_MAX_EVALUATIONS`` objective evaluations, Newton
-    passes included, and a batch of fewer than two distinct samples, whose
-    likelihood has no maximum, is refused.
+    to Newton once its steps fall to each scale in turn: at once when
+    ``_start_cell`` gives () or a cell (a fit from the cell stands only if
+    certified), then at 1e-2.  Newton stops at a step below 1e-9 (relative
+    to sigma for mu); if it fails, the compass search resumes and runs its
+    steps down to 1e-9.  The fit fails after ``_MAX_EVALUATIONS`` objective
+    evaluations, Newton passes included.  A batch with a draw that is not
+    finite, or of fewer than two distinct samples, whose likelihood has no
+    maximum, is refused.
     """
     spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("draws must be finite")
     if x.size == 0 or np.ptp(x) == 0.0:
         raise ValueError("need at least two distinct samples")
     kf = kernel(spec)
     init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
-    shallow = _shallow(spec, x.size)
-    cell = None if shallow else _start_cell(spec, x, init)
-    handoffs = ([math.inf, _HANDOFF_STEP] if shallow or cell is not None
-                else [_HANDOFF_STEP])
+    cell = _start_cell(spec, x, init)
+    handoffs = [_HANDOFF_STEP] if cell is None else [math.inf, _HANDOFF_STEP]
 
     def objective(m, l):
         return log_likelihood(spec, x, m, math.exp(l))
@@ -305,7 +305,7 @@ def mle_fit(batch: SampleBatch) -> MleFit:
             fit, used = _newton_polish(kf, x, mu, ls,
                                        _MAX_EVALUATIONS - steps - passes)
             passes += used
-            if fit is not None and cell is not None and not _certify(fit, *cell):
+            if fit is not None and cell and not _certify(fit, *cell):
                 fit = None
             cell = None
             if fit is not None:
@@ -329,59 +329,48 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     return MleFit(mu, math.exp(ls), steps, passes)
 
 
-def _shallow(spec: StateSpec, count: int) -> bool:
-    """Whether every dip of f is at least ``_SHALLOW_DIP`` sqrt(Var y) / count
-    wide.
+@_per_spec
+def _dips(spec: StateSpec):
+    """(nodes, narrowest) from one scan of the packet roots.
 
-    A dip is the real part z of a packet root where f'' > 0, and its
-    half-width is sqrt(2 f(z) / f''(z)).  Testing f(z) > 0 instead would not
-    do: f at the nodes of |2> rounds to ~1e-33, not 0.  The narrowest
-    half-width over sqrt(Var y) is cached on the spec: inf with no dip, 0
-    when a root is not finite.
+    ``nodes``: the sorted roots of a rank-one state whose roots are all
+    real, each a node of f, else None.  A dip is the real part z of a packet
+    root where f'' > 0, and its half-width is sqrt(2 f(z) / f''(z)); testing
+    f(z) > 0 instead would not do: f at the nodes of |2> rounds to ~1e-33,
+    not 0.  ``narrowest``: the narrowest half-width over sqrt(Var y), inf
+    with no dip.  A root that is not finite gives (None, 0).
     """
-    narrowest = spec._kernel_cache.get("narrowest_dip")
-    if narrowest is None:
-        kf = kernel(spec)
-        z = np.concatenate(kf.roots())
-        narrowest = 0.0
-        if np.all(np.isfinite(z)):
-            f, _, d2 = kf.jet(z.real, 2)
-            dip = d2 > 0.0
-            width = np.sqrt(2.0 * f[dip] / d2[dip])
-            narrowest = (float(width.min(initial=math.inf))
-                         / math.sqrt(_y_moments(spec)[1]))
-        spec._kernel_cache["narrowest_dip"] = narrowest
-    return narrowest * count >= _SHALLOW_DIP
+    kf = kernel(spec)
+    z = np.concatenate(kf.roots())
+    if not np.all(np.isfinite(z)):
+        return None, 0.0
+    nodes = np.sort(z.real) if kf.rank == 1 and np.all(z.imag == 0.0) else None
+    f, _, d2 = kf.jet(z.real, 2)
+    dip = d2 > 0.0
+    width = np.sqrt(2.0 * f[dip] / d2[dip]).min(initial=math.inf)
+    return nodes, float(width) / math.sqrt(_y_moments(spec)[1])
 
 
-def _real_nodes(spec: StateSpec):
-    """The sorted packet roots of a rank-one state when all are real and
-    finite, else None; cached on the spec.  Each is a node of f."""
-    nodes = spec._kernel_cache.get("real_nodes", False)
-    if nodes is False:
-        kf = kernel(spec)
-        nodes = None
-        if kf.rank == 1:
-            z = kf.roots()[0]
-            if np.all(np.isfinite(z)) and np.all(z.imag == 0.0):
-                nodes = np.sort(z.real)
-        spec._kernel_cache["real_nodes"] = nodes
-    return nodes
+def _shallow(spec: StateSpec, count: int) -> bool:
+    """Whether every dip is at least _SHALLOW_DIP sqrt(Var y) / count wide."""
+    return _dips(spec)[1] * count >= _SHALLOW_DIP
 
 
 def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
-    """(sorted samples xs, nodes, the start's cell) when the start's cell
-    is the one the widest nearby sample gaps mark out, else None.  A cell
-    holds, per node z, the index j of the gap (xs[j-1], xs[j]) that holds
-    the node's line x = mu + sqrt(2) sigma z.
-
-    Only a rank-one state whose roots are all real and finite, and a batch
-    of at least ``_CELL_FLOOR`` samples, qualify.  For each node z the window
-    is ``_CELL_WINDOW`` standard errors of its line's position at the start,
-    sqrt(2) sigma sqrt(Var y / N) (1 + |z|), to either side; a gap that
-    meets the window counts, the unbounded end gaps included.
+    """The MLE's Newton start: () for a shallow batch, which has no barrier
+    and so nothing to certify; (sorted samples xs, nodes, the start's cell),
+    for ``_certify``, when the widest nearby sample gaps mark out the start's
+    cell; else None, and the compass search goes first.  A cell holds, per
+    node z, the index j of the gap (xs[j-1], xs[j]) that holds the node's
+    line x = mu + sqrt(2) sigma z.  Only a rank-one state whose roots are
+    all real and finite, and a batch of at least ``_CELL_FLOOR`` samples,
+    qualify.  Node z's window is ``_CELL_WINDOW`` standard errors of its
+    line's position at the start, sqrt(2) sigma sqrt(Var y / N) (1 + |z|),
+    to either side; a gap that meets it counts, the unbounded end gaps too.
     """
-    nodes = _real_nodes(spec)
+    if _shallow(spec, x.size):
+        return ()
+    nodes = _dips(spec)[0]
     if nodes is None or x.size < _CELL_FLOOR:
         return None
     xs = np.sort(x)
@@ -527,6 +516,7 @@ def _newton_polish(kf, x, mu, ls, budget):
     return None, passes
 
 
+@_per_spec
 def _y_moments(spec: StateSpec):
     """(E[y], Var y) from the table: E[y^p] = sum_nm Re(lambda_nm) <n|y^p|m>.
 
@@ -534,21 +524,17 @@ def _y_moments(spec: StateSpec):
     <n|y|m> = sqrt(k/2) for |n - m| = 1, <n|y^2|m> = n + 1/2 for n = m and
     sqrt(k(k-1))/2 for |n - m| = 2 (k = max(n, m)); the rest are zero.
     """
-    moments = spec._kernel_cache.get("y_moments")
-    if moments is None:
-        e1, e2 = [], []
-        for (n, m), v in spec.table.items():
-            k = max(n, m)
-            if n == m:
-                e2.append(v.real * (n + 0.5))
-            elif abs(n - m) == 1:
-                e1.append(v.real * math.sqrt(k / 2.0))
-            elif abs(n - m) == 2:
-                e2.append(v.real * math.sqrt(k * (k - 1)) / 2.0)
-        ey = math.fsum(e1)
-        moments = (ey, max(math.fsum(e2) - ey * ey, 1e-12))
-        spec._kernel_cache["y_moments"] = moments
-    return moments
+    e1, e2 = [], []
+    for (n, m), v in spec.table.items():
+        k = max(n, m)
+        if n == m:
+            e2.append(v.real * (n + 0.5))
+        elif abs(n - m) == 1:
+            e1.append(v.real * math.sqrt(k / 2.0))
+        elif abs(n - m) == 2:
+            e2.append(v.real * math.sqrt(k * (k - 1)) / 2.0)
+    ey = math.fsum(e1)
+    return ey, max(math.fsum(e2) - ey * ey, 1e-12)
 
 
 def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:
@@ -580,10 +566,14 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     chained to the first failure, when fewer than 30 fits succeed.  The
     compass objective evaluations and Newton passes of the fits that
     succeed are summed in ``compass_evaluations`` and ``newton_passes``.
+    ValueError is raised before any work unless ``trials`` is an int >= 30
+    and ``samples_per_trial`` an int >= 2.
     """
-    if trials < _MIN_TRIALS:
-        raise ValueError(
-            f"need at least {_MIN_TRIALS} trials for a meaningful covariance")
+    for name, value, least in (("trials", trials, _MIN_TRIALS),
+                               ("samples_per_trial", samples_per_trial,
+                                _MIN_SAMPLES)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     metric = metric_quadrature(spec, point)
     bound = crb_bound(metric)
     fits = []

@@ -216,7 +216,7 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
     if any(n < 0 for n in a):
         raise InvalidStateError("coefficient indices must be non-negative")
     norm2 = math.fsum(v * v for v in a.values())
-    if abs(norm2 - 1.0) > 1e-12:
+    if not abs(norm2 - 1.0) <= 1e-12:
         raise InvalidStateError(
             f"coefficients must be normalized, got sum of squares {norm2!r}")
 
@@ -370,10 +370,11 @@ def geodesic_trace(metric: MetricTensor2, velocity, tau_end: float,
     leaves the normal double range before tau_end: it underflows toward
     sigma = 0 or, going straight up, overflows.  The samples stop there,
     so each one keeps full precision.  Raises ValueError unless ``steps``
-    >= 1 and ``tau_end`` and ``velocity`` are finite.
+    is an int >= 1 and ``tau_end`` and ``velocity`` are finite.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    # A float steps would space the samples past tau_end.
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ValueError(f"steps must be >= 1 and an int, got {steps!r}")
     vm0, vs0 = float(velocity[0]), float(velocity[1])
     if not all(map(math.isfinite, (tau_end, vm0, vs0))):
         raise ValueError("tau_end and velocity must be finite")

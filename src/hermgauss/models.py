@@ -15,6 +15,7 @@ carried on the normalized Hermite functions so large indices stay finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,8 +134,7 @@ class StateSpec:
     which is what the kernel evaluation consumes.
     """
 
-    __slots__ = ("kind", "table", "coeffs", "parity_even", "max_index",
-                 "_kernel_cache")
+    __slots__ = ("kind", "table", "coeffs", "parity_even", "max_index", "_memo")
 
     def __init__(self, kind, table, coeffs=None):
         object.__setattr__(self, "kind", kind)
@@ -144,7 +144,7 @@ class StateSpec:
                            max((max(n, m) for (n, m) in self.table), default=0))
         parity = all((n - m) % 2 == 0 for (n, m) in self.table)
         object.__setattr__(self, "parity_even", parity)
-        object.__setattr__(self, "_kernel_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("StateSpec is immutable")
@@ -260,8 +260,19 @@ class KernelFn:
     roots: object
 
 
+def _per_spec(fn):
+    """``fn(spec)`` computed once per spec, kept in its memo under ``fn``."""
+    @functools.wraps(fn)
+    def memoized(spec):
+        if fn not in spec._memo:
+            spec._memo[fn] = fn(spec)
+        return spec._memo[fn]
+    return memoized
+
+
+@_per_spec
 def kernel(spec: StateSpec) -> KernelFn:
-    """Build the kernel of a state; cached on the spec.
+    """Build the kernel of a state, once per spec.
 
     The real table over the occupied levels is factored once as
     L = V diag(p) V^T, keeping p > max(p) levels eps (numpy's matrix_rank
@@ -276,9 +287,6 @@ def kernel(spec: StateSpec) -> KernelFn:
     from ``hermroots``; components below eps of the packet's largest are
     rounding and are dropped first, so they add no spurious far roots.
     """
-    cached = spec._kernel_cache.get("kernel")
-    if cached is not None:
-        return cached
     top = spec.max_index
     levels = np.array(sorted({k for nm in spec.table for k in nm}))
     # Purely imaginary lambda_nm pairs cancel between (n, m) and (m, n).
@@ -355,11 +363,9 @@ def kernel(spec: StateSpec) -> KernelFn:
         found = tuple(out)
         return found
 
-    kf = KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
-                  jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2,
-                  rank=rank, roots=roots)
-    spec._kernel_cache["kernel"] = kf
-    return kf
+    return KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
+                    jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2,
+                    rank=rank, roots=roots)
 
 
 def pdf(spec: StateSpec, point: ModelPoint, x):

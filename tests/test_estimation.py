@@ -11,10 +11,11 @@ from hermgauss.estimation import (
     MleFit,
     SampleBatch,
     _INVERT_TOL,
+    _CdfTable,
     _cdf_table,
+    _dips,
     _moment_init,
     _newton_polish,
-    _real_nodes,
     _shallow,
     _start_cell,
     _y_moments,
@@ -24,7 +25,7 @@ from hermgauss.estimation import (
     sample,
 )
 from hermgauss.hermite import MAX_DEGREE
-from hermgauss.models import ModelPoint, StateSpec, kernel
+from hermgauss.models import KernelFn, ModelPoint, StateSpec, kernel
 from hermgauss.quadrature import QuadConfig, integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
@@ -232,6 +233,30 @@ class TestMoments:
     def test_cached_on_the_spec(self):
         spec = StateSpec.superposition({0: 0.6, 1: 0.8})
         assert _y_moments(spec) is _y_moments(spec)
+
+
+class TestPerSpecMemo:
+    @pytest.mark.parametrize("make", [
+        lambda: StateSpec.eigenstate(2),
+        lambda: StateSpec.mixture({0: 0.5, 1: 0.5}),
+        lambda: StateSpec.superposition({0: 0.6, 1: 0.8}),
+    ], ids=["n2", "rho01", "real_0_1"])
+    def test_one_value_per_function_and_spec(self, make):
+        # Each function keeps its own value on the spec: the same object on
+        # every call, whatever was computed before it, and a fresh one for
+        # an equal but new spec.
+        funcs = (kernel, _cdf_table, _y_moments, _dips)
+        spec = make()
+        first = [fn(spec) for fn in funcs]
+        for fn, value in zip(funcs, first):
+            assert fn(spec) is value
+        kf, table, moments, dips = first
+        assert isinstance(kf, KernelFn) and isinstance(table, _CdfTable)
+        assert len(moments) == 2 and all(isinstance(v, float) for v in moments)
+        assert len(dips) == 2 and isinstance(dips[1], float)
+        fresh = make()
+        for fn, value in zip(reversed(funcs), reversed(first)):
+            assert fn(fresh) is not value
 
 
 class TestSampler:
@@ -456,6 +481,16 @@ class TestMle:
         with pytest.raises(ValueError, match="two distinct samples"):
             mle_fit(batch)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_draw_rejected(self, bad):
+        # Refused before the moment start, which np.std would make non-finite
+        # (with a RuntimeWarning for inf, an error under this suite).
+        draws = sample(RHO01, ORIGIN, 100, seed=1).draws
+        draws[17] = bad
+        batch = SampleBatch(spec=RHO01, true_point=ORIGIN, draws=draws, rng_seed=1)
+        with pytest.raises(ValueError, match="draws must be finite"):
+            mle_fit(batch)
+
     @pytest.mark.parametrize("n, seed, start, node, passes", [
         (1, 1, (0.3, math.log(1.2)), True, 1),
         (0, 2, (5.0, 0.0), False, 1),
@@ -590,7 +625,7 @@ class TestCellStart:
         # The packet's roots are +-0.0139i: f dips to 7e-8 of its peak at
         # y = 0 but has no node, so the cells are no concavity domains.
         spec = StateSpec.superposition({0: 0.5775, 2: math.sqrt(1 - 0.5775 ** 2)})
-        assert _real_nodes(spec) is None and not _shallow(spec, 5000)
+        assert _dips(spec)[0] is None and not _shallow(spec, 5000)
         for seed in range(40, 45):
             batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed)
             fit = mle_fit(batch)
@@ -617,12 +652,25 @@ class TestCellStart:
             "rho01"])
     def test_real_nodes(self, spec, nodes):
         # 0.6 psi_0 + 0.8 psi_1 vanishes where 0.6 + 0.8 sqrt(2) y = 0.
-        got = _real_nodes(spec)
+        got = _dips(spec)[0]
         if nodes is None:
             assert got is None
         else:
             np.testing.assert_allclose(got, nodes, rtol=1e-14, atol=1e-15)
-        assert _real_nodes(spec) is got
+        assert _dips(spec)[0] is got
+
+    @pytest.mark.parametrize("spec, count, shallow", [
+        (RHO01, 5000, True),
+        (StateSpec.eigenstate(0), 1000, True),
+        (StateSpec.eigenstate(2), 500, False),
+        (StateSpec.mixture({0: 0.5, 20: 0.5}), 5000, False),
+    ], ids=["rho01", "n0", "n2_below_floor", "mixture_0_20"])
+    def test_newton_start_rule(self, spec, count, shallow):
+        # A shallow batch starts Newton with nothing to certify; a deep one
+        # without a qualifying cell starts the compass search.
+        batch = sample(spec, ModelPoint(0.3, 1.2), count, seed=3)
+        got = _start_cell(spec, batch.draws, _moment_init(spec, batch.draws))
+        assert got == () if shallow else got is None
 
 
 class TestCrbExperiment:
@@ -693,3 +741,23 @@ class TestCrbExperiment:
         with pytest.raises(ValueError):
             crb_experiment(StateSpec.eigenstate(0), ORIGIN,
                            trials=10, samples_per_trial=100, seed=0)
+
+    @pytest.mark.parametrize("trials, samples, field", [
+        (30, 1, "samples_per_trial"),
+        (30, 0, "samples_per_trial"),
+        (30, 500.0, "samples_per_trial"),
+        (30, True, "samples_per_trial"),
+        (30.0, 500, "trials"),
+        (29, 500, "trials"),
+    ], ids=["samples_one", "samples_zero", "samples_float", "samples_bool",
+            "trials_float", "trials_too_few"])
+    def test_unfittable_run_is_refused_up_front(self, trials, samples, field,
+                                                monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(hermgauss.estimation, "metric_quadrature", no_work)
+        monkeypatch.setattr(hermgauss.estimation, "sample", no_work)
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            crb_experiment(StateSpec.eigenstate(0), ORIGIN,
+                           trials=trials, samples_per_trial=samples, seed=0)

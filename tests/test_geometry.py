@@ -280,6 +280,13 @@ class TestSeriesMetric:
         with pytest.raises(InvalidStateError):
             metric_series_real({0: 1.0, 2: 0.5}, ORIGIN)
 
+    @pytest.mark.parametrize("coeffs", [{0: math.nan}, {0: 0.6, 1: math.nan}],
+                             ids=["nan", "nan_second"])
+    def test_nan_coefficient_fails_normalization(self, coeffs):
+        # A NaN sum of squares must fail the check, not reach MetricTensor2.
+        with pytest.raises(InvalidStateError, match="must be normalized"):
+            metric_series_real(coeffs, ORIGIN)
+
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidStateError, match="non-negative"):
             metric_series_real({-1: 0.6, 0: 0.8}, ORIGIN)
@@ -513,6 +520,15 @@ class TestGeodesics:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
                            (0.3, 0.2), 1.0, 0)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True],
+                             ids=["fraction", "float", "bool"])
+    def test_steps_must_be_an_int(self, steps):
+        # A float would space the rows by tau_end / steps and run past
+        # tau_end: 2.5 gave tau = 0, 0.4, 0.8, 1.2.
+        with pytest.raises(ValueError, match="^steps must be >= 1 and an int"):
+            geodesic_trace(metric_closed_form(StateSpec.eigenstate(0), ORIGIN),
+                           (0.0, 1.0), 1.0, steps)
 
     def test_boundary_halt(self):
         tr = geodesic_trace(ground_metric(ModelPoint(0.0, 0.05)), (0.0, -5.0),
