@@ -7,12 +7,16 @@ to the metric are provided: the closed form for number states, the series sums
 valid for real superpositions, and two quadratures of the Fisher integrals --
 Gauss-Hermite, exact for states whose kernel has rank one, and adaptive
 Gauss-Kronrod for any state.  ``metric_quadrature`` takes the exact rule at
-rank one and the adaptive integral otherwise.  Every route returns a
-``MetricTensor2``, which holds only finite, positive-definite metrics; its
-consumers (the curvatures, the geodesics, the Cramer-Rao bound) take one from
-any route and neither integrate nor check it.  Two routes lead to the scalar
-curvature (the reduced determinant formula and a finite-difference assembly of
-the full Riemann tensor, which exists to validate conventions).  With
+rank one and the adaptive integral otherwise.  For a parity-even state (f
+even) the off-diagonal is exactly zero, and the adaptive route integrates
+the two diagonal components on the half-line y >= 0 and doubles them, unless
+``force_offdiagonal`` asks for the off-diagonal integral, which keeps the
+full line.  Every route returns a ``MetricTensor2``, which holds only
+finite, positive-definite metrics; its consumers (the curvatures, the
+geodesics, the Cramer-Rao bound) take one from any route and neither
+integrate nor check it.  Two routes lead to the scalar curvature (the
+reduced determinant formula and a finite-difference assembly of the full
+Riemann tensor, which exists to validate conventions).  With
 Itilde = (a, b, c) and v = (a mu + b sigma) / sqrt(ac - b^2) the metric is a
 scaled Poincare half-plane in (v, sigma), so geodesics are sampled exactly.
 """
@@ -181,9 +185,12 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
     Itilde_sigmasigma = sqrt(2) * int y^2 (f')^2/f - 1.
 
     When ``spec.parity_even`` (f is even), the off-diagonal integrand is odd
-    and Itilde_musigma is set to exactly zero without integrating; pass
-    ``force_offdiagonal=True`` to evaluate the integral anyway (used by the
-    consistency suite to confirm the oddness argument numerically).
+    and Itilde_musigma is set to exactly zero without integrating, and the
+    two diagonal integrands are even: they are integrated on the half-line
+    y >= 0 and doubled, for about half the evaluations.  Pass
+    ``force_offdiagonal=True`` to evaluate the off-diagonal integral anyway
+    (used by the consistency suite to confirm the oddness argument
+    numerically); all three are then integrated over the full line.
     """
     kf = kernel(spec)
     skip_offdiagonal = spec.parity_even and not force_offdiagonal
@@ -193,7 +200,8 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
         yr = y * r
         return np.array([r, y * yr] if skip_offdiagonal else [r, yr, y * yr])
 
-    res = integrate_real_line(integrand, config, kf.degree_hint + 6)
+    res = integrate_real_line(integrand, config, kf.degree_hint + 6,
+                              even=skip_offdiagonal)
     if not res.converged:
         raise QuadratureError(
             f"Fisher integrals did not converge within {res.evaluations} "
@@ -268,18 +276,18 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
 
     For a diagonal reduced metric this is R = -2 / Itilde_sigmasigma.  The
     Christoffel/Riemann/Ricci components in the report come from the exact
-    1/sigma^2 structure of the metric (2D identities: R_1212 = R det(g)/2,
-    Ric = R g / 2).  ``MetricTensor2`` guarantees a positive-definite
-    metric, so R is negative.
+    1/sigma^2 structure of the metric (2D identities: R_1212 = R det(g)/2
+    with det(g) = (ac - b^2) / sigma^4, Ric = R g / 2).  ``MetricTensor2``
+    guarantees a positive-definite metric, so R is negative.
     """
     a, b, c = metric.reduced
     r = 2.0 * a / (b * b - a * c)
-    g = metric.matrix()
+    sigma = metric.point.sigma
     return CurvatureReport(
         scalar_r=r,
-        christoffel=christoffel_reduced(metric.reduced, metric.point.sigma),
-        riemann_1212=0.5 * r * float(np.linalg.det(g)),
-        ricci=0.5 * r * g,
+        christoffel=christoffel_reduced(metric.reduced, sigma),
+        riemann_1212=0.5 * r * (a * c - b * b) / sigma ** 4,
+        ricci=0.5 * r * metric.matrix(),
         path="reduced_formula",
     )
 

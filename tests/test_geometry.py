@@ -152,17 +152,19 @@ class TestQuadratureMetric:
         (StateSpec.eigenstate(2), True, 3),
     ], ids=["even", "non_even", "forced_offdiagonal"])
     def test_one_integral_per_metric(self, monkeypatch, spec, force, components):
+        # Only the two even diagonal integrands go on the half-line.
         real = hermgauss.geometry.integrate_real_line
         results = []
 
         def counting(*args, **kwargs):
-            results.append(real(*args, **kwargs))
-            return results[-1]
+            results.append((real(*args, **kwargs), kwargs.get("even", False)))
+            return results[-1][0]
 
         monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", counting)
         metric_adaptive(spec, ORIGIN, force_offdiagonal=force)
-        assert len(results) == 1
-        assert results[0].value.shape == (components,)
+        (result, even), = results
+        assert result.value.shape == (components,)
+        assert even == (components == 2)
 
     @pytest.mark.parametrize("spec, most", [
         (StateSpec.mixture({0: 0.5, 20: 0.5}), 10),
@@ -211,6 +213,37 @@ class TestQuadratureMetric:
         b = metric_quadrature(s, ModelPoint(7.3, 0.5))
         assert a.reduced == b.reduced
         assert b.i_mumu == pytest.approx(4.0 * a.i_mumu)
+
+
+class TestHalfLineMetric:
+    """``metric_adaptive`` on parity-even states, off-diagonal not forced: the
+    diagonal integrals on y >= 0, doubled, against closed forms."""
+
+    def test_rho01_erf_form(self):
+        m = metric_adaptive(mixture_rho01(), ORIGIN)
+        assert m.reduced[1] == 0.0
+        np.testing.assert_allclose(m.reduced, rho01_reduced(), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 12, 40])
+    def test_eigenstate_closed_form(self, n):
+        spec = StateSpec.eigenstate(n)
+        m = metric_adaptive(spec, ORIGIN)
+        np.testing.assert_allclose(m.reduced, metric_closed_form(spec, ORIGIN).reduced,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("nbar", [0.5, 2.0])
+    def test_thermal_state_is_gaussian(self, nbar):
+        # Weights (1 - q) q^n, q = nbar / (nbar + 1), over levels 0..200 (the
+        # tail left out is below 1e-35): by Mehler's formula the density is
+        # Gaussian with Var y = nbar + 1/2, so Itilde = (1/(2 nbar + 1), 0, 2)
+        # and R = -1, as for the normal family.  Itilde_sigmasigma is
+        # sqrt(2) times an integral near 2.1 at rel_tol 1e-10, less 1.
+        q = nbar / (nbar + 1.0)
+        spec = StateSpec.mixture({n: (1.0 - q) * q ** n for n in range(201)})
+        m = metric_adaptive(spec, ORIGIN)
+        np.testing.assert_allclose(m.reduced, (1.0 / (2.0 * nbar + 1.0), 0.0, 2.0),
+                                   rtol=2e-10, atol=0.0)
+        assert scalar_curvature_reduced(m).scalar_r == pytest.approx(-1.0, abs=2e-10)
 
 
 class TestGaussHermiteMetric:
@@ -360,12 +393,14 @@ class TestScalarCurvature:
         assert all(type(v) is float for v in m.reduced)
 
     def test_two_dimensional_identities(self):
-        m = metric_closed_form(StateSpec.eigenstate(1), ModelPoint(0.0, 1.5))
-        rep = scalar_curvature_reduced(m)
-        g = m.matrix()
-        np.testing.assert_allclose(rep.ricci, 0.5 * rep.scalar_r * g, rtol=1e-13)
-        assert rep.riemann_1212 == pytest.approx(
-            0.5 * rep.scalar_r * np.linalg.det(g), rel=1e-13)
+        # A diagonal metric and one with an off-diagonal, which det(g) sees.
+        for m in (metric_closed_form(StateSpec.eigenstate(1), ModelPoint(0.0, 1.5)),
+                  MetricTensor2(ModelPoint(0.3, 1.5), (3.0, 0.7, 8.0), "quadrature")):
+            rep = scalar_curvature_reduced(m)
+            g = m.matrix()
+            np.testing.assert_allclose(rep.ricci, 0.5 * rep.scalar_r * g, rtol=1e-13)
+            assert rep.riemann_1212 == pytest.approx(
+                0.5 * rep.scalar_r * np.linalg.det(g), rel=1e-13)
 
 
 class TestFiniteDifferenceCurvature:

@@ -46,9 +46,9 @@ def even_moments(y):
     return y ** (2 * np.arange(11)[:, None]) * np.exp(-y * y)
 
 
-def fisher_integrand(spec):
+def fisher_integrand(spec, powers=(0, 1, 2)):
     kf = kernel(spec)
-    return (lambda y: y ** np.arange(3)[:, None] * kf.fisher_ratio(y),
+    return (lambda y: y ** np.array(powers)[:, None] * kf.fisher_ratio(y),
             kf.degree_hint + 6)
 
 
@@ -244,6 +244,39 @@ class TestIntegrateRealLine:
 
     def test_truncation_halfwidth_grows_with_degree(self):
         assert truncation_halfwidth(40, 1e-12) > truncation_halfwidth(2, 1e-12)
+
+
+class TestEvenIntegrand:
+    """``even=True``: the right half of the window, doubled."""
+
+    def test_tolerance_contract_on_stacked_moments(self):
+        cfg = QuadConfig()
+        res = integrate_real_line(even_moments, cfg, degree_hint=21, even=True)
+        exact = np.array([gaussian_moment(k) for k in range(11)])
+        assert res.converged
+        assert np.all(np.abs(res.value - exact)
+                      <= np.maximum(cfg.rel_tol * np.abs(exact), cfg.abs_tol))
+        # The tolerance applies to the doubled result and its doubled error.
+        assert np.all(res.abs_error_estimate
+                      <= np.maximum(cfg.rel_tol * np.abs(res.value), cfg.abs_tol))
+
+    @pytest.mark.parametrize("weights", [{0: 0.5, 1: 0.5}, {0: 0.5, 4: 0.5}],
+                             ids=["rho01", "mixture_0_4"])
+    def test_agrees_with_full_line(self, weights):
+        # The even diagonal Fisher integrands of a parity-even mixture.
+        integrand, degree_hint = fisher_integrand(StateSpec.mixture(weights), (0, 2))
+        full = integrate_real_line(integrand, QuadConfig(), degree_hint)
+        half = integrate_real_line(integrand, QuadConfig(), degree_hint, even=True)
+        assert full.converged and half.converged
+        np.testing.assert_allclose(half.value, full.value, rtol=1e-13, atol=0.0)
+        assert half.evaluations <= 0.55 * full.evaluations
+
+    def test_is_deterministic(self):
+        integrand, degree_hint = fisher_integrand(StateSpec.mixture({0: 0.5, 4: 0.5}),
+                                                  (0, 2))
+        a = integrate_real_line(integrand, degree_hint=degree_hint, even=True)
+        b = integrate_real_line(integrand, degree_hint=degree_hint, even=True)
+        assert a == b
 
 
 class TestIntegrateRatio:
