@@ -344,7 +344,8 @@ def _cmd_verify(cfg):
         check("series_vs_quadrature", err <= 1e-8, err)
 
     # At rank one mq is the exact rule; one adaptive metric, its
-    # off-diagonal integrated, checks it and the parity argument.
+    # off-diagonal integrated over the full line, checks it, the parity
+    # argument and, above rank one, mq's half-line diagonal.
     rank_one = kernel(cfg.state).rank == 1
     if rank_one or cfg.state.parity_even:
         adaptive = metric_adaptive(cfg.state, cfg.point, cfg.quad,
@@ -355,6 +356,10 @@ def _cmd_verify(cfg):
     if cfg.state.parity_even:
         check("offdiagonal_vanishes", abs(adaptive.reduced[1]) <= 1e-10,
               adaptive.reduced[1])
+    if cfg.state.parity_even and not rank_one:
+        # mq integrated the diagonal on the half-line y >= 0 and doubled it.
+        err = _rel_err(mq.reduced[::2], adaptive.reduced[::2])
+        check("half_line_vs_full_line", err <= 1e-8, err)
 
     # Location Cramer-Rao: I_mumu >= 1 / Var x with Var x = 2 sigma^2 Var y,
     # Var y summed over the table by the ladder identity (no quadrature).

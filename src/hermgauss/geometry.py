@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermite import hermite_normalized_all
 from .models import InvalidStateError, ModelPoint, StateSpec, kernel
 from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
@@ -138,16 +139,26 @@ def metric_quadrature(spec: StateSpec, point: ModelPoint,
 
 
 @functools.cache
-def _hermite_rule(count):
-    """Gauss-Hermite nodes and weights times exp(y^2), for integrands that
-    carry their own exp(-y^2); read-only, as they are shared."""
+def _hermite_rule(top):
+    """The Gauss-Hermite rule of a rank-one state with top level ``top``:
+    its top + 3 nodes y, the weights times exp(y^2), for integrands that
+    carry their own exp(-y^2), and the rows psi_0 .. psi_top at the nodes.
+    The nodes depend only on ``top``, so the rows are computed once per
+    degree; all three are read-only, as they are shared.  The cache holds
+    at most one rule per degree 0 .. MAX_DEGREE, (top + 1)(top + 3)
+    doubles of rows each.  That worst case, ``metric_gauss_hermite`` on
+    |0> .. |200>, raises peak RSS by about 23 MB, against 2 MB for nodes
+    and weights alone; the next sweep over them takes 10 ms, not 120.
+    """
     # Imported here: numpy.polynomial is not loaded by ``import numpy``.
     from numpy.polynomial.hermite import hermgauss
 
-    y, w = hermgauss(count)
+    y, w = hermgauss(top + 3)
     w = w * np.exp(y * y)
-    y.flags.writeable = w.flags.writeable = False
-    return y, w
+    rows = hermite_normalized_all(top, y)
+    for a in (y, w, rows):
+        a.flags.writeable = False
+    return y, w, rows
 
 
 def metric_gauss_hermite(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
@@ -166,8 +177,8 @@ def metric_gauss_hermite(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
     if kf.rank > 1:
         raise InvalidStateError(
             f"no exact Gauss-Hermite metric for kernel rank {kf.rank}")
-    y, w = _hermite_rule(spec.max_index + 3)
-    r = w * kf.fisher_ratio(y)
+    y, w, rows = _hermite_rule(spec.max_index)
+    r = w * kf.fisher_ratio(y, rows)
     imm = math.fsum(r) / _SQRT2
     ims = 0.0 if spec.parity_even else math.fsum(r * y)
     iss = _SQRT2 * math.fsum(r * y * y) - 1.0

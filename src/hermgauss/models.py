@@ -37,6 +37,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NORM_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class InvalidStateError(ValueError):
@@ -182,7 +183,7 @@ class StateSpec:
         s = math.sqrt(_unit_divisor(math.fsum(abs(v) ** 2 for v in a.values()),
                                     renormalize, "superposition norm"))
         a = {n: v / s for n, v in a.items() if v != 0.0}
-        table = {(n, m): an * np.conj(am)
+        table = {(n, m): an * am.conjugate()
                  for n, an in a.items() for m, am in a.items()}
         return cls("superposition", table, coeffs=a)
 
@@ -241,9 +242,12 @@ class KernelFn:
 
     ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 from
     one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
-    ``fisher_ratio(y)`` is (f')^2/f, or its limit where f = 0.  All are
-    vectorized over y.  ``degree_hint`` bounds the polynomial degree
-    multiplying exp(-y^2).  ``rank`` is the number of wavepackets g_j the
+    ``fisher_ratio(y, rows=None)`` is (f')^2/f, or its limit where f = 0;
+    ``rows``, when given, must be ``hermite_normalized_all(top, y)`` for
+    the state's top level (shape (top + 1,) + y.shape, else ValueError),
+    and is used in place of recomputing the Hermite rows, with the same
+    result bit for bit.  All are vectorized over y.  ``degree_hint`` bounds
+    the polynomial degree multiplying exp(-y^2).  ``rank`` is the number of wavepackets g_j the
     real table factors into (the eigenvalues ``kernel`` keeps): 1 for a pure
     state with real coefficients up to a global phase, and then (f')^2/f
     is exp(-y^2) times a polynomial.  ``roots()`` locates the dips of f:
@@ -288,16 +292,26 @@ def kernel(spec: StateSpec) -> KernelFn:
     rounding and are dropped first, so they add no spurious far roots.
     """
     top = spec.max_index
-    levels = np.array(sorted({k for nm in spec.table for k in nm}))
+    levels = sorted({k for nm in spec.table for k in nm})
+    at = {k: i for i, k in enumerate(levels)}
+    levels = np.array(levels)
     # Purely imaginary lambda_nm pairs cancel between (n, m) and (m, n).
-    lam = np.zeros((top + 1, top + 1))
+    lam = np.zeros((levels.size, levels.size))
     for (n, m), v in spec.table.items():
-        lam[n, m] = v.real
-    p, vecs = np.linalg.eigh(lam[np.ix_(levels, levels)])
-    keep = p > p.max() * levels.size * np.finfo(float).eps
+        lam[at[n], at[m]] = v.real
+    if all(n == m for n, m in spec.table):
+        # A diagonal table is its own factorization; eigh would return the
+        # same ascending weights and unit vectors (ties aside), slower.
+        order = np.argsort(lam.diagonal(), kind="stable")
+        p, vecs = lam.diagonal()[order], np.eye(levels.size)[:, order]
+    else:
+        p, vecs = np.linalg.eigh(lam)
+    keep = p > p.max() * levels.size * _EPS
+    if not keep.all():
+        p, vecs = p[keep], vecs[:, keep]
     # h_j = sqrt(p_j / sqrt(2 pi)) g_j; coef's rows give h and h's sums over
     # sqrt(2k) psi_{k-1} and 2k psi_k (k = 0 puts a true zero in column -1).
-    vecs = vecs[:, keep] * np.sqrt(p[keep] / _SQRT_2PI)
+    vecs = vecs * np.sqrt(p / _SQRT_2PI)
     rank = vecs.shape[1]
     coef = np.zeros((3, rank, top + 1))
     coef[0][:, levels] = vecs.T
@@ -305,8 +319,9 @@ def kernel(spec: StateSpec) -> KernelFn:
     coef[2][:, levels] = 2.0 * levels * vecs.T
     low = coef[:2].reshape(2 * rank, top + 1)
 
-    def packets(y, order):
-        psi = hermite_normalized_all(top, y)
+    def packets(y, order, psi=None):
+        if psi is None:
+            psi = hermite_normalized_all(top, y)
         # One product for every order keeps h bit-identical across orders.
         rows = low.dot(psi)
         h = rows[:rank]
@@ -330,9 +345,14 @@ def kernel(spec: StateSpec) -> KernelFn:
             out.append(2.0 * (psum(h[0], h[2]) + psum(h[1], h[1])))
         return tuple(v.reshape(y.shape) for v in out)
 
-    def fisher_ratio(y):
+    def fisher_ratio(y, rows=None):
         y = np.asarray(y, dtype=float)
-        h, d = packets(y.reshape(-1), 1)
+        if rows is not None:
+            if np.shape(rows) != (top + 1,) + y.shape:
+                raise ValueError(f"rows must have shape {(top + 1,) + y.shape}, "
+                                 f"got {np.shape(rows)}")
+            rows = np.reshape(rows, (top + 1, -1))
+        h, d = packets(y.reshape(-1), 1, rows)
         if rank == 1:
             d = d[0]
             return (4.0 * d * d).reshape(y.shape)
@@ -355,7 +375,7 @@ def kernel(spec: StateSpec) -> KernelFn:
         a = np.concatenate(([1.0], a))
         out = []
         for v in vecs.T:
-            big = np.abs(v) > np.abs(v).max() * np.finfo(float).eps
+            big = np.abs(v) > np.abs(v).max() * _EPS
             deg = levels[big]
             c = np.zeros(deg[-1] + 1)
             c[deg] = v[big] * a[deg]

@@ -151,7 +151,25 @@ class TestCommands:
         assert status == 0
         checks = {c["name"]: c for c in json.loads(text)["checks"]}
         assert ("exact_rule_vs_adaptive" in checks) == rank_one
+        # rho01, the one state above rank one, is parity even: its metric
+        # has the half-line diagonal, checked against the full line.
+        assert ("half_line_vs_full_line" in checks) == (not rank_one)
         assert all(c["passed"] for c in checks.values())
+
+    def test_verify_flags_half_line_miss_on_deep_mixture(self):
+        # {0: 1/2, 20: 1/2}: the half-line diagonal misses the full line's by
+        # about 5e-7 (the adaptive integral's known fault on deep two-level
+        # mixtures), and this check alone reports it.
+        state = {"type": "mixture",
+                 "terms": [{"n": 0, "weight": 0.5}, {"n": 20, "weight": 0.5}]}
+        status, text = run_capture(config_text(
+            state=state, point={"mu": 0.3, "sigma": 1.2}, command="verify"))
+        assert status == 1
+        report = json.loads(text)
+        assert not report["all_passed"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["half_line_vs_full_line"]
+        assert 1e-7 < failed[0]["detail"] < 1e-5
 
     @pytest.mark.parametrize("state, ratio, tol", [
         ({"type": "eigenstate", "n": 0}, 1.0, 1e-14),

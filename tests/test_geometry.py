@@ -291,6 +291,62 @@ class TestGaussHermiteMetric:
         assert scaled_err(g, s) <= 1e-12
 
 
+class TestCachedHermiteRows:
+    """``metric_gauss_hermite`` reads the Hermite rows cached with the rule;
+    recomputing them gives the same metric, bit for bit."""
+
+    def states(self):
+        yield from (StateSpec.eigenstate(n) for n in range(201))
+        rng = np.random.default_rng(2303)
+        for _ in range(50):
+            top = int(rng.integers(0, 41))
+            levels = set(rng.choice(top + 1, size=min(top + 1, 4), replace=False))
+            yield StateSpec.superposition(
+                {int(n): rng.normal() for n in levels | {top}}, renormalize=True)
+
+    def test_rows_match_recomputed_metric(self, monkeypatch):
+        point = ModelPoint(0.3, 1.2)
+        cached = [metric_gauss_hermite(spec, point).reduced for spec in self.states()]
+        rule = hermgauss.geometry._hermite_rule
+        monkeypatch.setattr(hermgauss.geometry, "_hermite_rule",
+                            lambda top: rule(top)[:2] + (None,))
+        fresh = [metric_gauss_hermite(spec, point).reduced for spec in self.states()]
+        assert len(cached) == 251
+        assert cached == fresh
+
+    def test_rule_is_shared_and_read_only(self):
+        y, w, rows = hermgauss.geometry._hermite_rule(7)
+        assert hermgauss.geometry._hermite_rule(7)[2] is rows
+        assert y.shape == w.shape == (10,) and rows.shape == (8, 10)
+        assert not (y.flags.writeable or w.flags.writeable or rows.flags.writeable)
+
+
+class TestCoherentStates:
+    """A coherent state |alpha> has a Gaussian position density centred at
+    y0 = sqrt(2) Re(alpha): the ground state moved by y0, so
+    Itilde = (1, sqrt(2) y0, 2 + 2 y0^2) and R = -1.  Truncated at level
+    59 and renormalized, its kernel has rank two, so the adaptive integral
+    takes it, off-diagonal included unless Re(alpha) = 0."""
+
+    @pytest.mark.parametrize("alpha", [1.5 + 0.5j, 0.8j, 2.0 - 1.0j],
+                             ids=["1.5+0.5i", "0.8i", "2-i"])
+    def test_closed_form(self, alpha):
+        coeffs, c = {}, cmath.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(60):
+            coeffs[n] = c
+            c *= alpha / math.sqrt(n + 1)
+        spec = StateSpec.superposition(coeffs, renormalize=True)
+        assert kernel(spec).rank == 2
+        y0 = math.sqrt(2.0) * alpha.real
+        m = metric_quadrature(spec, ModelPoint(0.3, 1.2))
+        assert m.path == "quadrature"
+        # atol: at alpha = 0.8i the off-diagonal is zero up to rounding.
+        np.testing.assert_allclose(m.reduced, (1.0, math.sqrt(2.0) * y0,
+                                               2.0 + 2.0 * y0 * y0),
+                                   rtol=1e-12, atol=1e-15)
+        assert scalar_curvature_reduced(m).scalar_r == pytest.approx(-1.0, abs=1e-12)
+
+
 class TestSeriesMetric:
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_single_term_collapses_to_eigenstate(self, n):

@@ -476,6 +476,122 @@ class TestFactoredKernel:
                                    rtol=1e-10)
 
 
+def dense_table_kernel(spec):
+    """(jet, fisher_ratio) built as ``kernel`` built them from a dense
+    (top + 1)^2 table gathered to the occupied levels and always factored
+    by eigh; a reference for the bits of the occupied-level construction."""
+    top = spec.max_index
+    levels = np.array(sorted({k for nm in spec.table for k in nm}))
+    lam = np.zeros((top + 1, top + 1))
+    for (n, m), v in spec.table.items():
+        lam[n, m] = v.real
+    p, vecs = np.linalg.eigh(lam[np.ix_(levels, levels)])
+    keep = p > p.max() * levels.size * np.finfo(float).eps
+    vecs = vecs[:, keep] * np.sqrt(p[keep] / math.sqrt(2.0 * math.pi))
+    rank = vecs.shape[1]
+    coef = np.zeros((3, rank, top + 1))
+    coef[0][:, levels] = vecs.T
+    coef[1][:, levels - 1] = np.sqrt(2.0 * levels) * vecs.T
+    coef[2][:, levels] = 2.0 * levels * vecs.T
+    low = coef[:2].reshape(2 * rank, top + 1)
+
+    def packets(y):
+        psi = hermite_normalized_all(top, y)
+        rows = low.dot(psi)
+        h = rows[:rank]
+        return h, rows[rank:] - y * h, (y * y - 1.0) * h - coef[2].dot(psi)
+
+    def psum(a, b):
+        return np.einsum("jn,jn->n", a, b)
+
+    def jet(y):
+        h, d, dd = packets(y)
+        return (psum(h, h), 2.0 * psum(h, d), 2.0 * (psum(h, dd) + psum(d, d)))
+
+    def fisher_ratio(y):
+        h, d, _ = packets(y)
+        if rank == 1:
+            return 4.0 * d[0] * d[0]
+        out = 4.0 * psum(d, d)
+        s, t = psum(h, h), psum(h, d)
+        np.divide(4.0 * t * t, s, out=out, where=s > 0.0)
+        return out
+
+    return jet, fisher_ratio
+
+
+def random_tables(count, seed):
+    """``count`` states cycling through the four kinds, levels <= 24, with
+    untied random weights."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        levels = sorted(rng.choice(25, size=int(rng.integers(1, 6)),
+                                   replace=False).tolist())
+        kind = i % 4
+        if kind == 0:
+            yield StateSpec.eigenstate(levels[-1])
+        elif kind == 1:
+            yield StateSpec.mixture({n: rng.random() for n in levels},
+                                    renormalize=True)
+        elif kind == 2:
+            yield StateSpec.superposition(
+                {n: complex(rng.normal(), rng.normal() * (i % 8 == 2))
+                 for n in levels}, renormalize=True)
+        else:
+            a = rng.normal(size=(len(levels), 2)) + 1j * rng.normal(size=(len(levels), 2))
+            rho = a @ a.conj().T
+            yield StateSpec.density(
+                {(n, m): complex(rho[j, k]) for j, n in enumerate(levels)
+                 for k, m in enumerate(levels)}, renormalize=True)
+
+
+class TestKernelSetUp:
+    """The occupied-level table, the diagonal shortcut and the ``rows``
+    argument leave every bit of the kernel as the dense construction."""
+
+    def test_bits_match_dense_table_construction(self):
+        y = np.concatenate([np.linspace(-7.0, 7.0, 57), [0.0, -40.0, 40.0]])
+        kinds = set()
+        for spec in random_tables(200, 2301):
+            kinds.add(spec.kind)
+            kf = kernel(spec)
+            jet, ratio = dense_table_kernel(spec)
+            for got, want in zip(kf.jet(y, 2), jet(y)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(kf.fisher_ratio(y).view(np.int64),
+                                          ratio(y).view(np.int64))
+        assert kinds == {"eigenstate", "mixture", "superposition", "density"}
+
+    def test_diagonal_tables_skip_eigh(self, monkeypatch):
+        def refused(_):
+            raise AssertionError("eigh called on a diagonal table")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        q = 5.0 / 6.0
+        # The thermal state's weights below 201 eps of the largest drop out.
+        for spec, rank in ((StateSpec.eigenstate(40), 1),
+                           (StateSpec.mixture({n: (1.0 - q) * q ** n
+                                               for n in range(201)}), 169),
+                           (StateSpec.density({(1, 1): 0.25, (4, 4): 0.75}), 2)):
+            assert kernel(spec).rank == rank
+
+    def test_rows_give_the_same_bits(self):
+        y = np.linspace(-5.0, 5.0, 24).reshape(4, 6)
+        for spec in random_tables(40, 2302):
+            kf = kernel(spec)
+            rows = hermite_normalized_all(spec.max_index, y)
+            np.testing.assert_array_equal(kf.fisher_ratio(y, rows).view(np.int64),
+                                          kf.fisher_ratio(y).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(4, 9), (5, 8), (5, 9, 1), (45,)],
+                             ids=["levels_short", "points_short", "extra_axis",
+                                  "flat"])
+    def test_wrong_shaped_rows_raise(self, shape):
+        kf = kernel(StateSpec.superposition({0: 0.6, 4: 0.8}))
+        with pytest.raises(ValueError, match="rows must have shape"):
+            kf.fisher_ratio(np.linspace(-1.0, 1.0, 9), np.zeros(shape))
+
+
 class TestPacketRoots:
     def test_closed_forms(self):
         # rho01's packets are psi_0, with no root, and psi_1, with root 0.
