@@ -239,7 +239,7 @@ def _emit(report, fmt, out):
 
 
 def _emit_csv(obj, out, prefix):
-    obj = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    obj = obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
     if isinstance(obj, dict):
         for k in obj:
             _emit_csv(obj[k], out, f"{prefix}{k}.")

@@ -44,7 +44,7 @@ first walks uphill from the initializer until its steps fall to 1e-2, which
 places it in the maximum's cell, and Newton then polishes the estimate.  A
 Newton step that lowers the likelihood, meets a density zero or sees an
 indefinite Hessian hands the fit back to the compass search.  ``_start_cell``
-picks the start from one scan of the packet roots, ``_dips``, kept per spec.
+picks the start from one scan of the packet roots, ``models._dips``, kept per spec.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import crb_bound, metric_quadrature
-from .models import ModelPoint, StateSpec, _per_spec, kernel
+from .models import ModelPoint, StateSpec, _dips, _per_spec, kernel
 from .quadrature import QuadratureError, truncation_halfwidth
 
 __all__ = [
@@ -329,31 +329,9 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     return MleFit(mu, math.exp(ls), steps, passes)
 
 
-@_per_spec
-def _dips(spec: StateSpec):
-    """(nodes, narrowest) from one scan of the packet roots.
-
-    ``nodes``: the sorted roots of a rank-one state whose roots are all
-    real, each a node of f, else None.  A dip is the real part z of a packet
-    root where f'' > 0, and its half-width is sqrt(2 f(z) / f''(z)); testing
-    f(z) > 0 instead would not do: f at the nodes of |2> rounds to ~1e-33,
-    not 0.  ``narrowest``: the narrowest half-width over sqrt(Var y), inf
-    with no dip.  A root that is not finite gives (None, 0).
-    """
-    kf = kernel(spec)
-    z = np.concatenate(kf.roots())
-    if not np.all(np.isfinite(z)):
-        return None, 0.0
-    nodes = np.sort(z.real) if kf.rank == 1 and np.all(z.imag == 0.0) else None
-    f, _, d2 = kf.jet(z.real, 2)
-    dip = d2 > 0.0
-    width = np.sqrt(2.0 * f[dip] / d2[dip]).min(initial=math.inf)
-    return nodes, float(width) / math.sqrt(_y_moments(spec)[1])
-
-
 def _shallow(spec: StateSpec, count: int) -> bool:
     """Whether every dip is at least _SHALLOW_DIP sqrt(Var y) / count wide."""
-    return _dips(spec)[1] * count >= _SHALLOW_DIP
+    return _dips(spec)[1] / math.sqrt(_y_moments(spec)[1]) * count >= _SHALLOW_DIP
 
 
 def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):

@@ -138,6 +138,12 @@ def metric_quadrature(spec: StateSpec, point: ModelPoint,
     return metric_adaptive(spec, point, config)
 
 
+def _fisher_metric(point, path, m0, m1, m2):
+    """The metric (M0 / sqrt(2), M1, sqrt(2) M2 - 1) from the Fisher moments
+    M_p = int y^p (f')^2/f; M1 is exactly 0 where the caller skips it by parity."""
+    return MetricTensor2(point, (m0 / _SQRT2, m1, _SQRT2 * m2 - 1.0), path)
+
+
 @functools.cache
 def _hermite_rule(top):
     """The Gauss-Hermite rule of a rank-one state with top level ``top``:
@@ -179,10 +185,9 @@ def metric_gauss_hermite(spec: StateSpec, point: ModelPoint) -> MetricTensor2:
             f"no exact Gauss-Hermite metric for kernel rank {kf.rank}")
     y, w, rows = _hermite_rule(spec.max_index)
     r = w * kf.fisher_ratio(y, rows)
-    imm = math.fsum(r) / _SQRT2
-    ims = 0.0 if spec.parity_even else math.fsum(r * y)
-    iss = _SQRT2 * math.fsum(r * y * y) - 1.0
-    return MetricTensor2(point, (imm, ims, iss), "gauss_hermite")
+    return _fisher_metric(point, "gauss_hermite", math.fsum(r),
+                          0.0 if spec.parity_even else math.fsum(r * y),
+                          math.fsum(r * y * y))
 
 
 def metric_adaptive(spec: StateSpec, point: ModelPoint,
@@ -217,10 +222,8 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
         raise QuadratureError(
             f"Fisher integrals did not converge within {res.evaluations} "
             "evaluations")
-    imm = res.value[0] / _SQRT2
-    ims = 0.0 if skip_offdiagonal else res.value[1]
-    iss = _SQRT2 * res.value[-1] - 1.0
-    return MetricTensor2(point, (imm, ims, iss), "quadrature")
+    return _fisher_metric(point, "quadrature", res.value[0],
+                          0.0 if skip_offdiagonal else res.value[1], res.value[-1])
 
 
 def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:

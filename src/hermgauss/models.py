@@ -252,7 +252,7 @@ class KernelFn:
     state with real coefficients up to a global phase, and then (f')^2/f
     is exp(-y^2) times a polynomial.  ``roots()`` locates the dips of f:
     one array per packet g_j holding all its roots, complex ones included,
-    computed on the first call.
+    computed on every call; ``_dips`` scans them once per spec.
     """
 
     f: object
@@ -361,12 +361,7 @@ def kernel(spec: StateSpec) -> KernelFn:
         np.divide(4.0 * t * t, s, out=out, where=s > 0.0)
         return out.reshape(y.shape)
 
-    found = None
-
     def roots():
-        nonlocal found
-        if found is not None:
-            return found
         # Imported here: numpy.polynomial is not loaded by ``import numpy``.
         from numpy.polynomial.hermite import hermroots
 
@@ -380,12 +375,33 @@ def kernel(spec: StateSpec) -> KernelFn:
             c = np.zeros(deg[-1] + 1)
             c[deg] = v[big] * a[deg]
             out.append(hermroots(c))
-        found = tuple(out)
-        return found
+        return tuple(out)
 
     return KernelFn(f=lambda y: jet(y, 0)[0], f_prime=lambda y: jet(y, 1)[1],
                     jet=jet, fisher_ratio=fisher_ratio, degree_hint=2 * top + 2,
                     rank=rank, roots=roots)
+
+
+@_per_spec
+def _dips(spec: StateSpec):
+    """(nodes, narrowest) from one scan of the packet roots.
+
+    ``nodes``: the sorted roots of a rank-one state whose roots are all
+    real, each a node of f, else None.  A dip is the real part z of a packet
+    root where f'' > 0, and its half-width is sqrt(2 f(z) / f''(z)); testing
+    f(z) > 0 instead would not do: f at the nodes of |2> rounds to ~1e-33,
+    not 0.  ``narrowest``: the narrowest half-width in y, inf with no dip.
+    A root that is not finite gives (None, 0).
+    """
+    kf = kernel(spec)
+    z = np.concatenate(kf.roots())
+    if not np.all(np.isfinite(z)):
+        return None, 0.0
+    nodes = np.sort(z.real) if kf.rank == 1 and np.all(z.imag == 0.0) else None
+    f, _, d2 = kf.jet(z.real, 2)
+    dip = d2 > 0.0
+    width = np.sqrt(2.0 * f[dip] / d2[dip]).min(initial=math.inf)
+    return nodes, float(width)
 
 
 def pdf(spec: StateSpec, point: ModelPoint, x):

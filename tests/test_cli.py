@@ -234,6 +234,34 @@ class TestCommands:
         assert text == "\n".join(
             ["command,metric", "point.mu,0.0", "point.sigma,1.0"] + rows) + "\n"
 
+    @pytest.mark.parametrize("state", [
+        {"type": "eigenstate", "n": 2},
+        {"type": "mixture", "terms": [{"n": 0, "weight": 0.5},
+                                      {"n": 1, "weight": 0.5}]},
+        {"type": "superposition", "terms": [{"n": 0, "re": 0.6}, {"n": 1, "im": 0.8}]},
+        {"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": 0.5}, {"n": 2, "m": 2, "re": 0.3},
+            {"n": 4, "m": 4, "re": 0.2}, {"n": 0, "m": 2, "re": 0.1},
+            {"n": 2, "m": 0, "re": 0.1}]},
+    ], ids=["eigenstate", "mixture", "superposition", "density"])
+    def test_verify_csv_cells_are_plain(self, state):
+        # Each CSV cell is the JSON report's leaf as Python writes it: a
+        # number or bool by repr, a string as is; never a numpy scalar.
+        raw = {"state": state, "point": {"mu": 0.3, "sigma": 1.2}, "command": "verify"}
+        _, text = run_capture(json.dumps(raw))
+        raw["output"] = {"format": "csv"}
+        _, csv = run_capture(json.dumps(raw))
+
+        def cells(obj, prefix):
+            if not isinstance(obj, (dict, list)):
+                yield f"{prefix[:-1]},{obj if isinstance(obj, str) else repr(obj)}"
+                return
+            for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                yield from cells(v, f"{prefix}{k}.")
+
+        assert csv.splitlines() == list(cells(json.loads(text), ""))
+        assert "np." not in csv
+
     def test_sample_command_seeded(self):
         raw = json.loads(config_text(command="sample"))
         raw["estimation"] = {"count": 16, "seed": 9}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import erfc
 
 import hermgauss.estimation
+import hermgauss.models
 from hermgauss.estimation import (
     MleFit,
     SampleBatch,
@@ -26,7 +28,7 @@ from hermgauss.estimation import (
 )
 from hermgauss.hermite import MAX_DEGREE
 from hermgauss.models import KernelFn, ModelPoint, StateSpec, kernel
-from hermgauss.quadrature import QuadConfig, integrate_real_line
+from hermgauss.quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
 RHO01 = StateSpec.mixture({0: 0.5, 1: 0.5})
@@ -671,6 +673,83 @@ class TestCellStart:
         batch = sample(spec, ModelPoint(0.3, 1.2), count, seed=3)
         got = _start_cell(spec, batch.draws, _moment_init(spec, batch.draws))
         assert got == () if shallow else got is None
+
+
+class TestRefusals:
+    """The three refusals that no sampled batch of the other tests reaches."""
+
+    def test_certificate_without_stiffness_leaves_fit_to_compass(self, monkeypatch):
+        # 950 samples on [-2.1, -1.9] and 50 on [0.19, 0.21] put |1>'s node
+        # line in the gap between them, at the start and at Newton's end.
+        # With every sample's log term kept exact (_NEAR covers the batch),
+        # the rest of log L, -sum y^2 - 3 N log sigma, is what the
+        # certificate models to second order, and the batch is lopsided
+        # enough about the line that it is not concave along a line move:
+        # stiff <= 0, so the certificate is refused.  (At _NEAR = 16 the
+        # same fit is certified.)
+        spec = StateSpec.eigenstate(1)
+        x = np.concatenate([np.linspace(-2.1, -1.9, 950), np.linspace(0.19, 0.21, 50)])
+        batch = SampleBatch(spec, ORIGIN, x, 0)
+        monkeypatch.setattr(hermgauss.estimation, "_NEAR", x.size)
+        seen = []
+        certify = hermgauss.estimation._certify
+
+        def spy(fit, xs, nodes, cell):
+            seen.append((fit, nodes, cell, certify(fit, xs, nodes, cell)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
+        fit = mle_fit(batch)
+        (newton, nodes, cell, certified), = seen
+        assert nodes.tolist() == [0.0] and not certified
+        # Newton ended in the start's cell, and there (node at mu, w = 0)
+        # stiff = N / sigma^2 + h01^2 / h11 with h01 = -2 sum u / sigma^3,
+        # h11 = (3 N - 3 sum u^2 / sigma^2) / sigma^2, u = x - mu.
+        assert cell.tolist() == [np.searchsorted(x, newton.mu)] == [950]
+        n, sigma, u = x.size, newton.sigma, x - newton.mu
+        h01 = -2.0 * u.sum() / sigma ** 3
+        h11 = (3 * n - 3.0 * (u @ u) / sigma ** 2) / sigma ** 2
+        assert n / sigma ** 2 + h01 * h01 / h11 < 0.0
+        # The fit is the compass search's, bit for bit, and the reference's.
+        assert fit.compass_evaluations > 0
+        monkeypatch.setattr(hermgauss.estimation, "_start_cell", lambda *args: None)
+        compass = mle_fit(batch)
+        assert (fit.mu, fit.sigma) == (compass.mu, compass.sigma)
+        assert_matches_compass(spec, batch, fit)
+
+    def test_non_finite_root_gives_no_nodes_and_deep_batch(self, monkeypatch):
+        # A root that is not finite gives no dip widths to trust: no nodes,
+        # narrowest 0, so no batch is shallow and the compass search goes
+        # first, where |2> at 5,000 samples would start Newton in a cell.
+        real = hermgauss.models.kernel
+
+        def rootless(spec):
+            return dataclasses.replace(real(spec),
+                                       roots=lambda: (np.array([-0.5, math.nan]),))
+
+        monkeypatch.setattr(hermgauss.models, "kernel", rootless)
+        spec = StateSpec.eigenstate(2)
+        assert _dips(spec) == (None, 0.0)
+        assert not _shallow(spec, 10 ** 9)
+        batch = sample(spec, ModelPoint(0.3, 1.2), 5000, 40)
+        assert _start_cell(spec, batch.draws, _moment_init(spec, batch.draws)) is None
+        fit = mle_fit(batch)
+        assert fit.compass_evaluations > 0
+        assert_matches_compass(spec, batch, fit)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_cdf_table_without_mass_is_refused(self, monkeypatch, scale):
+        real = hermgauss.estimation.kernel
+
+        def scaled(spec):
+            kf = real(spec)
+            return dataclasses.replace(
+                kf, jet=lambda y, order: tuple(scale * v for v in kf.jet(y, order)))
+
+        monkeypatch.setattr(hermgauss.estimation, "kernel", scaled)
+        with pytest.raises(QuadratureError, match="non-positive mass"):
+            sample(StateSpec.eigenstate(0), ORIGIN, 10, 0)
 
 
 class TestCrbExperiment:

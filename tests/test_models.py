@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermder, hermval
 
 import hermgauss.models
-from hermgauss.estimation import _loglik_jet
+from hermgauss.estimation import _loglik_jet, _y_moments
+from hermgauss.geometry import MetricTensor2, metric_quadrature
 from hermgauss.hermite import MAX_DEGREE, hermite_normalized_all
 from hermgauss.models import (
     InvalidStateError,
@@ -476,6 +477,19 @@ class TestFactoredKernel:
                                    rtol=1e-10)
 
 
+class TestRandomStateMetric:
+    @settings(max_examples=100, deadline=None)
+    @given(psd_tables())
+    def test_converges_above_location_bound(self, spec):
+        # metric_quadrature raises unless its integrals converged and the
+        # metric is positive definite.  Location Cramer-Rao: I_mumu >= 1 /
+        # Var x, Var x = 2 sigma^2 Var y, with Var y the ladder sum over the
+        # table, which shares no quadrature with the metric.
+        m = metric_quadrature(spec, ModelPoint(0.3, 1.2))
+        assert isinstance(m, MetricTensor2)
+        assert 2.0 * m.reduced[0] * _y_moments(spec)[1] >= 1.0 - 1e-12
+
+
 def dense_table_kernel(spec):
     """(jet, fisher_ratio) built as ``kernel`` built them from a dense
     (top + 1)^2 table gathered to the occupied levels and always factored
@@ -605,10 +619,6 @@ class TestPacketRoots:
             np.testing.assert_allclose(np.sort_complex(roots),
                                        np.sort_complex([-y, y]),
                                        rtol=0.0, atol=1e-14)
-
-    def test_is_cached(self):
-        kf = kernel(StateSpec.mixture({0: 0.2, 3: 0.3, 5: 0.5}))
-        assert kf.roots() is kf.roots()
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_deep_eigenstate_roots(self, n):
