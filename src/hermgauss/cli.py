@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .estimation import _MIN_SAMPLES, _MIN_TRIALS, _y_moments, crb_experiment, sample
+from .estimation import _MIN_SAMPLES, _MIN_TRIALS, crb_experiment, sample
 from .geometry import (
     curvature_finite_difference,
     geodesic_trace,
@@ -34,6 +34,7 @@ from .models import (
     ModelPoint,
     PhysicalOscillator,
     StateSpec,
+    _y_moments,
     from_physical,
     kernel,
 )

@@ -39,12 +39,14 @@ and the exact log terms of the samples near the line, to come within 1 of
 its log L.  The floor: batches of fewer than 1,000 samples skip the cell
 start, which saved little time below that size.
 
-Otherwise, or when a Newton attempt fails or is refused, a compass search
-first walks uphill from the initializer until its steps fall to 1e-2, which
-places it in the maximum's cell, and Newton then polishes the estimate.  A
-Newton step that lowers the likelihood, meets a density zero or sees an
-indefinite Hessian hands the fit back to the compass search.  ``_start_cell``
-picks the start from one scan of the packet roots, ``models._dips``, kept per spec.
+So ``_start_cell``, from one scan of the packet roots kept per spec
+(``models._dips``), sends a shallow batch or a qualifying cell to Newton
+once, from the initializer.  Otherwise, or when that fit fails or is
+refused, a compass search walks uphill from the initializer until its steps
+fall to 1e-2, which places it in the maximum's cell, and hands the fit to
+Newton once; a Newton step that lowers the likelihood, meets a density zero
+or sees an indefinite Hessian hands it back to the search, which runs its
+steps down to 1e-9.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import crb_bound, metric_quadrature
-from .models import ModelPoint, StateSpec, _dips, _per_spec, kernel
+from .models import ModelPoint, StateSpec, _dips, _per_spec, _y_moments, kernel
 from .quadrature import QuadratureError, truncation_halfwidth
 
 __all__ = [
@@ -268,15 +270,15 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
 def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
-    A compass search walks from the moment-matching point and hands the fit
-    to Newton once its steps fall to each scale in turn: at once when
-    ``_start_cell`` gives () or a cell (a fit from the cell stands only if
-    certified), then at 1e-2.  Newton stops at a step below 1e-9 (relative
-    to sigma for mu); if it fails, the compass search resumes and runs its
-    steps down to 1e-9.  The fit fails after ``_MAX_EVALUATIONS`` objective
-    evaluations, Newton passes included.  A batch with a draw that is not
-    finite, or of fewer than two distinct samples, whose likelihood has no
-    maximum, is refused.
+    When ``_start_cell`` gives () or a cell, Newton runs once from the
+    moment-matching point, and its fit stands if it converges and, from a
+    cell, is certified.  Otherwise a compass search walks from that point
+    and hands the fit to Newton once its steps fall to 1e-2; if Newton
+    fails there, the search runs its steps down to 1e-9 (relative to sigma
+    for mu), the step at which Newton also stops.  The fit fails after
+    ``_MAX_EVALUATIONS`` objective evaluations, Newton passes included.  A
+    batch with a draw that is not finite, or of fewer than two distinct
+    samples, whose likelihood has no maximum, is refused.
     """
     spec = batch.spec
     x = np.asarray(batch.draws, dtype=float)
@@ -288,33 +290,27 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
     cell = _start_cell(spec, x, init)
-    handoffs = [_HANDOFF_STEP] if cell is None else [math.inf, _HANDOFF_STEP]
-
-    def objective(m, l):
-        return log_likelihood(spec, x, m, math.exp(l))
-
-    # The start's log L, evaluated when the compass search first needs it.
-    best = None
-    steps = passes = 0
+    passes = 0
+    if cell is not None:
+        fit, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
+        if fit is not None and (not cell or _certify(fit, *cell)):
+            return MleFit(fit.mu, fit.sigma, 0, passes)
+    best, steps = log_likelihood(spec, x, mu, math.exp(ls)), 1
+    handed = False
     step_mu = max(0.25 * math.exp(ls), 10.0 * _FIT_TOL)
     step_ls = 0.25
     while step_mu > _FIT_TOL or step_ls > _FIT_TOL:
-        if (handoffs and step_ls <= handoffs[0]
-                and step_mu <= handoffs[0] * math.exp(ls)):
-            handoffs.pop(0)
+        if (not handed and step_ls <= _HANDOFF_STEP
+                and step_mu <= _HANDOFF_STEP * math.exp(ls)):
+            handed = True
             fit, used = _newton_polish(kf, x, mu, ls,
                                        _MAX_EVALUATIONS - steps - passes)
             passes += used
-            if fit is not None and cell and not _certify(fit, *cell):
-                fit = None
-            cell = None
             if fit is not None:
                 return MleFit(fit.mu, fit.sigma, steps, passes)
-        if best is None:
-            best, steps = objective(mu, ls), 1
         improved = False
         for dm, dl in ((step_mu, 0.0), (-step_mu, 0.0), (0.0, step_ls), (0.0, -step_ls)):
-            cand = objective(mu + dm, ls + dl)
+            cand = log_likelihood(spec, x, mu + dm, math.exp(ls + dl))
             steps += 1
             if cand > best:
                 best, mu, ls = cand, mu + dm, ls + dl
@@ -485,34 +481,13 @@ def _newton_polish(kf, x, mu, ls, budget):
             break
         d_mu, d_ls = -np.linalg.solve(hess, score)
         if abs(d_mu) <= _FIT_TOL * math.exp(ls) and abs(d_ls) <= _FIT_TOL:
-            return ModelPoint(mu=mu + d_mu, sigma=math.exp(ls + d_ls)), passes
+            return ModelPoint(mu=float(mu + d_mu), sigma=math.exp(ls + d_ls)), passes
         jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
         passes += 1
         if jet is None or jet[0] < ll - _LL_ROUNDING * abs(ll):
             break
         mu, ls = mu + d_mu, ls + d_ls
     return None, passes
-
-
-@_per_spec
-def _y_moments(spec: StateSpec):
-    """(E[y], Var y) from the table: E[y^p] = sum_nm Re(lambda_nm) <n|y^p|m>.
-
-    By the ladder identity y psi_n = sqrt((n+1)/2) psi_{n+1} + sqrt(n/2) psi_{n-1},
-    <n|y|m> = sqrt(k/2) for |n - m| = 1, <n|y^2|m> = n + 1/2 for n = m and
-    sqrt(k(k-1))/2 for |n - m| = 2 (k = max(n, m)); the rest are zero.
-    """
-    e1, e2 = [], []
-    for (n, m), v in spec.table.items():
-        k = max(n, m)
-        if n == m:
-            e2.append(v.real * (n + 0.5))
-        elif abs(n - m) == 1:
-            e1.append(v.real * math.sqrt(k / 2.0))
-        elif abs(n - m) == 2:
-            e2.append(v.real * math.sqrt(k * (k - 1)) / 2.0)
-    ey = math.fsum(e1)
-    return ey, max(math.fsum(e2) - ey * ey, 1e-12)
 
 
 def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:

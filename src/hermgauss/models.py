@@ -404,6 +404,27 @@ def _dips(spec: StateSpec):
     return nodes, float(width)
 
 
+@_per_spec
+def _y_moments(spec: StateSpec):
+    """(E[y], Var y) from the table: E[y^p] = sum_nm Re(lambda_nm) <n|y^p|m>.
+
+    By the ladder identity y psi_n = sqrt((n+1)/2) psi_{n+1} + sqrt(n/2) psi_{n-1},
+    <n|y|m> = sqrt(k/2) for |n - m| = 1, <n|y^2|m> = n + 1/2 for n = m and
+    sqrt(k(k-1))/2 for |n - m| = 2 (k = max(n, m)); the rest are zero.
+    """
+    e1, e2 = [], []
+    for (n, m), v in spec.table.items():
+        k = max(n, m)
+        if n == m:
+            e2.append(v.real * (n + 0.5))
+        elif abs(n - m) == 1:
+            e1.append(v.real * math.sqrt(k / 2.0))
+        elif abs(n - m) == 2:
+            e2.append(v.real * math.sqrt(k * (k - 1)) / 2.0)
+    ey = math.fsum(e1)
+    return ey, max(math.fsum(e2) - ey * ey, 1e-12)
+
+
 def pdf(spec: StateSpec, point: ModelPoint, x):
     """Position probability density P(x) = f(y(x)) / sigma."""
     kf = kernel(spec)

@@ -557,6 +557,23 @@ class TestNewtonFirst:
         # invalid-value warning in the root locator or the dip widths.
         assert _shallow(spec, 5000) is shallow
 
+    @pytest.mark.parametrize("spec, count, refuse, compass", [
+        (StateSpec.eigenstate(0), 500, False, False),
+        (StateSpec.eigenstate(2), 5000, False, False),
+        (StateSpec.eigenstate(2), 500, False, True),
+        (StateSpec.eigenstate(2), 500, True, True),
+    ], ids=["newton_first", "cell_start", "handover", "compass_only"])
+    def test_fit_fields_are_floats(self, monkeypatch, spec, count, refuse, compass):
+        # Newton's end and the compass search's point are both plain floats,
+        # so a fit reprs the same whichever path finished it.
+        if refuse:
+            monkeypatch.setattr(hermgauss.estimation, "_loglik_jet",
+                                lambda *args: None)
+        fit = mle_fit(sample(spec, ModelPoint(0.3, 1.2), count, seed=1))
+        assert (fit.compass_evaluations > 0) is compass
+        assert type(fit.mu) is float and type(fit.sigma) is float
+        assert "np." not in repr(fit)
+
     def test_fit_equality_ignores_counters(self):
         a, b = MleFit(0.1, 1.2, 0, 3), MleFit(0.1, 1.2, 25, 4)
         assert a == b and hash(a) == hash(b)
@@ -770,12 +787,16 @@ class TestCrbExperiment:
         (StateSpec.eigenstate(2), 5000, 58, 109),
         (RHO01, 500, 0, 118),
         (StateSpec.eigenstate(0), 500, 0, 30),
-    ], ids=["n2", "n2_5000", "rho01", "n0"])
+        (StateSpec.mixture({0: 0.5, 12: 0.5}), 500, 1082, 117),
+        (StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}), 500, 970, 106),
+    ], ids=["n2", "n2_5000", "rho01", "n0", "mixture_0_12", "real_0_1_3"])
     def test_fit_counters(self, spec, samples, compass, passes):
         # The compass search then Newton on |2> at 500 samples, below the
         # cell-start floor; at 5,000 Newton from the start's cell stands on
-        # 28 of 30 trials.  Newton-first on the others: any change to the
-        # order of hand-offs moves these counts.
+        # 28 of 30 trials.  Newton-first on rho01 and |0>.  The deep mixture
+        # and the three-level superposition, with no cell start at 500
+        # samples, walk the compass search to its hand-over: any change to
+        # the order of hand-offs moves these counts.
         rep = crb_experiment(spec, ModelPoint(0.3, 1.2),
                              trials=30, samples_per_trial=samples, seed=1)
         assert (rep.compass_evaluations, rep.newton_passes) == (compass, passes)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermder, hermval
 
 import hermgauss.models
-from hermgauss.estimation import _loglik_jet, _y_moments
+from hermgauss.estimation import _loglik_jet
 from hermgauss.geometry import MetricTensor2, metric_quadrature
 from hermgauss.hermite import MAX_DEGREE, hermite_normalized_all
 from hermgauss.models import (
@@ -16,6 +16,7 @@ from hermgauss.models import (
     ModelPoint,
     PhysicalOscillator,
     StateSpec,
+    _y_moments,
     from_physical,
     kernel,
     pdf,
@@ -89,6 +90,11 @@ class TestPhysicalOscillator:
         osc = PhysicalOscillator(mass=1, omega0=2, x0=0)
         assert osc.energy(1) == 3.0
 
+    def test_negative_level_has_no_energy(self):
+        osc = PhysicalOscillator(mass=1, omega0=2, x0=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            osc.energy(-1)
+
     def test_rejects_nonpositive_constants(self):
         with pytest.raises(ValueError):
             PhysicalOscillator(mass=0, omega0=1, x0=0)
@@ -104,6 +110,9 @@ class TestPhysicalOscillator:
 
 
 class TestStateSpecValidation:
+    def test_repr_names_kind_and_top_level(self):
+        assert repr(StateSpec.eigenstate(3)) == "StateSpec(kind='eigenstate', max_index=3)"
+
     def test_mixture_must_sum_to_one(self):
         with pytest.raises(InvalidStateError):
             StateSpec.mixture({0: 0.5, 1: 0.5001})
