@@ -9,13 +9,12 @@ estimation harness.
 """
 
 from . import models, quadrature, geometry, estimation
-from .hermite import orthogonality_residual
 from .models import *
 from .quadrature import *
 from .geometry import *
 from .estimation import *
 
-__all__ = ["orthogonality_residual", *models.__all__, *quadrature.__all__,
-           *geometry.__all__, *estimation.__all__]
+__all__ = [*models.__all__, *quadrature.__all__, *geometry.__all__,
+           *estimation.__all__]
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import hermite_normalized_all
-from .models import InvalidStateError, ModelPoint, StateSpec, kernel
+from .models import InvalidStateError, ModelPoint, StateSpec, _level, kernel
 from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 __all__ = [
@@ -234,7 +234,7 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
     components are the closed series in the coefficient offsets
     (0, +-2, +-4 for the diagonal, +-1, +-3 for the off-diagonal).
     """
-    a = {int(n): float(v) for n, v in dict(coeffs).items()}
+    a = {_level(n): float(v) for n, v in dict(coeffs).items()}
     if any(n < 0 for n in a):
         raise InvalidStateError("coefficient indices must be non-negative")
     norm2 = math.fsum(v * v for v in a.values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,15 @@ def _unit_divisor(total, renormalize, what):
     if not renormalize and not abs(total - 1.0) <= _NORM_TOL:
         raise InvalidStateError(f"{what} is {total!r}, expected 1 within {_NORM_TOL}")
     return total if renormalize else 1.0
+
+
+def _level(n):
+    """``n`` as an int, refusing what ``operator.index`` refuses: ``int``
+    would truncate 2.7 to 2.  Numpy integers pass."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise InvalidStateError(f"level index must be an integer, got {n!r}") from None
 
 
 def _unique(terms, key, value, what):
@@ -157,13 +167,13 @@ class StateSpec:
 
     @classmethod
     def eigenstate(cls, n: int) -> "StateSpec":
-        n = int(n)
+        n = _level(n)
         _check_indices("eigenstate", (n,))
         return cls("eigenstate", {(n, n): 1.0 + 0.0j}, coeffs={n: 1.0 + 0.0j})
 
     @classmethod
     def mixture(cls, weights, renormalize: bool = False) -> "StateSpec":
-        w = _unique(weights, int, float, "mixture level")
+        w = _unique(weights, _level, float, "mixture level")
         if not w:
             raise InvalidStateError("mixture needs at least one term")
         _check_indices("mixture", w)
@@ -176,7 +186,7 @@ class StateSpec:
 
     @classmethod
     def superposition(cls, coeffs, renormalize: bool = False) -> "StateSpec":
-        a = _unique(coeffs, int, complex, "superposition level")
+        a = _unique(coeffs, _level, complex, "superposition level")
         if not a:
             raise InvalidStateError("superposition needs at least one term")
         _check_indices("superposition", a)
@@ -189,7 +199,7 @@ class StateSpec:
 
     @classmethod
     def density(cls, entries, renormalize: bool = False) -> "StateSpec":
-        table = _unique(entries, lambda nm: tuple(map(int, nm)), complex,
+        table = _unique(entries, lambda nm: tuple(map(_level, nm)), complex,
                         "density entry")
         for n, m in table:
             _check_indices("density", (n, m))
@@ -437,5 +447,5 @@ def wavefunction(n: int, point: ModelPoint, x):
     """Real position wave function of the number state |n> at (mu, sigma)."""
     x = np.asarray(x, dtype=float)
     y = point.y_of_x(x)
-    v = hermite_normalized_all(int(n), y)[-1] / math.sqrt(_SQRT_2PI * point.sigma)
+    v = hermite_normalized_all(_level(n), y)[-1] / math.sqrt(_SQRT_2PI * point.sigma)
     return v if v.shape else float(v)

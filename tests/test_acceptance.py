@@ -10,6 +10,7 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,8 +24,9 @@ from hermgauss.geometry import (
     metric_series_real,
     scalar_curvature_reduced,
 )
-from hermgauss.hermite import hermite_all, orthogonality_residual
+from hermgauss.hermite import hermite_normalized_all
 from hermgauss.models import ModelPoint, StateSpec
+from hermgauss.quadrature import integrate_real_line
 
 ORIGIN = ModelPoint(0.0, 1.0)
 
@@ -184,18 +186,28 @@ def test_criterion_7_cramer_rao_experiment():
 
 
 def test_criterion_8_hermite_kernel():
-    worst_orth = max(orthogonality_residual(n, m)
-                     for n in range(21) for m in range(21))
+    # The library's own rows: the Gram matrix of psi_0 .. psi_20 in one
+    # adaptive integral, and psi_0 .. psi_21 against 50-digit mpmath.
+    def gram(y):
+        psi = hermite_normalized_all(20, y)
+        return (psi[:, None] * psi[None, :]).reshape(21 * 21, -1)
+
+    res = integrate_real_line(gram, degree_hint=41)
+    assert res.converged
+    g = res.value.reshape(21, 21)
+    worst_orth = float(np.max(np.abs(g - math.sqrt(math.pi) * np.eye(21)))
+                       / math.sqrt(math.pi))
     rng = np.random.default_rng(2)
     y = rng.uniform(-4.0, 4.0, size=100)
-    rows = hermite_all(21, y)
-    worst_rec = 0.0
-    for n in range(1, 21):
-        resid = rows[n + 1] - (2.0 * y * rows[n] - 2.0 * n * rows[n - 1])
-        scale = np.maximum(1.0, np.abs(rows[n + 1]))
-        worst_rec = max(worst_rec, float(np.max(np.abs(resid) / scale)))
-    report(8, f"hermite kernel (orth {worst_orth:.2e}, rec {worst_rec:.2e})",
-           worst_orth < 1e-10 and worst_rec < 1e-12)
+    rows = hermite_normalized_all(21, y)
+    with mpmath.workdps(50):
+        expect = np.array([[float(mpmath.hermite(n, v) * mpmath.exp(-v * v / 2)
+                                  / mpmath.sqrt(2 ** n * mpmath.factorial(n)))
+                            for v in map(mpmath.mpf, y)] for n in range(22)])
+    worst_rows = float(np.max(np.abs(rows - expect)
+                              / np.maximum(1.0, np.abs(expect))))
+    report(8, f"hermite kernel (orth {worst_orth:.2e}, rows {worst_rows:.2e})",
+           worst_orth < 1e-10 and worst_rows < 1e-12)
 
 
 def test_criterion_9_geodesic_speed():

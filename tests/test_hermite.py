@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -8,24 +7,25 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgauss.hermite import (
-    MAX_DEGREE,
-    hermite_all,
-    hermite_normalized_all,
-    orthogonality_residual,
-)
-from hermgauss.quadrature import QuadConfig, QuadratureError
+from hermgauss.hermite import MAX_DEGREE, hermite_normalized_all
+from hermgauss.quadrature import integrate_real_line
 
 
 def rodrigues(n, y):
-    """Small-n oracle: (-1)^n e^{y^2} d^n/dy^n e^{-y^2}, evaluated symbolically."""
+    """Small-n oracle: a_n (-1)^n e^{y^2/2} d^n/dy^n e^{-y^2}, evaluated
+    symbolically."""
     t = sympy.Symbol("t")
-    expr = (-1) ** n * sympy.exp(t ** 2) * sympy.diff(sympy.exp(-t ** 2), t, n)
+    expr = ((-1) ** n * sympy.exp(t ** 2 / 2) * sympy.diff(sympy.exp(-t ** 2), t, n)
+            / sympy.sqrt(2 ** n * sympy.factorial(n)))
     return float(expr.subs(t, sympy.Rational(y)).evalf(30))
 
 
-def hermite(n, y):
-    return hermite_all(n, y)[n]
+def mp_normalized(n, y, dps=50):
+    """a_n H_n(y) e^{-y^2/2} from mpmath's Hermite polynomial at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(y)
+        return float(mpmath.hermite(n, y) * mpmath.exp(-y * y / 2)
+                     / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n)))
 
 
 def hermite_normalized(n, y):
@@ -34,52 +34,41 @@ def hermite_normalized(n, y):
 
 class TestHermite:
     def test_degree_zero_is_one(self):
-        assert hermite(0, 3.7) == 1.0
+        # psi_0 = exp(-y^2/2): H_0 = 1.
+        assert hermite_normalized(0, 3.7) == math.exp(-0.5 * 3.7 * 3.7)
 
     def test_degree_two(self):
-        assert hermite(2, 1.0) == 2.0  # 4y^2 - 2
+        # psi_2 = (4y^2 - 2) e^{-y^2/2} / sqrt(8)
+        assert hermite_normalized(2, 1.0) == pytest.approx(
+            2.0 * math.exp(-0.5) / math.sqrt(8.0), rel=1e-15)
 
     def test_degree_one(self):
-        assert hermite(1, -0.25) == -0.5
+        # psi_1 = 2y e^{-y^2/2} / sqrt(2)
+        assert hermite_normalized(1, -0.25) == pytest.approx(
+            -0.5 * math.exp(-0.03125) / math.sqrt(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("n,y", [(6, 0.5), (5, -1.5), (8, 2.0), (3, 0.0)])
     def test_matches_rodrigues_oracle(self, n, y):
-        assert hermite(n, y) == pytest.approx(rodrigues(n, y), rel=1e-12)
+        assert hermite_normalized(n, y) == pytest.approx(rodrigues(n, y),
+                                                         rel=1e-12, abs=1e-300)
 
     def test_vectorized(self):
         y = np.linspace(-2, 2, 7)
-        v = hermite(4, y)
+        v = hermite_normalized(4, y)
         assert v.shape == y.shape
-        assert v[3] == hermite(4, 0.0)
-
-    def test_overflow_is_signaled(self):
-        # Only the OverflowError may escape: no numpy warning before it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
-                hermite(200, 40.0)
+        assert v[3] == hermite_normalized(4, 0.0)
 
     def test_degree_cap(self):
-        for rows in (hermite_all, hermite_normalized_all):
-            with pytest.raises(ValueError):
-                rows(MAX_DEGREE + 1, 0.0)
-            with pytest.raises(ValueError):
-                rows(-1, 0.0)
+        with pytest.raises(ValueError):
+            hermite_normalized_all(MAX_DEGREE + 1, 0.0)
+        with pytest.raises(ValueError):
+            hermite_normalized_all(-1, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 60), y=st.floats(-5, 5))
     def test_parity_is_exact(self, n, y):
-        # The recurrences preserve the sign symmetry bit for bit.
-        assert hermite(n, -y) == (-1) ** n * hermite(n, y)
+        # The recurrence preserves the sign symmetry bit for bit.
         assert hermite_normalized(n, -y) == (-1) ** n * hermite_normalized(n, y)
-
-    def test_recurrence_consistency_is_exact(self):
-        rng = np.random.default_rng(3)
-        y = rng.uniform(-3, 3, size=100)
-        rows = hermite_all(25, y)
-        for n in range(1, 25):
-            resid = rows[n + 1] - (2.0 * y * rows[n] - 2.0 * n * rows[n - 1])
-            assert np.max(np.abs(resid)) == 0.0
 
 
 class TestNormalized:
@@ -102,18 +91,24 @@ class TestNormalized:
         rows = hermite_normalized_all(200, y)
         assert np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize("n", [40, 100, 150, 200])
+    def test_envelope_against_mpmath(self, n):
+        # Far out, psi_0 is subnormal (|y| > 37.6) or 0 (|y| > 38.6), and so
+        # is every row; on the max(1, |v|) scale that is still exact.
+        y = np.array([0.0, 0.37, 1.3, 2.9, 5.1, 9.7, 14.2, 19.9, 27.5, 39.0])
+        got = hermite_normalized_all(n, y)[n]
+        expect = np.array([mp_normalized(n, v, dps=60) for v in y])
+        assert np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect))) <= 1e-14
+
     def test_consistent_with_raw(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(0, 25))
             y = float(rng.uniform(-4, 4))
-            a_n = 1.0 / math.sqrt(2.0 ** n * math.factorial(n))
-            raw = hermite_normalized(n, y) * math.exp(0.5 * y * y) / a_n
-            assert raw == pytest.approx(hermite(n, y), rel=1e-10)
+            assert hermite_normalized(n, y) == pytest.approx(
+                mp_normalized(n, y), rel=1e-10, abs=1e-300)
 
     def test_squared_norm_is_sqrt_pi(self):
-        from hermgauss.quadrature import integrate_real_line
-
         for n in (0, 3, 17):
             res = integrate_real_line(
                 lambda y, n=n: hermite_normalized_all(n, y)[n] ** 2,
@@ -122,20 +117,22 @@ class TestNormalized:
 
 
 class TestOrthogonality:
+    @staticmethod
+    def residual(n, m):
+        """|int psi_n psi_m - sqrt(pi) delta_nm| / sqrt(pi) by one adaptive
+        integral, which must converge."""
+        top = max(n, m)
+        res = integrate_real_line(
+            lambda y: np.prod(hermite_normalized_all(top, y)[[n, m]], axis=0),
+            degree_hint=n + m + 1)
+        assert res.converged
+        target = math.sqrt(math.pi) if n == m else 0.0
+        return abs(res.value - target) / math.sqrt(math.pi)
+
     @pytest.mark.parametrize("n,m,bound", [(3, 5, 1e-10), (0, 0, 1e-12), (7, 7, 1e-10)])
     def test_examples(self, n, m, bound):
-        assert orthogonality_residual(n, m) < bound
+        assert self.residual(n, m) < bound
 
     def test_high_degree(self):
-        assert orthogonality_residual(40, 40) < 1e-10
-        assert orthogonality_residual(12, 60) < 1e-10
-
-    def test_degree_limit(self):
-        with pytest.raises(ValueError):
-            orthogonality_residual(61, 0)
-
-    def test_unconverged_integral_raises(self):
-        # The initial partition alone (84 panels of 15 points) overruns a
-        # budget of 150 evaluations.
-        with pytest.raises(QuadratureError, match="1260 evaluations"):
-            orthogonality_residual(40, 40, QuadConfig(max_evaluations=150))
+        assert self.residual(40, 40) < 1e-10
+        assert self.residual(12, 60) < 1e-10

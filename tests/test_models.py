@@ -8,7 +8,7 @@ from numpy.polynomial.hermite import hermder, hermval
 
 import hermgauss.models
 from hermgauss.estimation import _loglik_jet
-from hermgauss.geometry import MetricTensor2, metric_quadrature
+from hermgauss.geometry import MetricTensor2, metric_quadrature, metric_series_real
 from hermgauss.hermite import MAX_DEGREE, hermite_normalized_all
 from hermgauss.models import (
     InvalidStateError,
@@ -153,7 +153,7 @@ class TestStateSpecValidation:
     @pytest.mark.parametrize("build, message", [
         (lambda: StateSpec.mixture([(0, 0.3), (0, 0.2), (1, 0.5)],
                                    renormalize=True), "mixture level 0"),
-        (lambda: StateSpec.superposition([(1, 0.6), (1.0, 0.8)]),
+        (lambda: StateSpec.superposition([(1, 0.6), (np.int64(1), 0.8)]),
          "superposition level 1"),
         (lambda: StateSpec.density([((0, 0), 0.5), ((1, 1), 0.5),
                                     ((0, 1), 0.1), ((1, 0), 0.1), ((0, 1), 0.2)]),
@@ -215,6 +215,28 @@ class TestStateSpecValidation:
         entries[(3, 66)] = entries[(66, 3)] = 0.01
         s = StateSpec.density(entries)
         assert s.max_index == 69
+
+    @pytest.mark.parametrize("build, bad, error", [
+        (StateSpec.eigenstate, 2.7, InvalidStateError),
+        (lambda k: StateSpec.mixture({0: 0.5, k: 0.5}), 1.9, InvalidStateError),
+        (lambda k: StateSpec.superposition({0: 0.6, k: 0.8}), 1.5,
+         InvalidStateError),
+        (lambda k: StateSpec.density({(k, k): 1.0}), 0.9, InvalidStateError),
+        (lambda k: wavefunction(k, ModelPoint(0.0, 1.0), 0.3), 1.99,
+         InvalidStateError),
+        (lambda k: metric_series_real({k: 1.0}, ModelPoint(0.0, 1.0)), 2.5,
+         InvalidStateError),
+        (lambda k: hermite_normalized_all(k, 0.3), 2.7, ValueError),
+    ], ids=["eigenstate", "mixture", "superposition", "density",
+            "wavefunction", "metric_series_real", "hermite_normalized_all"])
+    def test_non_integer_level_rejected(self, build, bad, error):
+        # int() would truncate the level; a numpy integer is still a level.
+        with pytest.raises(error, match="integer"):
+            build(bad)
+        got, want = build(np.int64(2)), build(2)
+        for attr in ("table", "reduced"):
+            got, want = getattr(got, attr, got), getattr(want, attr, want)
+        assert np.array_equal(got, want)
 
     def test_indices_above_cap_rejected(self):
         top = MAX_DEGREE + 1
