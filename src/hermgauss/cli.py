@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computational failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .geometry import (
     metric_series_real,
     scalar_curvature_reduced,
 )
+from .hermite import _integer
 from .models import (
     InvalidStateError,
     ModelPoint,
@@ -75,29 +77,22 @@ def _real(v):
     return v
 
 
-def _index(v):
-    """A JSON integer, never a boolean."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
-
-
 def _pair(v):
     a, b = v
     return [_real(a), _real(b)]
 
 
 # Types of the fields the library reads, in any block; others pass through.
+# An integer field takes the least value the library accepts.
 _CONVERT = {
-    **dict.fromkeys(("n", "m", "max_evaluations", "trials",
-                     "samples_per_trial", "seed", "count", "steps"), _index),
+    **{k: functools.partial(_integer, what=k, least=least) for k, least in (
+        ("n", 0), ("m", 0), ("max_evaluations", 1), ("trials", _MIN_TRIALS),
+        ("samples_per_trial", _MIN_SAMPLES), ("seed", 0), ("count", 1),
+        ("steps", 1))},
     **dict.fromkeys(("weight", "re", "im", "mu", "sigma", "mass", "omega0",
                      "x0", "hbar", "rel_tol", "abs_tol", "tau_end"), _real),
     "velocity": _pair,
 }
-# The least value of each count that the library accepts.
-_LEAST = {"trials": _MIN_TRIALS, "samples_per_trial": _MIN_SAMPLES, "count": 1,
-          "steps": 1, "seed": 0}
 
 
 def _typed(obj, where):
@@ -108,8 +103,6 @@ def _typed(obj, where):
     for k, v in obj.items():
         try:
             out[k] = _CONVERT.get(k, lambda v: v)(v)
-            if k in _LEAST and out[k] < _LEAST[k]:
-                raise ValueError(f"must be >= {_LEAST[k]}, got {v}")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid {k!r} in {where}: {exc}") from exc
     return out

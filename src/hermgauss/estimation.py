@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import crb_bound, metric_quadrature
+from .hermite import _integer
 from .models import ModelPoint, StateSpec, _dips, _per_spec, _y_moments, kernel
 from .quadrature import QuadratureError, truncation_halfwidth
 
@@ -245,17 +246,16 @@ def sample(spec: StateSpec, point: ModelPoint, count: int, seed: int) -> SampleB
     """Draw i.i.d. position samples by inverse-CDF lookup.
 
     Reproducible: the same (spec, point, count, seed) always yields the
-    same draws.
+    same draws.  ``count`` is an integer >= 1 and ``seed`` one >= 0.
     """
     # A float or bool count would reach ``rng.random`` as a shape.
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"count must be an int >= 1, got {count!r}")
+    count, seed = _integer(count, "count", 1), _integer(seed, "seed")
     table = _cdf_table(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = rng.random(count)
     y = table.invert(u)
     x = point.mu + math.sqrt(2.0) * point.sigma * y
-    return SampleBatch(spec=spec, true_point=point, draws=x, rng_seed=int(seed))
+    return SampleBatch(spec=spec, true_point=point, draws=x, rng_seed=seed)
 
 
 def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> float:
@@ -499,7 +499,7 @@ def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:
 
 
 def _trial_seed(seed: int, trial: int) -> int:
-    return int(np.random.SeedSequence(entropy=int(seed),
+    return int(np.random.SeedSequence(entropy=seed,
                                       spawn_key=(trial,)).generate_state(1)[0])
 
 
@@ -519,14 +519,13 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     chained to the first failure, when fewer than 30 fits succeed.  The
     compass objective evaluations and Newton passes of the fits that
     succeed are summed in ``compass_evaluations`` and ``newton_passes``.
-    ValueError is raised before any work unless ``trials`` is an int >= 30
-    and ``samples_per_trial`` an int >= 2.
+    ValueError is raised before any work unless ``trials`` is an integer
+    >= 30, ``samples_per_trial`` one >= 2 and ``seed`` one >= 0.
     """
-    for name, value, least in (("trials", trials, _MIN_TRIALS),
-                               ("samples_per_trial", samples_per_trial,
-                                _MIN_SAMPLES)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    trials = _integer(trials, "trials", _MIN_TRIALS)
+    samples_per_trial = _integer(samples_per_trial, "samples_per_trial",
+                                 _MIN_SAMPLES)
+    seed = _integer(seed, "seed")
     metric = metric_quadrature(spec, point)
     bound = crb_bound(metric)
     fits = []

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import hermite_normalized_all
-from .models import InvalidStateError, ModelPoint, StateSpec, _level, kernel
+from .hermite import _integer, hermite_normalized_all
+from .models import InvalidStateError, ModelPoint, StateSpec, _unique, kernel
 from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
 __all__ = [
@@ -229,14 +229,14 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
 def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
     """Metric of a real-coefficient superposition from the finite series sums.
 
-    ``coeffs`` maps index n to a real coefficient alpha_n (dict or iterable
-    of pairs); coefficients outside the table count as zero.  The three
-    components are the closed series in the coefficient offsets
-    (0, +-2, +-4 for the diagonal, +-1, +-3 for the off-diagonal).
+    ``coeffs`` maps each index n, an integer >= 0 given once, to a real
+    coefficient alpha_n (dict or iterable of pairs); coefficients outside
+    the table count as zero.  The three components are the closed series in
+    the coefficient offsets (0, +-2, +-4 for the diagonal, +-1, +-3 for the
+    off-diagonal).
     """
-    a = {_level(n): float(v) for n, v in dict(coeffs).items()}
-    if any(n < 0 for n in a):
-        raise InvalidStateError("coefficient indices must be non-negative")
+    a = _unique(coeffs, lambda n: _integer(n, "level", error=InvalidStateError),
+                float, "series level")
     norm2 = math.fsum(v * v for v in a.values())
     if not abs(norm2 - 1.0) <= 1e-12:
         raise InvalidStateError(
@@ -392,14 +392,17 @@ def geodesic_trace(metric: MetricTensor2, velocity, tau_end: float,
     leaves the normal double range before tau_end: it underflows toward
     sigma = 0 or, going straight up, overflows.  The samples stop there,
     so each one keeps full precision.  Raises ValueError unless ``steps``
-    is an int >= 1 and ``tau_end`` and ``velocity`` are finite.
+    is an integer >= 1 and ``tau_end`` and both ``velocity`` entries finite.
     """
     # A float steps would space the samples past tau_end.
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ValueError(f"steps must be >= 1 and an int, got {steps!r}")
-    vm0, vs0 = float(velocity[0]), float(velocity[1])
+    steps = _integer(steps, "steps", 1)
+    try:
+        vm0, vs0 = map(float, velocity)
+    except (TypeError, ValueError):  # not two numbers: refused below
+        vm0 = vs0 = math.nan
     if not all(map(math.isfinite, (tau_end, vm0, vs0))):
-        raise ValueError("tau_end and velocity must be finite")
+        raise ValueError("tau_end and velocity must be finite, velocity a "
+                         f"pair: got {tau_end!r} and {velocity!r}")
     start, (a, b, c) = metric.point, metric.reduced
     root_det = math.sqrt(a * c - b * b)
     vv0 = (a * vm0 + b * vs0) / root_det

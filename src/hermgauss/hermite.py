@@ -30,16 +30,22 @@ __all__ = [
 MAX_DEGREE = 200
 
 
-def _check_degree(n: int) -> int:
+def _integer(value, what, least=0, most=None, error=ValueError):
+    """``value`` as an int by the package's one rule for levels, degrees,
+    counts, seeds and budgets, kept here as this module imports nothing
+    from the package.  Numpy integers pass; bools, whatever
+    ``operator.index`` refuses (2.7, 3.0, "2", None) and values outside
+    ``least`` .. ``most`` (no cap when None) raise ``error``."""
     try:
-        n = operator.index(n)
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        n = operator.index(value)
+        if least <= n and (most is None or n <= most):
+            return n
     except TypeError:
-        raise ValueError(f"degree must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
-    return n
+        pass
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise error(f"{what} must be an integer {bound}, got {value!r}")
 
 
 def hermite_normalized_all(n: int, y):
@@ -50,7 +56,7 @@ def hermite_normalized_all(n: int, y):
     so each step multiplies by bounded factors and nothing overflows in the
     stated envelope (n <= 200, |y| <= 40).
     """
-    n = _check_degree(n)
+    n = _integer(n, "degree", 0, MAX_DEGREE)
     y = np.asarray(y, dtype=float)
     out = np.empty((n + 1,) + y.shape)
     out[0] = np.exp(-0.5 * y * y)

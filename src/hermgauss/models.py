@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import MAX_DEGREE, hermite_normalized_all
+from .hermite import MAX_DEGREE, _integer, hermite_normalized_all
 
 __all__ = [
     "InvalidStateError",
@@ -57,12 +56,18 @@ def _unit_divisor(total, renormalize, what):
 
 
 def _level(n):
-    """``n`` as an int, refusing what ``operator.index`` refuses: ``int``
-    would truncate 2.7 to 2.  Numpy integers pass."""
+    """A state's level ``n`` by the integer rule, in 0..MAX_DEGREE."""
+    return _integer(n, "level", 0, MAX_DEGREE, InvalidStateError)
+
+
+def _entry(nm):
+    """A density table key: a pair of levels."""
     try:
-        return operator.index(n)
-    except TypeError:
-        raise InvalidStateError(f"level index must be an integer, got {n!r}") from None
+        n, m = nm
+    except (TypeError, ValueError):
+        raise InvalidStateError(
+            f"density entry {nm!r} is not a pair of levels") from None
+    return _level(n), _level(m)
 
 
 def _unique(terms, key, value, what):
@@ -75,13 +80,6 @@ def _unique(terms, key, value, what):
             raise InvalidStateError(f"{what} {k} is given twice")
         out[k] = value(v)
     return out
-
-
-def _check_indices(kind, indices):
-    for n in indices:
-        if not 0 <= n <= MAX_DEGREE:
-            raise InvalidStateError(
-                f"{kind} indices must lie in 0..{MAX_DEGREE}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,7 @@ class PhysicalOscillator:
         return math.sqrt(self.hbar / (2.0 * self.mass * self.omega0))
 
     def energy(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("level index must be non-negative")
+        n = _integer(n, "level")
         return self.hbar * self.omega0 * (n + 0.5)
 
 
@@ -168,7 +165,6 @@ class StateSpec:
     @classmethod
     def eigenstate(cls, n: int) -> "StateSpec":
         n = _level(n)
-        _check_indices("eigenstate", (n,))
         return cls("eigenstate", {(n, n): 1.0 + 0.0j}, coeffs={n: 1.0 + 0.0j})
 
     @classmethod
@@ -176,7 +172,6 @@ class StateSpec:
         w = _unique(weights, _level, float, "mixture level")
         if not w:
             raise InvalidStateError("mixture needs at least one term")
-        _check_indices("mixture", w)
         if not all(0.0 <= v < math.inf for v in w.values()):
             raise InvalidStateError("mixture weights must be non-negative and finite")
         total = _unit_divisor(math.fsum(w.values()), renormalize,
@@ -189,7 +184,6 @@ class StateSpec:
         a = _unique(coeffs, _level, complex, "superposition level")
         if not a:
             raise InvalidStateError("superposition needs at least one term")
-        _check_indices("superposition", a)
         s = math.sqrt(_unit_divisor(math.fsum(abs(v) ** 2 for v in a.values()),
                                     renormalize, "superposition norm"))
         a = {n: v / s for n, v in a.items() if v != 0.0}
@@ -199,10 +193,7 @@ class StateSpec:
 
     @classmethod
     def density(cls, entries, renormalize: bool = False) -> "StateSpec":
-        table = _unique(entries, lambda nm: tuple(map(_level, nm)), complex,
-                        "density entry")
-        for n, m in table:
-            _check_indices("density", (n, m))
+        table = _unique(entries, _entry, complex, "density entry")
         if not table:
             raise InvalidStateError("density table is empty")
         for (n, m), v in table.items():

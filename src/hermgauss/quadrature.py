@@ -26,6 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .hermite import _integer
+
 __all__ = [
     "QuadConfig",
     "QuadResult",
@@ -60,14 +62,17 @@ class QuadConfig:
     max_evaluations: int = 2_000_000
 
     def __post_init__(self):
-        # Written so that NaN fails: it compares False both ways.
-        if not all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol,
-                                               self.max_evaluations)):
+        # Written so that NaN fails: it compares False both ways; a string
+        # or None, which does not compare with a number, fails too.
+        try:
+            finite = all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol,
+                                                     self.max_evaluations))
+        except TypeError:
+            finite = False
+        if not finite:
             raise ValueError("QuadConfig fields must be positive and finite")
         # A float budget would reach refinement as a slice bound.
-        if (not isinstance(self.max_evaluations, int)
-                or isinstance(self.max_evaluations, bool)):
-            raise ValueError("QuadConfig max_evaluations must be an int")
+        _integer(self.max_evaluations, "QuadConfig max_evaluations", 1)
 
 
 @dataclass(frozen=True)

@@ -535,18 +535,19 @@ class TestMain:
         assert "cannot read config" in capsys.readouterr().err
 
 
-# Runs the given statements, then prints the scipy modules loaded so far
-# as the last line on stderr.
-_LOADED_SCIPY = ("import sys\n{}\n"
-                 "print(sorted(m for m in sys.modules "
-                 "if m.partition('.')[0] == 'scipy'), file=sys.stderr)")
+# Runs the given statements, then prints the scipy modules and the
+# numpy.polynomial modules loaded so far as the last two lines on stderr.
+_LOADED = ("import sys\n{}\n"
+           "for package in ('scipy', 'numpy.polynomial'):\n"
+           "    print(sorted(m for m in sys.modules if m == package "
+           "or m.startswith(package + '.')), file=sys.stderr)")
 
 
 def run_fresh(code, *args):
     env = dict(os.environ)
     src = str(Path(hermgauss.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", _LOADED_SCIPY.format(code), *args],
+    return subprocess.run([sys.executable, "-c", _LOADED.format(code), *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -554,7 +555,7 @@ class TestRuntimeDependencies:
     def test_import_loads_no_scipy(self):
         proc = run_fresh("import hermgauss, hermgauss.cli")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "[]"
+        assert proc.stderr.splitlines()[-2:] == ["[]", "[]"]
 
     def test_metric_command_loads_no_scipy(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -562,5 +563,19 @@ class TestRuntimeDependencies:
         proc = run_fresh("import hermgauss.cli\n"
                          "assert hermgauss.cli.main(sys.argv[1:]) == 0", str(path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "[]"
+        assert proc.stderr.splitlines()[-2] == "[]"
         assert json.loads(proc.stdout)["command"] == "metric"
+
+    @pytest.mark.parametrize("state, loaded", [
+        ("StateSpec.mixture({0: 0.5, 1: 0.5})", False),
+        ("StateSpec.eigenstate(2)", True)], ids=["rho01", "eigenstate_2"])
+    def test_numpy_polynomial_loads_with_the_exact_rule_only(self, state, loaded):
+        # KernelFn.roots and geometry._hermite_rule import numpy.polynomial
+        # inside the function; only a rank-one metric takes the exact rule.
+        proc = run_fresh("from hermgauss import ModelPoint, StateSpec, "
+                         "metric_quadrature\n"
+                         f"metric_quadrature({state}, ModelPoint(0.3, 1.2))")
+        assert proc.returncode == 0, proc.stderr
+        modules = proc.stderr.splitlines()[-1]
+        assert ("'numpy.polynomial.hermite'" in modules) is loaded
+        assert (modules == "[]") is not loaded

@@ -377,7 +377,8 @@ class TestSeriesMetric:
             metric_series_real(coeffs, ORIGIN)
 
     def test_rejects_negative_index(self):
-        with pytest.raises(InvalidStateError, match="non-negative"):
+        with pytest.raises(InvalidStateError,
+                           match="level must be an integer >= 0"):
             metric_series_real({-1: 0.6, 0: 0.8}, ORIGIN)
 
     def test_matches_ladder_operator_derivation(self):
@@ -600,15 +601,19 @@ class TestGeodesics:
 
     @pytest.mark.parametrize("velocity, tau_end", [
         ((0.3, 0.2), math.nan), ((0.3, 0.2), math.inf),
-        ((math.inf, 0.0), 1.0), ((0.0, math.nan), 1.0)],
-        ids=["tau_end_nan", "tau_end_inf", "velocity_inf", "velocity_nan"])
+        ((math.inf, 0.0), 1.0), ((0.0, math.nan), 1.0),
+        ((0.0, 1.0, 5.0), 1.0), ((0.0,), 1.0), (0.5, 1.0), (None, 1.0),
+        (("a", 1.0), 1.0)],
+        ids=["tau_end_nan", "tau_end_inf", "velocity_inf", "velocity_nan",
+             "velocity_three", "velocity_one", "velocity_scalar",
+             "velocity_none", "velocity_string"])
     def test_non_finite_input_rejected(self, velocity, tau_end):
         with pytest.raises(ValueError, match="must be finite"):
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
                            velocity, tau_end, 10)
 
     def test_requires_a_step(self):
-        with pytest.raises(ValueError, match="steps must be >= 1"):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
                            (0.3, 0.2), 1.0, 0)
 
@@ -617,7 +622,7 @@ class TestGeodesics:
     def test_steps_must_be_an_int(self, steps):
         # A float would space the rows by tau_end / steps and run past
         # tau_end: 2.5 gave tau = 0, 0.4, 0.8, 1.2.
-        with pytest.raises(ValueError, match="^steps must be >= 1 and an int"):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1, got"):
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(0), ORIGIN),
                            (0.0, 1.0), 1.0, steps)
 

@@ -92,7 +92,7 @@ class TestPhysicalOscillator:
 
     def test_negative_level_has_no_energy(self):
         osc = PhysicalOscillator(mass=1, omega0=2, x0=0)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="level must be an integer >= 0"):
             osc.energy(-1)
 
     def test_rejects_nonpositive_constants(self):
@@ -158,7 +158,9 @@ class TestStateSpecValidation:
         (lambda: StateSpec.density([((0, 0), 0.5), ((1, 1), 0.5),
                                     ((0, 1), 0.1), ((1, 0), 0.1), ((0, 1), 0.2)]),
          r"density entry \(0, 1\)"),
-    ], ids=["mixture", "superposition", "density"])
+        (lambda: metric_series_real([(0, 0.6), (0, 0.8), (1, 0.6)],
+                                    ModelPoint(0.0, 1.0)), "series level 0"),
+    ], ids=["mixture", "superposition", "density", "series"])
     def test_repeated_level_rejected(self, build, message):
         # A dict would silently keep the last value given for the level.
         with pytest.raises(InvalidStateError, match=message + " is given twice"):
@@ -206,7 +208,8 @@ class TestStateSpecValidation:
         entries[(3, 66)] = entries[(66, 3)] = 0.5
         with pytest.raises(InvalidStateError, match="negative eigenvalue"):
             StateSpec.density(entries)
-        with pytest.raises(InvalidStateError, match="indices"):
+        with pytest.raises(InvalidStateError,
+                           match=r"level must be an integer in 0\.\.200"):
             StateSpec.density({(201, 201): 1.0})
 
     def test_large_valid_density_accepted(self):
@@ -240,15 +243,16 @@ class TestStateSpecValidation:
 
     def test_indices_above_cap_rejected(self):
         top = MAX_DEGREE + 1
-        with pytest.raises(InvalidStateError, match="eigenstate indices"):
+        capped = rf"^level must be an integer in 0\.\.{MAX_DEGREE}, got "
+        with pytest.raises(InvalidStateError, match=capped):
             StateSpec.eigenstate(top)
-        with pytest.raises(InvalidStateError, match="eigenstate indices"):
+        with pytest.raises(InvalidStateError, match=capped):
             StateSpec.eigenstate(-1)
-        with pytest.raises(InvalidStateError, match="mixture indices"):
+        with pytest.raises(InvalidStateError, match=capped):
             StateSpec.mixture({0: 0.5, top: 0.5})
-        with pytest.raises(InvalidStateError, match="mixture indices"):
+        with pytest.raises(InvalidStateError, match=capped):
             StateSpec.mixture({-1: 1.0})
-        with pytest.raises(InvalidStateError, match="superposition indices"):
+        with pytest.raises(InvalidStateError, match=capped):
             StateSpec.superposition({0: 0.6, top: 0.8})
         assert StateSpec.eigenstate(MAX_DEGREE).max_index == MAX_DEGREE
 
