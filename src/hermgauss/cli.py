@@ -5,7 +5,8 @@ dispatches to the library and writes a machine-readable report to standard
 output.  Floats are serialized with shortest-round-trip precision, so
 emitting a report and re-reading it preserves every numeric field exactly.
 
-Exit codes: 0 success, 1 computational failure, 2 configuration error.
+Exit codes: 0 success, 1 computational failure, 2 configuration error; a
+failure is written to standard error as {"error": {"type", "message"}}.
 """
 
 from __future__ import annotations
@@ -405,6 +406,14 @@ _DISPATCH = {"metric": _cmd_metric, "curvature": _cmd_curvature, "crb": _cmd_crb
              "geodesic": _cmd_geodesic, "sample": _cmd_sample, "verify": _cmd_verify}
 
 
+def _error(kind, message, status):
+    """Write ``{"error": {"type": kind, "message": message}}`` to stderr and
+    return the exit status."""
+    json.dump({"error": {"type": kind, "message": message}}, sys.stderr)
+    sys.stderr.write("\n")
+    return status
+
+
 def run(config: RunConfig, out=None) -> int:
     """Execute one configured command; returns the process exit status."""
     try:
@@ -412,10 +421,7 @@ def run(config: RunConfig, out=None) -> int:
         _emit(report, config.output_format, sys.stdout if out is None else out)
     except (QuadratureError, InvalidStateError, ValueError, RuntimeError,
             OverflowError) as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _error(type(exc).__name__, str(exc), 1)
     return 0 if report.get("all_passed", True) else 1
 
 
@@ -442,8 +448,7 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
+        return _error("ConfigError", f"cannot read config: {exc}", 2)
 
     try:
         cfg = parse_config(text)
@@ -459,10 +464,7 @@ def main(argv=None) -> int:
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
     except ValueError as exc:  # also a flag that ModelPoint or QuadConfig rejects
-        json.dump({"error": {"type": "ConfigError", "message": str(exc)}},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error("ConfigError", str(exc), 2)
 
     return run(cfg)
 

@@ -241,8 +241,9 @@ class StateSpec:
 class KernelFn:
     """The dimensionless kernel f of one state and its derivatives.
 
-    ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 from
-    one Hermite recurrence; ``f`` and ``f_prime`` are its first entries.
+    ``jet(y, order)`` returns (f, ..., f^(order)) for order 0, 1 or 2 (any
+    other order raises ValueError) from one Hermite recurrence; ``f`` and
+    ``f_prime`` are its first entries.
     ``fisher_ratio(y, rows=None)`` is (f')^2/f, or its limit where f = 0;
     ``rows``, when given, must be ``hermite_normalized_all(top, y)`` for
     the state's top level (shape (top + 1,) + y.shape, else ValueError),
@@ -337,6 +338,7 @@ def kernel(spec: StateSpec) -> KernelFn:
         return np.einsum("jn,jn->n", a, b)
 
     def jet(y, order):
+        order = _integer(order, "order", 0, 2)
         y = np.asarray(y, dtype=float)
         h = packets(y.reshape(-1), order)
         out = [psum(h[0], h[0])]

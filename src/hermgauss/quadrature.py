@@ -189,8 +189,8 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
         panel when only two or three fit, and the result is unconverged
         once not even one bisection fits.
     degree_hint : int
-        Bound on the polynomial degree multiplying exp(-y^2); controls the
-        truncation window.
+        Bound on the polynomial degree multiplying exp(-y^2), an integer
+        >= 0 (else ValueError); controls the truncation window.
     even : bool
         The integrand is even in y (every component).  It is then
         integrated on [0, Y], the right half of the initial partition, and
@@ -209,6 +209,7 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     all of them in one integrand call.  It stops when every component's
     error estimate is within its tol[c].
     """
+    degree_hint = _integer(degree_hint, "degree_hint")
     if config is None:
         config = QuadConfig()
     cut = truncation_halfwidth(degree_hint, config.abs_tol)

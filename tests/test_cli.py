@@ -145,14 +145,21 @@ class TestCommands:
           "terms": [{"n": 0, "re": 0.6}, {"n": 1, "re": 0.8}]}, True),
         ({"type": "mixture",
           "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]}, False),
-    ], ids=["eigenstate", "non_even", "rho01"])
+        ({"type": "mixture", "terms": [{"n": 0, "weight": 0.3},
+                                       {"n": 2, "weight": 0.3},
+                                       {"n": 5, "weight": 0.4}]}, False),
+        ({"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": 0.5}, {"n": 2, "m": 2, "re": 0.3},
+            {"n": 4, "m": 4, "re": 0.2}, {"n": 0, "m": 2, "re": 0.1},
+            {"n": 2, "m": 0, "re": 0.1}]}, False),
+    ], ids=["eigenstate", "non_even", "rho01", "mixture_0_2_5", "density_0_2_4"])
     def test_verify_checks_exact_rule_at_rank_one(self, state, rank_one):
         status, text = run_capture(config_text(state=state, command="verify"))
         assert status == 0
         checks = {c["name"]: c for c in json.loads(text)["checks"]}
         assert ("exact_rule_vs_adaptive" in checks) == rank_one
-        # rho01, the one state above rank one, is parity even: its metric
-        # has the half-line diagonal, checked against the full line.
+        # The states above rank one are parity even: their metric has the
+        # half-line diagonal, checked against the full line.
         assert ("half_line_vs_full_line" in checks) == (not rank_one)
         assert all(c["passed"] for c in checks.values())
 
@@ -407,8 +414,8 @@ class TestMain:
         assert err["error"]["type"] == "ConfigError"
 
     @pytest.mark.parametrize("case", [
-        "density_state", "geodesic_json", "sample_csv", "stdin", "seed_flag",
-        "format_flag"])
+        "density_state", "geodesic_json", "sample_csv", "curvature_quad", "stdin",
+        "seed_flag", "format_flag"])
     def test_input_and_output_routes(self, case, tmp_path, monkeypatch, capsys):
         # (config fields, arguments after the file path or None for stdin,
         # check on stdout)
@@ -427,6 +434,11 @@ class TestMain:
                  "output": {"format": "csv"}}, [],
                 lambda out: (out.splitlines()[0] == "x"
                              and len(out.splitlines()) == 4)),
+            "curvature_quad": (
+                {"state": {"type": "mixture", "terms": [{"n": 0, "weight": 0.5},
+                                                        {"n": 1, "weight": 0.5}]},
+                 "command": "curvature", "quad": {"rel_tol": 1e-12}}, [],
+                lambda out: json.loads(out)["discrepancy"] <= 1e-4),
             "stdin": ({}, None, lambda out: json.loads(out)["command"] == "metric"),
             "seed_flag": (
                 {"command": "sample", "estimation": {"count": 3, "seed": 1}},
@@ -526,13 +538,17 @@ class TestMain:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == 2
-        assert "cannot read config" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith("cannot read config: ")
 
     def test_undecodable_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(b"\xff\xfe{")
         assert main([str(path)]) == 2
-        assert "cannot read config" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith("cannot read config: ")
 
 
 # Runs the given statements, then prints the scipy modules and the

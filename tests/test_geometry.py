@@ -262,10 +262,13 @@ class TestGaussHermiteMetric:
 
     @pytest.mark.parametrize("spec, path", [
         (StateSpec.eigenstate(40), "gauss_hermite"),
+        (StateSpec.eigenstate(200), "gauss_hermite"),
+        (StateSpec.superposition({0: 0.5, 3: -0.5, 6: 0.5, 11: 0.5}),
+         "gauss_hermite"),
         (StateSpec.superposition({0: 0.6j, 3: -0.8j}), "gauss_hermite"),
         (mixture_rho01(), "quadrature"),
         (StateSpec.superposition({0: 0.6, 1: 0.8j}), "quadrature"),
-    ], ids=["eigenstate", "imaginary", "rho01", "complex"])
+    ], ids=["eigenstate", "deep", "four_level", "imaginary", "rho01", "complex"])
     def test_dispatch_by_rank(self, monkeypatch, spec, path):
         real = hermgauss.geometry.integrate_real_line
         calls = []

@@ -1,5 +1,6 @@
 """The package's one integer rule, ``hermite._integer``, at every entry point
-that takes a level, degree, count, seed, step count or budget.
+that takes a level, degree, count, seed, step count, budget or derivative
+order.
 
 Each entry accepts a Python integer and the same numpy integer with
 bit-identical results, and refuses a fraction, an integral float, both
@@ -21,6 +22,7 @@ from hermgauss.models import (
     ModelPoint,
     PhysicalOscillator,
     StateSpec,
+    kernel,
     wavefunction,
 )
 from hermgauss.quadrature import QuadConfig, integrate_real_line
@@ -46,6 +48,14 @@ def geodesic(steps):
 
 def budget(k):
     return integrate_real_line(lambda y: np.exp(-y * y), QuadConfig(max_evaluations=k))
+
+
+def gaussian(degree_hint):
+    return integrate_real_line(lambda y: np.exp(-y * y), None, degree_hint)
+
+
+def jet(order):
+    return kernel(StateSpec.eigenstate(1)).jet(np.array([0.3, -1.2]), order)
 
 
 def cli_field(name):
@@ -87,6 +97,9 @@ ENTRIES = {
     "crb_seed": (lambda k: crb(seed=k), 2, 0, None, ValueError,
                  "^seed must be an integer"),
     "geodesic_steps": (geodesic, 2, 1, None, ValueError, "^steps must be an integer"),
+    "degree_hint": (gaussian, 2, 0, None, ValueError,
+                    "^degree_hint must be an integer"),
+    "jet_order": (jet, 2, 0, 2, ValueError, "^order must be an integer"),
     # A budget that is not a positive number fails QuadConfig's finiteness
     # test first, so that NaN and inf keep its message.
     "max_evaluations": (budget, 2, 1, None, ValueError,
