@@ -283,7 +283,7 @@ def _cmd_crb(cfg):
     trials = cfg.estimation.get("trials", 50)
     spt = cfg.estimation.get("samples_per_trial", 1000)
     seed = cfg.estimation.get("seed", 0)
-    rep = crb_experiment(cfg.state, cfg.point, trials, spt, seed)
+    rep = crb_experiment(cfg.state, cfg.point, trials, spt, seed, cfg.quad)
     return {
         "command": "crb",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},

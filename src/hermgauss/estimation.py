@@ -3,9 +3,12 @@
 Sampling is by inverse CDF on a tabulated grid (the node structure of the
 densities makes rejection envelopes fiddly, while the CDF table reuses the
 quadrature truncation window).  The table's cubic Hermite segments take the
-kernel's exact f and f'.  The keys are sorted once for an in-order segment
-lookup, each draw's quartic CDF is inverted by safeguarded Newton steps, and
-the draws are scattered back: bit for bit those of the unsorted keys.
+kernel's exact f and f'.  Each key finds its segment through a guide table
+(Chen & Asau, 1974), with a binary search where a guide cell spans several
+segments and for every key of a small batch drawn before the table's first
+large one, fetches the segment's row in one gather, and has its quartic CDF
+inverted by safeguarded Newton steps; every pass is elementwise, so a draw
+depends on its own key alone.
 
 Maximum likelihood works on (mu, log sigma) from the moment initializer,
 whose E[y] and Var y are sums over the state's table.  The log-likelihood is
@@ -59,7 +62,7 @@ import numpy as np
 from .geometry import crb_bound, metric_quadrature
 from .hermite import _integer
 from .models import ModelPoint, StateSpec, _dips, _per_spec, _y_moments, kernel
-from .quadrature import QuadratureError, truncation_halfwidth
+from .quadrature import QuadConfig, QuadratureError, truncation_halfwidth
 
 __all__ = [
     "SampleBatch",
@@ -71,6 +74,13 @@ __all__ = [
 ]
 
 _CDF_NODES = 8192
+# Guide-table cells over [0, 1] of the CDF: a power of two, so that u times
+# it and the cell bounds are exact.
+_GUIDE_CELLS = 8192
+# Fewest keys in a batch that builds the guide table: the build costs about
+# as much as a thousand binary searches, so smaller batches, such as
+# verify's, take those instead until a larger one has built it.
+_GUIDE_FLOOR = 1024
 # Newton steps on a CDF segment stop below this fraction of its width.
 _INVERT_TOL = 1e-12
 # Compass steps at which the MLE hands over to Newton: relative to sigma for
@@ -150,42 +160,107 @@ class CrbReport:
 class _CdfTable:
     """CDF of the dimensionless variable y: the piecewise-quartic
     antiderivative of the cubic Hermite interpolant of the kernel's exact f
-    and f' (one ``kf.jet(y, 1)`` call) on the nodes.
+    and f' (one ``kf.jet(y, 1)`` call) on the nodes ``y``.
 
-    ``coeffs`` holds each segment's quartic in t = y - y_k, highest power
-    first (the layout of scipy's ``PPoly.c``); its last row is the
-    unnormalized CDF at the segment's left end, a running sum of the
-    segments' integrals.
+    ``rows`` holds, per node y_k, the row of the segment [y_k, y_{k+1}]:
+    its quartic in t = y - y_k, highest power first (the layout of scipy's
+    ``PPoly.c``, ``coeffs`` being a view of these five rows), whose last
+    term is the unnormalized CDF at y_k, a running sum of the segments'
+    integrals; then the segment's width, its normalized mass, y_k and the
+    normalized CDF at y_k (``cdf_vals`` being a view of the last row and
+    ``y`` of the one before).  The last node's column has no segment.
+
+    ``guide()`` builds the guide table on its first call, and ``segments``
+    on its first batch of at least ``_GUIDE_FLOOR`` keys.
     """
 
     def __init__(self, spec: StateSpec):
         kf = kernel(spec)
         cut = truncation_halfwidth(kf.degree_hint + 2, 1e-14)
-        y = np.linspace(-cut, cut, _CDF_NODES)
-        dens, d = kf.jet(y, 1)
-        h = np.diff(y)
-        secant = np.diff(dens) / h
-        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        nodes = np.linspace(-cut, cut, _CDF_NODES)
+        dens, d = kf.jet(nodes, 1)
+        rows = np.empty((9, _CDF_NODES))
+        # The last column holds no segment, and the running sum starts at 0.
+        rows[:, -1] = rows[4, 0] = 0.0
+        c, h, mass, y, cdf = rows[:5, :-1], rows[5, :-1], rows[6, :-1], rows[7], rows[8]
+        y[:] = nodes
+        np.subtract(y[1:], y[:-1], out=h)
+        secant = np.subtract(dens[1:], dens[:-1])
+        secant /= h
+        t = np.add(d[:-1], d[1:])
+        t -= 2.0 * secant
+        t /= h
         # The cubic Hermite segment's coefficients, each divided by its
         # power + 1: the quartic antiderivative in t, zero at t = 0.
-        c = np.empty((5, h.size))
-        c[0] = t / h / 4.0
-        c[1] = ((secant - d[:-1]) / h - t) / 3.0
-        c[2] = d[:-1] / 2.0
+        np.divide(t, h, out=c[0])
+        c[0] /= 4.0
+        np.subtract(secant, d[:-1], out=c[1])
+        c[1] /= h
+        c[1] -= t
+        c[1] /= 3.0
+        np.divide(d[:-1], 2.0, out=c[2])
         c[3] = dens[:-1]
-        mass = (((c[0] * h + c[1]) * h + c[2]) * h + c[3]) * h
-        vals = np.concatenate(([0.0], np.cumsum(mass)))
-        c[4] = vals[:-1]
-        total = vals[-1]
+        # The segments' integrals, and their running sum.
+        _horner(c[:4], h, mass)
+        mass *= h
+        np.cumsum(mass, out=rows[4, 1:])
+        total = rows[4, -1]
         if not np.isfinite(total) or total <= 0.0:
             raise QuadratureError("CDF tabulation failed: non-positive mass")
+        np.divide(rows[4], total, out=cdf)
+        np.subtract(cdf[1:], cdf[:-1], out=mass)
+        self._guide = None
+        self.rows = rows
         self.y = y
-        self.cdf_vals = vals / total
+        self.cdf_vals = cdf
         self.coeffs = c
         self.total = total
 
+    def guide(self) -> np.ndarray:
+        """Per cell [j, j + 1) / _GUIDE_CELLS of the CDF, the segment of a
+        key at the cell's left end: the number of ``cdf_vals`` below the
+        cell, less one.  It is -1 where that cannot place every key of the
+        cell: in a cell that holds more than one of the values, in the end
+        cells j = 0 and j = _GUIDE_CELLS (which takes every key >= 1), and
+        throughout a table that is not monotone.  Built in O(nodes) on the
+        first call.
+        """
+        if self._guide is None:
+            # Cell j holds the values v with floor(v * _GUIDE_CELLS) = j.
+            guide = np.full(_GUIDE_CELLS + 1, -1)
+            if (self.rows[6, :-1] >= 0.0).all():
+                held = np.bincount((self.cdf_vals * _GUIDE_CELLS).astype(np.intp),
+                                   minlength=_GUIDE_CELLS + 1)
+                np.cumsum(held[:-1], out=guide[1:])
+                guide -= 1
+                np.putmask(guide, held > 1, -1)
+                guide[0] = guide[-1] = -1
+            self._guide = guide
+        return self._guide
+
+    def segments(self, u: np.ndarray) -> np.ndarray:
+        """Each key's segment, clip(searchsorted(cdf_vals, u), 1, n - 1) - 1,
+        for a 1-D u without NaN.
+
+        A key in a cell whose guide is k >= 0 lies above the k + 1 values
+        below the cell and below every value past the one at most in it, so
+        its segment is k + (cdf_vals[k + 1] < u); a key in any other cell is
+        placed by ``searchsorted``, as is every key of a batch of fewer than
+        ``_GUIDE_FLOOR`` before the guide is built.
+        """
+        if self._guide is None and u.size < _GUIDE_FLOOR:
+            return np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
+        cell = np.clip(u * _GUIDE_CELLS, 0.0, _GUIDE_CELLS).astype(np.intp)
+        k = self.guide()[cell]
+        wide = np.flatnonzero(k < 0)
+        k += self.cdf_vals[1:][k] < u
+        if wide.size:
+            k[wide] = np.clip(np.searchsorted(self.cdf_vals, u[wide]),
+                              1, self.y.size - 1) - 1
+        return k
+
     def invert(self, u: np.ndarray) -> np.ndarray:
-        """y with CDF(y) = u, vectorized over a 1-D u.
+        """y with CDF(y) = u, vectorized over a 1-D u without NaN.
 
         Each u's table segment [y_k, y_k + h] is found from ``cdf_vals``, so
         the quartic residual r(t) = CDF(y_k + t) - u has r(0) <= 0 <= r(h).
@@ -195,46 +270,54 @@ class _CdfTable:
         one that dips just below zero near a density zero still puts the
         draw in its segment.
 
-        The keys are sorted once, so the segment lookup and the gather walk
-        the table in order, and the draws are scattered back.  They are the
-        unsorted keys' draws bit for bit: each pass is elementwise IEEE
-        arithmetic, the passes stop when the whole batch has converged (so
-        their count depends on the set of keys, not its order), and tied
-        keys give identical draws.
+        One gather fetches each key's row, and the passes run on reused
+        buffers.  Every pass is elementwise IEEE arithmetic and the passes
+        stop when the whole batch has converged, so the draws do not depend
+        on the keys' order, and tied keys give identical draws.
         """
-        order = np.argsort(u)
-        u = u[order]
-        k = np.clip(np.searchsorted(self.cdf_vals, u), 1, self.y.size - 1) - 1
-        c4, c3, c2, c1, c0 = np.take(self.coeffs, k, axis=1)
+        c4, c3, c2, c1, c0, h, mass, left, start = np.take(
+            self.rows, self.segments(u), axis=1)
         d4, d3, d2 = 4.0 * c4, 3.0 * c3, 2.0 * c2
-        h = self.y[k + 1] - self.y[k]
         tol = _INVERT_TOL * h
         target = u * self.total
         lo = np.zeros_like(h)
         hi = h.copy()
-        mass = self.cdf_vals[k + 1] - self.cdf_vals[k]
-        frac = np.divide(u - self.cdf_vals[k], mass,
+        frac = np.divide(u - start, mass,
                          out=np.full_like(h, 0.5), where=mass > 0.0)
         t = h * np.clip(frac, 0.0, 1.0)
+        r, d = np.empty((2, h.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             # Three or four passes in practice; 60 bisections alone would
             # exhaust double precision on any segment.
             for _ in range(60):
-                r = (((c4 * t + c3) * t + c2) * t + c1) * t + c0 - target
-                d = ((d4 * t + d3) * t + d2) * t + c1
+                _horner((c4, c3, c2, c1, c0), t, r)
+                r -= target
                 below = r < 0.0
                 lo = np.where(below, t, lo)
                 hi = np.where(below, hi, t)
-                step = t - r / d
+                r /= _horner((d4, d3, d2, c1), t, d)
+                step = np.subtract(t, r, out=r)
                 # Closed bracket: a converged iterate sits on an end point.
-                step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-                done = np.abs(step - t) <= tol
+                mid = np.add(lo, hi, out=d)
+                mid *= 0.5
+                step = np.where((step >= lo) & (step <= hi), step, mid)
+                moved = np.abs(np.subtract(step, t, out=t), out=t)
                 t = step
-                if done.all():
+                if (moved <= tol).all():
                     break
-        out = np.empty_like(t)
-        out[order] = self.y[k] + t
-        return out
+        t += left
+        return t
+
+
+def _horner(coeffs, t, out):
+    """((coeffs[0] t + coeffs[1]) t + ...) t + coeffs[-1], evaluated into
+    ``out`` by the same IEEE operations in the same order."""
+    np.multiply(coeffs[0], t, out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= t
+    out += coeffs[-1]
+    return out
 
 
 @_per_spec
@@ -262,9 +345,9 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
     """Sum of log P(x_i | mu, sigma); -inf when a sample sits on a density zero."""
     y = (x - mu) / (math.sqrt(2.0) * sigma)
     f = kernel(spec).f(y)
-    if not np.all(f > 0.0):
+    if not f.min() > 0.0:
         return -math.inf
-    return float(np.sum(np.log(f))) - x.size * math.log(sigma)
+    return float(np.log(f, out=f).sum()) - x.size * math.log(sigma)
 
 
 def mle_fit(batch: SampleBatch) -> MleFit:
@@ -384,8 +467,10 @@ def _certify(fit, xs, nodes, cell):
     pos = fit.mu + root2 * sigma * nodes
     if not np.array_equal(np.searchsorted(xs, pos), cell):
         return False
-    inv = 1.0 / (xs - pos[:, None])
-    curv = 2.0 * np.sum(inv * inv, axis=1)
+    inv = np.subtract(xs, pos[:, None])
+    np.divide(1.0, inv, out=inv)
+    inv *= inv
+    curv = 2.0 * inv.sum(axis=1)
     # The Hessian of log L on (mu, sigma), where line k moves by (1, w_k).
     w = root2 * nodes
     u = xs - fit.mu
@@ -400,8 +485,8 @@ def _certify(fit, xs, nodes, cell):
     d = np.where((idx >= 0) & (idx < n), xs[np.clip(idx, 0, n - 1)] - pos[:, None],
                  np.copysign(math.inf, slot + 0.5))
     spread = (h11 - 2.0 * w * h01 + w * w * h00) / (h00 * h11 - h01 * h01)
-    stiff = -1.0 / spread - 2.0 * np.sum(1.0 / (d * d), axis=1)
-    if not np.all(stiff > 0.0):
+    stiff = -1.0 / spread - 2.0 * (1.0 / (d * d)).sum(axis=1)
+    if not (stiff > 0.0).all():
         return False
     # Slot _NEAR holds the first sample right of a line, so the gap s
     # samples over is (d[_NEAR + s - 1], d[_NEAR + s]); one past an end of
@@ -414,55 +499,65 @@ def _certify(fit, xs, nodes, cell):
     left, right, own, stiff, d = left[k, s], right[k, s], own[k], stiff[k], d[k]
     lo = np.where(np.isfinite(left), left, right - own)
     hi = np.where(np.isfinite(right), right, lo + own)
-    base = 2.0 * np.sum(1.0 / d, axis=1)
+    base = 2.0 * (1.0 / d).sum(axis=1)
     # Newton on F = D' (t - left) (right - t), over the finite factors:
     # F has no poles and is about quadratic over the gap.
     span = hi - lo
     t = 0.5 * (lo + hi)
+    tol = 1e-6 * span
     for _ in range(_GAP_STEPS):
         r = 1.0 / (d - t[:, None])
-        slope = base - 2.0 * np.sum(r, axis=1) - stiff * t
-        bend = -2.0 * np.sum(r * r, axis=1) - stiff
+        slope = base - 2.0 * r.sum(axis=1) - stiff * t
+        r *= r
+        bend = -2.0 * r.sum(axis=1) - stiff
         to_lo, to_hi = np.minimum(t - left, span), np.minimum(right - t, span)
         move = -slope * to_lo * to_hi / (bend * to_lo * to_hi + slope * (to_hi - to_lo))
-        if np.all(np.abs(move) <= 1e-6 * span):
+        if (np.abs(move) <= tol).all():
             break
         rise = slope > 0.0
         lo, hi = np.where(rise, t, lo), np.where(rise, hi, t)
         t = t + move
         inside = (t >= lo) & (t <= hi) & (t > left) & (t < right)
         t = np.where(inside, t, 0.5 * (lo + hi))
+    else:
+        # The last step moved t: its slope there.
+        slope = base - 2.0 * (1.0 / (d - t[:, None])).sum(axis=1) - stiff * t
     r = t[:, None] / d
-    gain = 2.0 * np.sum(np.log(np.abs(1.0 - r)) + r, axis=1) - 0.5 * stiff * t * t
-    slope = base - 2.0 * np.sum(1.0 / (d - t[:, None]), axis=1) - stiff * t
+    gain = 2.0 * (np.log(np.abs(1.0 - r)) + r).sum(axis=1) - 0.5 * stiff * t * t
     # The gap's two samples alone make -D'' >= stiff + 16 / width^2.
     gain += 0.5 * slope * slope / (stiff + 16.0 / (right - left) ** 2)
-    return bool(np.all(gain < -_CELL_MARGIN))
+    return bool((gain < -_CELL_MARGIN).all())
 
 
 def _loglik_jet(kf, x, mu, ls):
-    """(log L, score, Hessian) on (mu, log sigma); None if some f <= 0.
+    """(log L, score, Hessian) on (mu, log sigma) as six floats: log L, the
+    score's two components and the Hessian's (mu, mu), (mu, log sigma) and
+    (log sigma, log sigma) entries; None if some f <= 0.
 
     With y = (x - mu) / (sqrt(2) sigma), a = 1 / (sqrt(2) sigma),
     r1 = f'/f and q = (log f)'' = f''/f - r1^2 per sample:
     d/dmu = -a sum r1, d/dlog sigma = -sum r1 y - N, and the Hessian is
     a^2 sum q, a sum (q y + r1), sum (q y + r1) y.
     """
-    sigma = math.exp(ls)
-    a = 1.0 / (math.sqrt(2.0) * sigma)
-    y = (x - mu) * a
+    a = 1.0 / (math.sqrt(2.0) * math.exp(ls))
+    y = x - mu
+    y *= a
     f, d1, d2 = kf.jet(y, 2)
-    if not np.all(f > 0.0):
+    if not f.min() > 0.0:
         return None
-    r1 = d1 / f
-    q = d2 / f - r1 * r1
-    mixed = q * y + r1
-    ll = float(np.sum(np.log(f))) - x.size * ls
-    score = np.array([-a * np.sum(r1), -float(r1 @ y) - x.size])
-    h_mm = a * a * np.sum(q)
-    h_ml = a * np.sum(mixed)
-    hess = np.array([[h_mm, h_ml], [h_ml, float(mixed @ y)]])
-    return ll, score, hess
+    # Rows log f, r1, q and q y + r1, summed in one reduction.
+    terms = np.empty((4, x.size))
+    log_f, r1, q, mixed = terms
+    np.log(f, out=log_f)
+    np.divide(d1, f, out=r1)
+    np.divide(d2, f, out=q)
+    q -= r1 * r1
+    np.multiply(q, y, out=mixed)
+    mixed += r1
+    s_log, s_r1, s_q, s_mixed = terms.sum(axis=1).tolist()
+    n = x.size
+    return (s_log - n * ls, -a * s_r1, -float(r1 @ y) - n,
+            a * a * s_q, a * s_mixed, float(mixed @ y))
 
 
 def _newton_polish(kf, x, mu, ls, budget):
@@ -475,11 +570,10 @@ def _newton_polish(kf, x, mu, ls, budget):
     jet = _loglik_jet(kf, x, mu, ls)
     passes = 1
     while jet is not None and passes < budget:
-        ll, score, hess = jet
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
-        if not (hess[0, 0] < 0.0 and det > 0.0):
+        ll, s_mu, s_ls, h_mm, h_ml, h_ll = jet
+        if not (h_mm < 0.0 and h_mm * h_ll - h_ml ** 2 > 0.0):
             break
-        d_mu, d_ls = -np.linalg.solve(hess, score)
+        d_mu, d_ls = -np.linalg.solve([[h_mm, h_ml], [h_ml, h_ll]], [s_mu, s_ls])
         if abs(d_mu) <= _FIT_TOL * math.exp(ls) and abs(d_ls) <= _FIT_TOL:
             return ModelPoint(mu=float(mu + d_mu), sigma=math.exp(ls + d_ls)), passes
         jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
@@ -504,13 +598,15 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
-                   samples_per_trial: int, seed: int) -> CrbReport:
+                   samples_per_trial: int, seed: int,
+                   config: QuadConfig | None = None) -> CrbReport:
     """Compare the empirical MLE covariance against the Cramer-Rao bound.
 
     Each trial draws ``samples_per_trial`` positions with its own derived
     seed and fits (mu, sigma) by maximum likelihood.  The covariance of the
     estimates, scaled by ``samples_per_trial``, is matched against the
-    inverse Fisher matrix at the true point.  A component is flagged as a
+    inverse Fisher matrix at the true point, from ``metric_quadrature``
+    under ``config``.  A component is flagged as a
     violation only when it undercuts the bound by more than three standard
     errors of the variance estimate (the MLE is asymptotically efficient,
     so the scaled variances should sit at the bound, never clearly below).
@@ -526,7 +622,7 @@ def crb_experiment(spec: StateSpec, point: ModelPoint, trials: int,
     samples_per_trial = _integer(samples_per_trial, "samples_per_trial",
                                  _MIN_SAMPLES)
     seed = _integer(seed, "seed")
-    metric = metric_quadrature(spec, point)
+    metric = metric_quadrature(spec, point, config)
     bound = crb_bound(metric)
     fits = []
     failed = []

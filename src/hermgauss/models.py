@@ -335,7 +335,11 @@ def kernel(spec: StateSpec) -> KernelFn:
         return out
 
     def psum(a, b):
-        return np.einsum("jn,jn->n", a, b)
+        if rank > 1:
+            return np.einsum("jn,jn->n", a, b)
+        # einsum's sum of one product: + 0.0 turns a -0.0 into +0.0, which
+        # a square never is.
+        return a[0] * b[0] if a is b else a[0] * b[0] + 0.0
 
     def jet(y, order):
         order = _integer(order, "order", 0, 2)

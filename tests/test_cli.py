@@ -12,8 +12,8 @@ import hermgauss
 import hermgauss.estimation
 import hermgauss.geometry
 from hermgauss.cli import ConfigError, main, parse_config, run
-from hermgauss.geometry import metric_quadrature
-from hermgauss.quadrature import QuadResult
+from hermgauss.geometry import crb_bound, metric_quadrature
+from hermgauss.quadrature import QuadConfig, QuadResult
 
 
 def config_text(**overrides):
@@ -310,6 +310,27 @@ class TestCommands:
         report = json.loads(a)
         assert (report["compass_evaluations"] == 0) is newton_first
         assert report["newton_passes"] >= 30
+
+    def test_crb_bound_reads_the_quad_block(self):
+        # rho01 has rank two, so its bound takes the adaptive integral,
+        # which a loose quad block moves.
+        state = {"type": "mixture",
+                 "terms": [{"n": 0, "weight": 0.5}, {"n": 1, "weight": 0.5}]}
+        quad = {"rel_tol": 1e-3, "abs_tol": 1e-3, "max_evaluations": 200}
+        raw = json.loads(config_text(command="crb", state=state,
+                                     point={"mu": 0.3, "sigma": 1.2}))
+        raw["estimation"] = {"trials": 30, "samples_per_trial": 200, "seed": 2}
+        _, default = run_capture(json.dumps(raw))
+        raw["quad"] = quad
+        status, loose = run_capture(json.dumps(raw))
+        assert status == 0
+        cfg = parse_config(json.dumps(raw))
+        want = crb_bound(metric_quadrature(cfg.state, cfg.point, QuadConfig(**quad)))
+        assert json.loads(loose)["bound"] == want.tolist()
+        assert json.loads(loose)["bound"] != json.loads(default)["bound"]
+        # The fits do not read the block.
+        assert (json.loads(loose)["empirical_scaled_cov"]
+                == json.loads(default)["empirical_scaled_cov"])
 
     def test_json_floats_round_trip(self):
         status, text = run_capture(config_text(

@@ -12,6 +12,7 @@ import hermgauss.models
 from hermgauss.estimation import (
     MleFit,
     SampleBatch,
+    _GUIDE_FLOOR,
     _INVERT_TOL,
     _CdfTable,
     _cdf_table,
@@ -376,6 +377,96 @@ class TestSampler:
         # table build or the inversion would fail this draw.
         spec = StateSpec.eigenstate(150)
         assert sample(spec, ORIGIN, 1000, seed=3).draws.size == 1000
+
+
+def lookup_reference(table, u):
+    """The segment of each key that ``_CdfTable.segments`` must return."""
+    return np.clip(np.searchsorted(table.cdf_vals, u), 1, table.y.size - 1) - 1
+
+
+class TestSegmentLookup:
+    """The guide-table lookup against ``searchsorted``, element for element."""
+
+    SPECS = {
+        "ground": StateSpec.eigenstate(0),
+        "n2": StateSpec.eigenstate(2),
+        "n150": StateSpec.eigenstate(150),
+        "rho01": RHO01,
+        "complex_0_1_2": StateSpec.superposition({0: 0.6, 1: 0.48j, 2: 0.64}),
+    }
+
+    @staticmethod
+    def assert_exact_at_table_values(table):
+        # Every cell boundary a key can meet: 0, each CDF value and its two
+        # neighbouring doubles (one below 0 and one above 1 among them), and
+        # the largest double below 1.
+        v = table.cdf_vals
+        u = np.concatenate(([0.0, 1.0 - 2.0 ** -53], v,
+                            np.nextafter(v, -np.inf), np.nextafter(v, np.inf)))
+        np.random.default_rng(0).shuffle(u)
+        table.guide()
+        np.testing.assert_array_equal(table.segments(u), lookup_reference(table, u))
+
+    @staticmethod
+    def patched_table(monkeypatch, jet):
+        """A fresh table of the density (f, f') that ``jet(y)`` returns."""
+        real = hermgauss.estimation.kernel
+        monkeypatch.setattr(hermgauss.estimation, "kernel", lambda spec: dataclasses.replace(
+            real(spec), jet=lambda y, order: jet(y)))
+        return _CdfTable(StateSpec.eigenstate(0))
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_exact_at_table_values(self, name):
+        self.assert_exact_at_table_values(_cdf_table(self.SPECS[name]))
+
+    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("size", [1, 7, 256, 5000, 100_000])
+    def test_exact_on_uniform_keys(self, name, size):
+        # A fresh table: a batch below the floor is searched without
+        # building the guide, and once it is built every batch uses it.
+        table = _CdfTable(self.SPECS[name])
+        u = np.random.default_rng(size).random(size)
+        want = lookup_reference(table, u)
+        np.testing.assert_array_equal(table.segments(u), want)
+        assert (table._guide is None) is (size < _GUIDE_FLOOR)
+        table.guide()
+        np.testing.assert_array_equal(table.segments(u), want)
+
+    def test_deep_state_repeats_values_in_its_tails(self):
+        # The case the two tests above must cover on |150>: runs of
+        # zero-mass segments, whose equal CDF values searchsorted resolves
+        # to the run's first.
+        v = _cdf_table(StateSpec.eigenstate(150)).cdf_vals
+        assert np.sum(np.diff(v) == 0.0) > 500
+        assert np.sum(v == 0.0) > 100 and np.sum(v == 1.0) > 100
+
+    @pytest.mark.parametrize("centre", [-4.0, 4.0], ids=["left", "right"])
+    def test_end_cells_of_a_steep_table(self, monkeypatch, centre):
+        # A Gaussian near one end of the window: its CDF reaches 0 or 1 at
+        # one node only, so an end cell holds a single value, which the
+        # guide must still not use (searchsorted clips keys outside [0, 1]).
+        def jet(y):
+            g = np.exp(-(y - centre) ** 2)
+            return g, -2.0 * (y - centre) * g
+
+        table = self.patched_table(monkeypatch, jet)
+        end = 0.0 if centre < 0.0 else 1.0
+        assert np.sum(table.cdf_vals == end) == 1
+        self.assert_exact_at_table_values(table)
+
+    def test_table_that_is_not_monotone_is_searched(self, monkeypatch):
+        # (y^2 - 0.1) exp(-y^2) is negative for |y| < 0.32, so some segment
+        # masses are too; the guide then places no key, and searchsorted
+        # places them all.
+        def jet(y):
+            g = np.exp(-y * y)
+            return (y * y - 0.1) * g, 2.0 * y * (1.1 - y * y) * g
+
+        table = self.patched_table(monkeypatch, jet)
+        assert np.any(np.diff(table.cdf_vals) < 0.0)
+        assert np.all(table.guide() == -1)
+        u = np.random.default_rng(3).random(5000)
+        np.testing.assert_array_equal(table.segments(u), lookup_reference(table, u))
 
 
 class TestPchip:
@@ -785,15 +876,19 @@ class TestCrbExperiment:
     @pytest.mark.parametrize("spec, samples, compass, passes", [
         (StateSpec.eigenstate(2), 500, 922, 99),
         (StateSpec.eigenstate(2), 5000, 58, 109),
+        (StateSpec.eigenstate(1), 5000, 0, 108),
         (RHO01, 500, 0, 118),
+        (RHO01, 5000, 0, 100),
         (StateSpec.eigenstate(0), 500, 0, 30),
         (StateSpec.mixture({0: 0.5, 12: 0.5}), 500, 1082, 117),
         (StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}), 500, 970, 106),
-    ], ids=["n2", "n2_5000", "rho01", "n0", "mixture_0_12", "real_0_1_3"])
+    ], ids=["n2", "n2_5000", "n1_5000", "rho01", "rho01_5000", "n0",
+            "mixture_0_12", "real_0_1_3"])
     def test_fit_counters(self, spec, samples, compass, passes):
         # The compass search then Newton on |2> at 500 samples, below the
         # cell-start floor; at 5,000 Newton from the start's cell stands on
-        # 28 of 30 trials.  Newton-first on rho01 and |0>.  The deep mixture
+        # 28 of 30 trials, and on all 30 on |1>.  Newton-first on rho01
+        # (at 500 and 5,000 samples, the size the benchmark fits) and |0>.  The deep mixture
         # and the three-level superposition, with no cell start at 500
         # samples, walk the compass search to its hand-over: any change to
         # the order of hand-offs moves these counts.
