@@ -425,7 +425,9 @@ def run(config: RunConfig, out=None) -> int:
     return 0 if report.get("all_passed", True) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The command-line parser, built once: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="hermgauss",
         description="Fisher-Rao geometry of oscillator-state position "
@@ -439,7 +441,11 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("json", "csv"),
                         help="override output format")
     parser.add_argument("--version", action="version", version=__version__)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config == "-":

@@ -213,8 +213,11 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
 
     def integrand(y):
         r = kf.fisher_ratio(y)
-        yr = y * r
-        return np.array([r, y * yr] if skip_offdiagonal else [r, yr, y * yr])
+        out = np.empty((2 if skip_offdiagonal else 3, y.size))
+        out[0] = r
+        np.multiply(y, r, out=out[1])  # y r
+        np.multiply(y, out[1], out=out[-1])  # y (y r), in place on 2 rows
+        return out
 
     res = integrate_real_line(integrand, config, kf.degree_hint + 6,
                               even=skip_offdiagonal)

@@ -29,6 +29,10 @@ __all__ = [
 # domain use small n; the cap keeps the overflow envelope auditable.
 MAX_DEGREE = 200
 
+# sqrt(2/(k+1)) and sqrt(k/(k+1)) of the recurrence below, k = 0 .. 199.
+_UP = [math.sqrt(2.0 / (k + 1)) for k in range(MAX_DEGREE)]
+_DOWN = [math.sqrt(k / (k + 1.0)) for k in range(MAX_DEGREE)]
+
 
 def _integer(value, what, least=0, most=None, error=ValueError):
     """``value`` as an int by the package's one rule for levels, degrees,
@@ -58,11 +62,17 @@ def hermite_normalized_all(n: int, y):
     """
     n = _integer(n, "degree", 0, MAX_DEGREE)
     y = np.asarray(y, dtype=float)
-    out = np.empty((n + 1,) + y.shape)
-    out[0] = np.exp(-0.5 * y * y)
+    out = np.empty((n + 1, y.size))
+    flat = y.reshape(-1)
+    # In place, in the operation order above, with one row of scratch.
+    np.exp(-0.5 * flat * flat, out=out[0])
     if n >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for k in range(1, n):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * y * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
-    return out
+        np.multiply(flat, _UP[0], out=out[1])
+        out[1] *= out[0]
+    down = np.empty_like(flat)
+    for k, (prev, cur, nxt) in enumerate(zip(out, out[1:], out[2:]), 1):
+        np.multiply(flat, _UP[k], out=nxt)
+        nxt *= cur
+        np.multiply(prev, _DOWN[k], out=down)
+        nxt -= down
+    return out.reshape((n + 1,) + y.shape)

@@ -4,18 +4,18 @@ Every integrand handled here decays like exp(-y^2) times a polynomial, so
 the real line is truncated to a finite window whose half-width comes from
 the Gaussian tail bound, and the window is integrated by adaptive
 subdivision with a Gauss-Kronrod 7-15 pair per panel.  Refinement is
-batched, as in scipy's quad_vec: each pass ranks the panels by error
-against their component's tolerance and cuts the shortest prefix that
-leaves at most tol/8 of error in every component into four equal
-sub-panels each, all of them in one integrand call.  A pass costs a fixed
-overhead (Hermite rows, kernel, bookkeeping) besides its evaluations, so
-quarters reach a narrow feature in half the passes that halves take, for
-a few percent more evaluations.  Panels are kept in the order they were
-made, not sorted along y, and each pass takes its totals by numpy's
-pairwise sum rather than an exact one: both cost less bookkeeping per pass
-and move a result by rounding only.  An even integrand can be integrated
-on the right half of the window and doubled (``even=True``), for half the
-evaluations.  The routines are deterministic: identical inputs produce
+batched, as in scipy's quad_vec: each pass cuts the panels that carry the
+error into four sub-panels each, all of them in one integrand call.  A
+pass costs a fixed overhead besides its evaluations, mostly numpy's cost
+per call: a forced full-line Fisher metric takes 85-210 us a pass on a
+2-vCPU host, against 100-280 us with separate value, error and edge arrays
+and a Hermite recurrence that allocated its products.  The Hermite rows
+take 4 numpy calls a level (5 before), ``_panel`` 27 and the bookkeeping
+29 a quartering pass (38 before).  So quarters, which reach a narrow
+feature in half the passes that halves take, are worth their few percent
+more evaluations.  Totals are numpy's pairwise sums over panels in
+creation order: cheaper than exact sums over sorted panels, and off by
+rounding only.  The routines are deterministic: identical inputs produce
 bit-identical results.
 """
 
@@ -122,10 +122,6 @@ _KRONROD_W = np.array([
     0.204432940075298, 0.204432940075298,
 ])
 
-# Sub-panels per picked panel in a refinement pass: a power of two, so that
-# every edge is an exact midpoint.
-_SPLIT = 4
-
 
 def truncation_halfwidth(degree_hint: int, abs_tol: float) -> float:
     """Half-width Y such that the tail of exp(-y^2) * y^degree beyond |Y| is
@@ -154,17 +150,19 @@ def _panel(integrand, lo, hi):
     scalar = f.shape == y.shape
     if not scalar and (f.ndim != 2 or f.shape[1] != y.size):
         raise IntegrandError("integrand is not vectorized over its argument", y[0])
-    bad = ~np.isfinite(f)
-    if bad.any():
-        raise IntegrandError("non-finite integrand value",
-                             float(y[bad.reshape(-1, y.size).any(axis=0)][0]))
     f = f.reshape(-1, half.size, _GK_NODES.size)
+    resabs = np.abs(f) @ _KRONROD_W
+    # No non-finite f escapes these sums; f is scanned only when one is not
+    # finite, which an overflow of finite values can also cause.
+    if not np.isfinite(resabs).all() and not np.isfinite(f).all():
+        bad = ~np.isfinite(f).reshape(-1, y.size).all(axis=0)
+        raise IntegrandError("non-finite integrand value", float(y[bad][0]))
+    resabs *= half
     k = half * (f @ _KRONROD_W)
     g = half * (f @ _GAUSS_W)
     # QUADPACK-style sharpened error estimate.
-    resabs = half * (np.abs(f) @ _KRONROD_W)
     diff = np.abs(k - g)
-    scaled = np.divide(200.0 * diff, resabs, out=np.zeros_like(diff),
+    scaled = np.divide(200.0 * diff, resabs, out=np.zeros(diff.shape),
                        where=resabs > 0.0)
     err = np.where(scaled > 0.0, resabs * np.minimum(1.0, scaled ** 1.5), diff)
     return k, err, scalar
@@ -202,12 +200,12 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     pairwise sum, and ranks the panels by max_c error[c] / tol[c], where
     tol[c] = max(abs_tol, rel_tol * |value[c]|), with a stable sort over the
     panels in creation order (the initial partition left to right, then
-    each pass's sub-panels), so ties go to the oldest panel.  It cuts each
-    panel of the shortest prefix after which every component's unpicked
-    error is at most tol[c]/8 into four equal sub-panels, with edges lo,
-    (lo+mid)/2, mid, (mid+hi)/2 and hi for mid = (lo+hi)/2, and evaluates
-    all of them in one integrand call.  It stops when every component's
-    error estimate is within its tol[c].
+    each pass's first quarters in rank order, its second quarters, and so
+    on), so ties go to the oldest panel.  It cuts each panel of the shortest
+    prefix after which every component's unpicked error is at most tol[c]/8
+    into four, with edges lo, (lo+mid)/2, mid, (mid+hi)/2 and hi for
+    mid = (lo+hi)/2, evaluated in one integrand call.  It stops when every
+    component's error estimate is within its tol[c].
     """
     degree_hint = _integer(degree_hint, "degree_hint")
     if config is None:
@@ -224,16 +222,18 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
         edges, fold = np.linspace(0.0, cut, n0 // 2 + 1), 2.0
     else:
         edges, fold = np.linspace(-cut, cut, n0 + 1), 1.0
-    lo, hi = edges[:-1], edges[1:]
-    values, errors, scalar = _panel(integrand, lo, hi)
-    evaluations = lo.size * _GK_NODES.size
+    values, errors, scalar = _panel(integrand, edges[:-1], edges[1:])
+    evaluations = (edges.size - 1) * _GK_NODES.size
+    # One block, a column per panel in creation order: c values, c errors, lo, hi.
+    c = values.shape[0]
+    block = np.concatenate((values, errors, edges[None, :-1], edges[None, 1:]))
 
     while True:
-        total = values.sum(axis=1)
-        total_err = errors.sum(axis=1)
+        sums = block.sum(axis=1)
+        total, total_err = sums[:c], sums[c:2 * c]
         # A half-line total is half the result: it meets half its tolerance.
         tol = np.maximum(config.abs_tol / fold, config.rel_tol * np.abs(total))
-        converged = bool(np.all(total_err <= tol))
+        converged = bool((total_err <= tol).all())
         room = (config.max_evaluations - evaluations) // _GK_NODES.size
         if converged or room < 2:
             total, total_err = fold * total, fold * total_err
@@ -241,24 +241,28 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
                 return QuadResult(float(total[0]), float(total_err[0]),
                                   evaluations, converged)
             return QuadResult(total, total_err, evaluations, converged)
-        order = np.argsort(-(errors / tol[:, None]).max(axis=0), kind="stable")
+        errors = block[c:2 * c]
+        # Keys -max_c error[c] / tol[c], as a min over -tol.
+        order = (errors / -tol[:, None]).min(axis=0).argsort(kind="stable")
         # left[:, m - 1] is the error outside the first m ranked panels.
-        left = np.cumsum(errors[:, order[::-1]], axis=1)[:, -2::-1]
-        enough = np.append(np.all(left <= tol[:, None] / 8.0, axis=0), True)
-        parts = _SPLIT if room >= _SPLIT else 2
-        pick = order[:min(int(np.argmax(enough)) + 1, room // parts)]
-        # Halve every piece until each picked panel is in parts pieces.
-        cuts = [lo[pick], hi[pick]]
-        while len(cuts) <= parts:
-            halves = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-            cuts = [c for pair in zip(cuts, halves) for c in pair] + cuts[-1:]
-        sub_lo, sub_hi = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
+        left = errors.take(order[::-1], axis=1).cumsum(axis=1)[:, -2::-1]
+        enough = (left <= tol[:, None] / 8.0).all(axis=0)
+        first = int(enough.argmax())
+        parts = 4 if room >= 4 else 2
+        m = min(first + 1 if enough[first] else order.size, room // parts)
+        pick = order[:m]
+        # Row j holds the picked panels' j-th edge of parts + 1: lo and hi,
+        # their midpoint, then for quarters the midpoints either side of it.
+        cuts = np.empty((parts + 1, m))
+        block[2 * c:].take(pick, axis=1, out=cuts[::parts])
+        cuts[parts // 2] = 0.5 * (cuts[0] + cuts[parts])
+        if parts == 4:
+            cuts[1::2] = 0.5 * (cuts[:-1:2] + cuts[2::2])
+        sub_lo, sub_hi = cuts[:-1].ravel(), cuts[1:].ravel()
         v, e, _ = _panel(integrand, sub_lo, sub_hi)
         evaluations += sub_lo.size * _GK_NODES.size
         # Panels stay in creation order, the new ones last.
-        keep = np.ones(lo.size, dtype=bool)
+        keep = np.ones(order.size, dtype=bool)
         keep[pick] = False
-        lo = np.concatenate([lo[keep], sub_lo])
-        hi = np.concatenate([hi[keep], sub_hi])
-        values = np.concatenate([values[:, keep], v], axis=1)
-        errors = np.concatenate([errors[:, keep], e], axis=1)
+        new = np.concatenate((v, e, sub_lo[None], sub_hi[None]))
+        block = np.concatenate((block.compress(keep, axis=1), new), axis=1)

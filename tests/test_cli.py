@@ -371,6 +371,20 @@ class TestMain:
         # reduced components are point-independent; full ones pick up 1/sigma^2
         assert report["paths"][0]["i_mumu"] == pytest.approx(3.0 / 4.0)
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        # The parser is built once per process; a second call without flags
+        # prints what a call in a fresh process prints.
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text())
+        assert main([str(path), "--mu", "1.0", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("command,metric")
+        assert main([str(path)]) == 0
+        second = capsys.readouterr().out
+        fresh = run_fresh("from hermgauss.cli import main\nmain()", str(path))
+        assert fresh.returncode == 0, fresh.stderr
+        assert second == fresh.stdout
+        assert json.loads(second)["point"] == {"mu": 0.0, "sigma": 1.0}
+
     def test_config_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{}")

@@ -95,10 +95,12 @@ def bisect_cdf(spec, table, u, iterations=60):
     return 0.5 * (lo + hi)
 
 
-def unsorted_invert(table, u):
-    """Reference inversion on u in its own order: the segment lookup, the
-    coefficient gather and the bracketed Newton passes of ``invert`` without
-    the sort and the scatter back.  ``invert`` must match it bit for bit."""
+def searchsorted_invert(table, u):
+    """Reference inversion written on plain arrays: each key's segment by
+    ``np.searchsorted`` on the CDF values, its coefficients by fancy
+    indexing, then the bracketed Newton passes of ``invert``.  ``invert``,
+    which finds segments through its guide table and gathers one block of
+    rows, must match it bit for bit."""
     k = np.clip(np.searchsorted(table.cdf_vals, u), 1, table.y.size - 1) - 1
     c4, c3, c2, c1, c0 = table.coeffs[:, k]
     h = table.y[k + 1] - table.y[k]
@@ -366,7 +368,7 @@ class TestSampler:
         u[size // 3] = 0.0
         got = table.invert(u)
         assert np.array_equal(got.view(np.int64),
-                              unsorted_invert(table, u).view(np.int64))
+                              searchsorted_invert(table, u).view(np.int64))
         p = rng.permutation(size)
         assert np.array_equal(table.invert(u[p]).view(np.int64),
                               got[p].view(np.int64))

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import hermgauss.geometry
+from hermgauss.geometry import metric_adaptive
 from hermgauss.hermite import hermite_normalized_all
-from hermgauss.models import StateSpec, kernel
+from hermgauss.models import ModelPoint, StateSpec, kernel
 from hermgauss.quadrature import (
     IntegrandError,
     QuadConfig,
+    QuadResult,
+    _GK_NODES,
     _panel,
     integrate_real_line,
     truncation_halfwidth,
@@ -36,6 +40,67 @@ def serial_reference(integrand, config, degree_hint):
         v, e, _ = _panel(integrand, edges[i:i + 2], edges[i + 1:i + 3])
         values = np.concatenate([values[:, :i], v, values[:, i + 1:]], axis=1)
         errors = np.concatenate([errors[:, :i], e, errors[:, i + 1:]], axis=1)
+
+
+def batched_reference(integrand, config, degree_hint, even=False):
+    """The refinement loop of ``integrate_real_line`` as first written, with
+    separate value, error and edge arrays, a halving loop for the quarter
+    edges and a sentinel appended to the prefix test.  ``integrate_real_line``
+    must return exactly this result: the same pairwise row sums, reversed
+    cumsum, stable ranking and panel creation order."""
+    cut = truncation_halfwidth(degree_hint, config.abs_tol)
+    n0 = max(8, degree_hint + 2)
+    if n0 % 2 == 1:
+        n0 += 1
+    if even:
+        edges, fold = np.linspace(0.0, cut, n0 // 2 + 1), 2.0
+    else:
+        edges, fold = np.linspace(-cut, cut, n0 + 1), 1.0
+    lo, hi = edges[:-1], edges[1:]
+    values, errors, scalar = _panel(integrand, lo, hi)
+    evaluations = lo.size * 15
+
+    while True:
+        total = values.sum(axis=1)
+        total_err = errors.sum(axis=1)
+        tol = np.maximum(config.abs_tol / fold, config.rel_tol * np.abs(total))
+        converged = bool(np.all(total_err <= tol))
+        room = (config.max_evaluations - evaluations) // 15
+        if converged or room < 2:
+            total, total_err = fold * total, fold * total_err
+            if scalar:
+                return QuadResult(float(total[0]), float(total_err[0]),
+                                  evaluations, converged)
+            return QuadResult(total, total_err, evaluations, converged)
+        order = np.argsort(-(errors / tol[:, None]).max(axis=0), kind="stable")
+        left = np.cumsum(errors[:, order[::-1]], axis=1)[:, -2::-1]
+        enough = np.append(np.all(left <= tol[:, None] / 8.0, axis=0), True)
+        parts = 4 if room >= 4 else 2
+        pick = order[:min(int(np.argmax(enough)) + 1, room // parts)]
+        cuts = [lo[pick], hi[pick]]
+        while len(cuts) <= parts:
+            halves = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+            cuts = [c for pair in zip(cuts, halves) for c in pair] + cuts[-1:]
+        sub_lo, sub_hi = np.concatenate(cuts[:-1]), np.concatenate(cuts[1:])
+        v, e, _ = _panel(integrand, sub_lo, sub_hi)
+        evaluations += sub_lo.size * 15
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate([lo[keep], sub_lo])
+        hi = np.concatenate([hi[keep], sub_hi])
+        values = np.concatenate([values[:, keep], v], axis=1)
+        errors = np.concatenate([errors[:, keep], e], axis=1)
+
+
+def assert_bit_identical(got, want):
+    """Value and error estimate equal bit for bit, and of the same type."""
+    for a, b in ((got.value, want.value),
+                 (got.abs_error_estimate, want.abs_error_estimate)):
+        assert type(a) is type(b)
+        assert np.array_equal(np.asarray(a).view(np.int64),
+                              np.asarray(b).view(np.int64))
+    assert got.evaluations == want.evaluations
+    assert got.converged == want.converged
 
 
 def oscillating(y):
@@ -201,6 +266,31 @@ class TestIntegrateRealLine:
             integrate_real_line(f)
         assert err.value.y > 1.0
 
+    def test_overflowing_sums_of_finite_values_are_not_an_integrand_error(self):
+        # |f| sums to inf on every panel, which sends _panel to scan f; f is
+        # finite, so it goes on (numpy's overflow warnings are the caller's).
+        edges = np.linspace(-1.0, 1.0, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, _, scalar = _panel(lambda y: np.full_like(y, 1e308),
+                                       edges[:-1], edges[1:])
+        assert scalar and values.shape == (1, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "both"])
+    def test_non_finite_value_is_located(self, bad):
+        # The first node, in evaluation order, whose value is not finite.
+        def f(y):
+            out = np.exp(-y * y)
+            at = (y > 0.3) & (y < 0.6)
+            out[at] = bad if bad != "both" else np.where(y[at] > 0.45, np.inf, -np.inf)
+            return out
+
+        edges = np.linspace(-1.0, 1.0, 5)
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        y = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+        with pytest.raises(IntegrandError) as err:
+            _panel(f, edges[:-1], edges[1:])
+        assert err.value.y == y[(y > 0.3) & (y < 0.6)][0]
+
     def test_budget_exhaustion_reports_nonconvergence(self):
         cfg = QuadConfig(rel_tol=1e-15, abs_tol=1e-300, max_evaluations=300)
         res = integrate_real_line(lambda y: np.exp(-y * y) * np.cos(20 * y), cfg, 2)
@@ -277,6 +367,80 @@ class TestEvenIntegrand:
         a = integrate_real_line(integrand, degree_hint=degree_hint, even=True)
         b = integrate_real_line(integrand, degree_hint=degree_hint, even=True)
         assert a == b
+
+
+def spike(y):
+    return np.exp(-y * y) / (y * y + 1e-8)
+
+
+UNREACHABLE = dict(rel_tol=1e-15, abs_tol=1e-300)
+
+
+class TestBatchedReference:
+    """``integrate_real_line`` against ``batched_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("integrand, degree_hint, even", [
+        (oscillating, 2, False),
+        (spike, 2, False),
+        (lambda y: np.exp(-y * y) * np.cos(3 * y), 6, False),
+        (lambda y: np.exp(-y * y) * np.cos(3 * y), 6, True),
+        (fisher_integrand(StateSpec.mixture({0: 0.5, 20: 0.5}))[0], 46, False),
+        (fisher_integrand(StateSpec.mixture({0: 0.5, 4: 0.5}), (0, 2))[0], 14,
+         True),
+        (even_moments, 21, False),
+        (even_moments, 21, True),
+    ], ids=["oscillating", "spike", "cos3", "cos3_even", "fisher_k3",
+            "fisher_even", "moments_k11", "moments_k11_even"])
+    @pytest.mark.parametrize("config", [
+        QuadConfig(), QuadConfig(rel_tol=1e-6, abs_tol=1e-8),
+        QuadConfig(rel_tol=1e-13, abs_tol=1e-15)], ids=["default", "loose", "tight"])
+    def test_converged_runs(self, integrand, degree_hint, even, config):
+        assert_bit_identical(
+            integrate_real_line(integrand, config, degree_hint, even=even),
+            batched_reference(integrand, config, degree_hint, even))
+
+    @pytest.mark.parametrize("budget", [149, 150, 165, 179, 194, 1000, 1234, 5000])
+    @pytest.mark.parametrize("case", ["scalar", "vector", "even"])
+    def test_budget_paths(self, budget, case):
+        # Budgets 150 and 165 leave room for 2 and 3 sub-panels after the
+        # initial partition, the single-bisection path; 149 leaves room < 2.
+        integrand, degree_hint, even = {
+            "scalar": (oscillating, 2, False),
+            "vector": (*fisher_integrand(StateSpec.mixture({0: 0.5, 1: 0.5})),
+                       False),
+            "even": (oscillating, 2, True),
+        }[case]
+        config = QuadConfig(**UNREACHABLE, max_evaluations=budget)
+        got = integrate_real_line(integrand, config, degree_hint, even=even)
+        assert_bit_identical(
+            got, batched_reference(integrand, config, degree_hint, even))
+        assert not got.converged
+
+    @pytest.mark.parametrize("spec", [
+        StateSpec.eigenstate(3),
+        StateSpec.mixture({0: 0.5, 1: 0.5}),
+        StateSpec.mixture({0: 0.5, 20: 0.5}),
+        StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}),
+        StateSpec.superposition({0: 0.6, 1: 0.8j}),
+        StateSpec.density({(0, 0): 0.5, (1, 1): 0.3, (3, 3): 0.2,
+                           (0, 1): 0.1 + 0.2j, (1, 0): 0.1 - 0.2j,
+                           (1, 3): 0.05 - 0.1j, (3, 1): 0.05 + 0.1j}),
+    ], ids=["eigenstate", "rho01", "mixture_0_20", "real_superposition",
+            "complex_superposition", "density"])
+    @pytest.mark.parametrize("force", [False, True], ids=["parity", "forced"])
+    def test_metric_adaptive_integrand(self, monkeypatch, spec, force):
+        calls = []
+
+        def recording(integrand, config, degree_hint, *, even=False):
+            res = integrate_real_line(integrand, config, degree_hint, even=even)
+            calls.append((integrand, config, degree_hint, even, res))
+            return res
+
+        monkeypatch.setattr(hermgauss.geometry, "integrate_real_line", recording)
+        metric_adaptive(spec, ModelPoint(0.3, 1.2), force_offdiagonal=force)
+        (integrand, config, degree_hint, even, got), = calls
+        assert_bit_identical(got, batched_reference(
+            integrand, config or QuadConfig(), degree_hint, even))
 
 
 class TestIntegrateRatio:
