@@ -20,28 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .estimation import _MIN_SAMPLES, _MIN_TRIALS, crb_experiment, sample
-from .geometry import (
-    curvature_finite_difference,
-    geodesic_trace,
-    metric_adaptive,
-    metric_closed_form,
-    metric_quadrature,
-    metric_series_real,
-    scalar_curvature_reduced,
-)
+from .geometry import geodesic_trace, metric_quadrature
 from .hermite import _integer
-from .models import (
-    InvalidStateError,
-    ModelPoint,
-    PhysicalOscillator,
-    StateSpec,
-    _y_moments,
-    from_physical,
-    kernel,
-)
-from .quadrature import QuadConfig, QuadratureError, integrate_real_line
+from .models import (InvalidStateError, ModelPoint, PhysicalOscillator, StateSpec,
+                     from_physical)
+from .quadrature import QuadConfig, QuadratureError
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -203,16 +188,6 @@ def parse_config(text: str) -> RunConfig:
 # -- report rendering -----------------------------------------------------
 
 
-def _metric_entry(m):
-    return {
-        "path": m.path,
-        "reduced": list(m.reduced),
-        "i_mumu": m.i_mumu,
-        "i_musigma": m.i_musigma,
-        "i_sigmasigma": m.i_sigmasigma,
-    }
-
-
 # The commands whose CSV form is a table: (header, report key of the rows).
 _TABLES = {"geodesic": (("tau", "mu", "sigma", "dmu_dtau", "dsigma_dtau"), "samples"),
            "sample": (("x",), "draws")}
@@ -250,24 +225,17 @@ def _emit_csv(obj, out, prefix):
 
 
 def _cmd_metric(cfg):
-    paths = []
-    if cfg.state.kind == "eigenstate":
-        paths.append(_metric_entry(metric_closed_form(cfg.state, cfg.point)))
-    paths.append(_metric_entry(metric_quadrature(cfg.state, cfg.point, cfg.quad)))
-    coeffs = cfg.state.real_superposition_coeffs()
-    if coeffs is not None:
-        paths.append(_metric_entry(metric_series_real(coeffs, cfg.point)))
-    return {
-        "command": "metric",
-        "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
-        "paths": paths,
-    }
+    routes = checks.Routes(cfg.state, cfg.point, cfg.quad)
+    metrics = [routes[k] for k, applies in checks.METRIC_ROUTES.items() if applies(cfg.state)]
+    return {"command": "metric", "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
+            "paths": [{"path": m.path, "reduced": list(m.reduced), "i_mumu": m.i_mumu,
+                       "i_musigma": m.i_musigma, "i_sigmasigma": m.i_sigmasigma}
+                      for m in metrics]}
 
 
 def _cmd_curvature(cfg):
-    metric = metric_quadrature(cfg.state, cfg.point, cfg.quad)
-    reduced = scalar_curvature_reduced(metric)
-    fd = curvature_finite_difference(metric)
+    routes = checks.Routes(cfg.state, cfg.point, cfg.quad)
+    reduced, fd = routes["reduced_curvature"], routes["fd_curvature"]
     return {
         "command": "curvature",
         "point": {"mu": cfg.point.mu, "sigma": cfg.point.sigma},
@@ -317,89 +285,11 @@ def _cmd_sample(cfg):
             "draws": batch.draws}
 
 
-def _rel_err(got, want):
-    return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
-
-
 def _cmd_verify(cfg):
-    checks = []
-
-    def check(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    mq = metric_quadrature(cfg.state, cfg.point, cfg.quad)
-
-    if cfg.state.kind == "eigenstate":
-        err = _rel_err(mq.reduced, metric_closed_form(cfg.state, cfg.point).reduced)
-        check("closed_form_vs_quadrature", err <= 1e-8, err)
-
-    coeffs = cfg.state.real_superposition_coeffs()
-    if coeffs is not None:
-        err = _rel_err(mq.reduced, metric_series_real(coeffs, cfg.point).reduced)
-        check("series_vs_quadrature", err <= 1e-8, err)
-
-    # At rank one mq is the exact rule; one adaptive metric, its
-    # off-diagonal integrated over the full line, checks it, the parity
-    # argument and, above rank one, mq's half-line diagonal.
-    rank_one = kernel(cfg.state).rank == 1
-    if rank_one or cfg.state.parity_even:
-        adaptive = metric_adaptive(cfg.state, cfg.point, cfg.quad,
-                                   force_offdiagonal=True)
-    if rank_one:
-        err = _rel_err(adaptive.reduced, mq.reduced)
-        check("exact_rule_vs_adaptive", err <= 1e-8, err)
-    if cfg.state.parity_even:
-        check("offdiagonal_vanishes", abs(adaptive.reduced[1]) <= 1e-10,
-              adaptive.reduced[1])
-    if cfg.state.parity_even and not rank_one:
-        # mq integrated the diagonal on the half-line y >= 0 and doubled it.
-        err = _rel_err(mq.reduced[::2], adaptive.reduced[::2])
-        check("half_line_vs_full_line", err <= 1e-8, err)
-
-    # Location Cramer-Rao: I_mumu >= 1 / Var x with Var x = 2 sigma^2 Var y,
-    # Var y summed over the table by the ladder identity (no quadrature).
-    ratio = 2.0 * mq.reduced[0] * _y_moments(cfg.state)[1]
-    check("location_crb", ratio >= 1.0 - 1e-12, ratio)
-
-    reduced = scalar_curvature_reduced(mq)
-    fd = curvature_finite_difference(mq)
-    check("curvature_paths_agree",
-          abs(reduced.scalar_r - fd.scalar_r) <= 1e-4,
-          abs(reduced.scalar_r - fd.scalar_r))
-
-    shifted = ModelPoint(cfg.point.mu + 7.3, cfg.point.sigma)
-    mq2 = metric_quadrature(cfg.state, shifted, cfg.quad)
-    err = max(abs(a - b) for a, b in zip(mq.reduced, mq2.reduced))
-    check("mu_independence", err <= 1e-10, err)
-
-    scaled = ModelPoint(cfg.point.mu, 3.0 * cfg.point.sigma)
-    mq3 = metric_quadrature(cfg.state, scaled, cfg.quad)
-    err = max(abs(scaled.sigma ** 2 * a - cfg.point.sigma ** 2 * b)
-              for a, b in zip(mq3.matrix().ravel(), mq.matrix().ravel()))
-    check("sigma_scaling", err <= 1e-10, err)
-
-    kf = kernel(cfg.state)
-    res = integrate_real_line(kf.f, cfg.quad, kf.degree_hint)
-    err = abs(res.value - 1.0 / math.sqrt(2.0))
-    check("kernel_normalization", res.converged and err <= 1e-8,
-          err if res.converged
-          else f"not converged within {res.evaluations} evaluations")
-
-    trace = geodesic_trace(mq, (0.3, 0.2), 5.0, 2000)
-    speeds = trace.metric_speeds()
-    drift = float(np.max(np.abs(speeds - speeds[0])) / abs(speeds[0]))
-    check("geodesic_speed_conservation", drift <= 1e-6, drift)
-
-    seed = cfg.estimation.get("seed", 0)
-    b1 = sample(cfg.state, cfg.point, 256, seed)
-    b2 = sample(cfg.state, cfg.point, 256, seed)
-    check("sampler_determinism", bool(np.array_equal(b1.draws, b2.draws)), seed)
-
-    mq_again = metric_quadrature(cfg.state, cfg.point, cfg.quad)
-    check("metric_determinism", mq_again.reduced == mq.reduced, mq.reduced)
-
-    return {"command": "verify",
-            "all_passed": all(c["passed"] for c in checks), "checks": checks}
+    rows = list(checks.verify(cfg.state, cfg.point, cfg.quad,
+                              cfg.estimation.get("seed", 0)))
+    return {"command": "verify", "all_passed": all(r["passed"] for r in rows),
+            "checks": rows}
 
 
 _DISPATCH = {"metric": _cmd_metric, "curvature": _cmd_curvature, "crb": _cmd_crb,

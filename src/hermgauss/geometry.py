@@ -46,7 +46,6 @@ __all__ = [
     "curvature_finite_difference",
     "geodesic_trace",
     "crb_bound",
-    "sigma_variance_bound",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -205,8 +204,8 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
     two diagonal integrands are even: they are integrated on the half-line
     y >= 0 and doubled, for about half the evaluations.  Pass
     ``force_offdiagonal=True`` to evaluate the off-diagonal integral anyway
-    (used by the consistency suite to confirm the oddness argument
-    numerically); all three are then integrated over the full line.
+    (``verify``'s table, ``checks.CHECKS``, uses it to confirm the oddness
+    argument numerically); all three are then integrated over the full line.
     """
     kf = kernel(spec)
     skip_offdiagonal = spec.parity_even and not force_offdiagonal
@@ -445,11 +444,3 @@ def crb_bound(metric: MetricTensor2) -> np.ndarray:
     positive definite, so the inverse exists."""
     return np.linalg.inv(metric.matrix())
 
-
-def sigma_variance_bound(metric: MetricTensor2) -> float:
-    """-sigma^2 R / 2: the sigma-estimator variance bound when the metric is
-    diagonal (it then coincides with the (sigma, sigma) entry of the CRB)."""
-    if abs(metric.reduced[1]) > 1e-12:
-        raise ValueError("identity holds for diagonal metrics only")
-    r = scalar_curvature_reduced(metric).scalar_r
-    return -0.5 * metric.point.sigma ** 2 * r

@@ -15,8 +15,7 @@ PUBLIC = {
                  "metric_closed_form", "metric_quadrature",
                  "metric_gauss_hermite", "metric_adaptive",
                  "metric_series_real", "scalar_curvature_reduced",
-                 "curvature_finite_difference", "geodesic_trace", "crb_bound",
-                 "sigma_variance_bound"],
+                 "curvature_finite_difference", "geodesic_trace", "crb_bound"],
     "estimation": ["SampleBatch", "MleFit", "CrbReport", "sample", "mle_fit",
                    "crb_experiment"],
 }
@@ -24,8 +23,8 @@ DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names
 
 
 def test_all_lists_the_public_names():
-    assert len(DEFINED_IN) == 33
-    assert len(hermgauss.__all__) == 33
+    assert len(DEFINED_IN) == 32
+    assert len(hermgauss.__all__) == 32
     assert set(hermgauss.__all__) == set(DEFINED_IN)
 
 

@@ -11,6 +11,7 @@ import pytest
 import hermgauss
 import hermgauss.estimation
 import hermgauss.geometry
+import hermgauss.quadrature
 from hermgauss.cli import ConfigError, main, parse_config, run
 from hermgauss.geometry import crb_bound, metric_quadrature
 from hermgauss.quadrature import QuadConfig, QuadResult
@@ -196,8 +197,10 @@ class TestCommands:
 
     def test_verify_fails_unconverged_normalization(self, monkeypatch):
         # The exact value with converged=False must not pass the check.
+        # The table's kernel_mass route reads quadrature.integrate_real_line;
+        # the metric routes keep geometry's own binding.
         monkeypatch.setattr(
-            hermgauss.cli, "integrate_real_line",
+            hermgauss.quadrature, "integrate_real_line",
             lambda *args: QuadResult(1.0 / math.sqrt(2.0), 1.0, 4321, False))
         status, text = run_capture(config_text(command="verify"))
         assert status == 1

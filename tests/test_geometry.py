@@ -26,9 +26,9 @@ from hermgauss.geometry import (
     metric_quadrature,
     metric_series_real,
     scalar_curvature_reduced,
-    sigma_variance_bound,
 )
 from hermgauss.models import InvalidStateError, ModelPoint, StateSpec, kernel
+from test_verify_defects import POINT, STATES
 
 ORIGIN = ModelPoint(0.0, 1.0)
 
@@ -651,17 +651,15 @@ class TestCrbBound:
         b = crb_bound(m)
         np.testing.assert_allclose(m.matrix() @ b, np.eye(2), atol=1e-12)
 
-    def test_sigma_bound_matches_curvature(self):
-        m = metric_closed_form(StateSpec.eigenstate(1), ModelPoint(0.0, 1.0))
-        assert sigma_variance_bound(m) == pytest.approx(1.0 / 6.0, rel=1e-13)
-        assert sigma_variance_bound(m) == pytest.approx(crb_bound(m)[1, 1],
-                                                        rel=1e-13)
-
-    def test_sigma_bound_requires_diagonal_metric(self):
-        m = metric_series_real({0: 0.6, 1: 0.8}, ORIGIN)
-        assert m.reduced[1] != 0.0
-        with pytest.raises(ValueError, match="diagonal metrics only"):
-            sigma_variance_bound(m)
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_sigma_bound_matches_curvature(self, state):
+        # (I^-1)_sigmasigma = sigma^2 a / (ac - b^2) = -sigma^2 R / 2 for every
+        # metric of the family, Itilde_musigma != 0 included (the real
+        # superposition's and the density table's).
+        m = metric_quadrature(STATES[state](), POINT)
+        r = scalar_curvature_reduced(m).scalar_r
+        assert crb_bound(m)[1, 1] == pytest.approx(-0.5 * POINT.sigma ** 2 * r,
+                                                   rel=1e-13)
 
     def test_singular_metric_rejected(self):
         with pytest.raises(ValueError, match="not positive definite"):
