@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from . import __version__, checks
 from .estimation import _MIN_SAMPLES, _MIN_TRIALS, crb_experiment, sample
-from .geometry import geodesic_trace, metric_quadrature
-from .hermite import _integer
+from .geometry import _velocity, geodesic_trace, metric_quadrature
+from .hermite import _flag, _integer, _number
 from .models import (InvalidStateError, ModelPoint, PhysicalOscillator, StateSpec,
                      from_physical)
 from .quadrature import QuadConfig, QuadratureError
@@ -52,22 +51,6 @@ def _need(obj, key, where):
     return obj[key]
 
 
-def _real(v):
-    """A finite JSON number, never a boolean, as a float.  Python's json
-    reads NaN, Infinity and overflowing literals such as 1e999."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"expected a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return v
-
-
-def _pair(v):
-    a, b = v
-    return [_real(a), _real(b)]
-
-
 # Types of the fields the library reads, in any block; others pass through.
 # An integer field takes the least value the library accepts.
 _CONVERT = {
@@ -75,9 +58,9 @@ _CONVERT = {
         ("n", 0), ("m", 0), ("max_evaluations", 1), ("trials", _MIN_TRIALS),
         ("samples_per_trial", _MIN_SAMPLES), ("seed", 0), ("count", 1),
         ("steps", 1))},
-    **dict.fromkeys(("weight", "re", "im", "mu", "sigma", "mass", "omega0",
-                     "x0", "hbar", "rel_tol", "abs_tol", "tau_end"), _real),
-    "velocity": _pair,
+    **dict.fromkeys(("weight", "re", "im", "mu", "sigma", "mass", "omega0", "x0", "hbar",
+                     "rel_tol", "abs_tol", "tau_end"), functools.partial(_number, what=None)),
+    "velocity": _velocity,
 }
 
 
@@ -89,7 +72,7 @@ def _typed(obj, where):
     for k, v in obj.items():
         try:
             out[k] = _CONVERT.get(k, lambda v: v)(v)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid {k!r} in {where}: {exc}") from exc
     return out
 
@@ -122,9 +105,7 @@ def _parse_state(block, renormalize):
             return StateSpec.density(table, renormalize=renormalize)
     except InvalidStateError as exc:
         raise ConfigError(f"invalid 'state': {exc}") from exc
-    except ConfigError:  # a term's field, already named by _typed
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # a missing field, or terms not in a list
         raise ConfigError(f"malformed 'state' term: {exc}") from exc
     raise ConfigError(f"unknown state type {kind!r}")
 
@@ -137,9 +118,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
-    renormalize = raw.get("renormalize", False)
-    if not isinstance(renormalize, bool):
-        raise ConfigError("'renormalize' must be true or false")
+    renormalize = _flag(raw.get("renormalize", False), "'renormalize'", ConfigError)
     state = _parse_state(_need(raw, "state", "config"), renormalize)
 
     has_point = "point" in raw
@@ -160,7 +139,7 @@ def parse_config(text: str) -> RunConfig:
                 hbar=blk.get("hbar", 1.0)))
     except ConfigError:  # a field, already named by _typed or _need
         raise
-    except (TypeError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid parameter point: {exc}") from exc
 
     command = _need(raw, "command", "config")
@@ -172,7 +151,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         quad = QuadConfig(**{k: qblk[k] for k in ("rel_tol", "abs_tol",
                                                   "max_evaluations") if k in qblk})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid 'quad' block: {exc}") from exc
 
     fmt = _block(raw, "output").get("format", "json")
@@ -309,8 +288,7 @@ def run(config: RunConfig, out=None) -> int:
     try:
         report = _DISPATCH[config.command](config)
         _emit(report, config.output_format, sys.stdout if out is None else out)
-    except (QuadratureError, InvalidStateError, ValueError, RuntimeError,
-            OverflowError) as exc:
+    except (QuadratureError, ValueError, RuntimeError, ArithmeticError) as exc:
         return _error(type(exc).__name__, str(exc), 1)
     return 0 if report.get("all_passed", True) else 1
 
@@ -359,7 +337,7 @@ def main(argv=None) -> int:
                                            **_typed({"seed": args.seed}, "--seed")})
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
-    except ValueError as exc:  # also a flag that ModelPoint or QuadConfig rejects
+    except (ValueError, ArithmeticError) as exc:  # also a rejected flag
         return _error("ConfigError", str(exc), 2)
 
     return run(cfg)

@@ -575,7 +575,7 @@ def _newton_polish(kf, x, mu, ls, budget):
             break
         d_mu, d_ls = -np.linalg.solve([[h_mm, h_ml], [h_ml, h_ll]], [s_mu, s_ls])
         if abs(d_mu) <= _FIT_TOL * math.exp(ls) and abs(d_ls) <= _FIT_TOL:
-            return ModelPoint(mu=float(mu + d_mu), sigma=math.exp(ls + d_ls)), passes
+            return ModelPoint(mu + d_mu, math.exp(ls + d_ls)), passes
         jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
         passes += 1
         if jet is None or jet[0] < ll - _LL_ROUNDING * abs(ll):
@@ -586,10 +586,8 @@ def _newton_polish(kf, x, mu, ls, budget):
 
 def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:
     ey, vy = _y_moments(spec)
-    sig = float(np.std(x)) / math.sqrt(2.0 * vy)
-    sig = max(sig, 1e-6)
-    mu = float(np.mean(x)) - math.sqrt(2.0) * sig * ey
-    return ModelPoint(mu=mu, sigma=sig)
+    sig = max(np.std(x) / math.sqrt(2.0 * vy), 1e-6)
+    return ModelPoint(np.mean(x) - math.sqrt(2.0) * sig * ey, sig)
 
 
 def _trial_seed(seed: int, trial: int) -> int:

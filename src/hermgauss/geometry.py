@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import _integer, hermite_normalized_all
+from .hermite import _flag, _integer, _number, hermite_normalized_all
 from .models import InvalidStateError, ModelPoint, StateSpec, _unique, kernel
 from .quadrature import QuadConfig, QuadratureError, integrate_real_line
 
@@ -208,7 +208,7 @@ def metric_adaptive(spec: StateSpec, point: ModelPoint,
     argument numerically); all three are then integrated over the full line.
     """
     kf = kernel(spec)
-    skip_offdiagonal = spec.parity_even and not force_offdiagonal
+    skip_offdiagonal = spec.parity_even and not _flag(force_offdiagonal, "force_offdiagonal")
 
     def integrand(y):
         r = kf.fisher_ratio(y)
@@ -238,7 +238,7 @@ def metric_series_real(coeffs, point: ModelPoint) -> MetricTensor2:
     off-diagonal).
     """
     a = _unique(coeffs, lambda n: _integer(n, "level", error=InvalidStateError),
-                float, "series level")
+                "series level", "series coefficient")
     norm2 = math.fsum(v * v for v in a.values())
     if not abs(norm2 - 1.0) <= 1e-12:
         raise InvalidStateError(
@@ -393,18 +393,13 @@ def geodesic_trace(metric: MetricTensor2, velocity, tau_end: float,
     the start point bit for bit.  ``boundary_hit`` is True when sigma
     leaves the normal double range before tau_end: it underflows toward
     sigma = 0 or, going straight up, overflows.  The samples stop there,
-    so each one keeps full precision.  Raises ValueError unless ``steps``
-    is an integer >= 1 and ``tau_end`` and both ``velocity`` entries finite.
+    so each one keeps full precision.  Raises ValueError unless ``steps`` is
+    an integer >= 1, ``tau_end`` a finite number and ``velocity`` a pair of them.
     """
     # A float steps would space the samples past tau_end.
     steps = _integer(steps, "steps", 1)
-    try:
-        vm0, vs0 = map(float, velocity)
-    except (TypeError, ValueError):  # not two numbers: refused below
-        vm0 = vs0 = math.nan
-    if not all(map(math.isfinite, (tau_end, vm0, vs0))):
-        raise ValueError("tau_end and velocity must be finite, velocity a "
-                         f"pair: got {tau_end!r} and {velocity!r}")
+    tau_end = _number(tau_end, "tau_end")
+    vm0, vs0 = _velocity(velocity)
     start, (a, b, c) = metric.point, metric.reduced
     root_det = math.sqrt(a * c - b * b)
     vv0 = (a * vm0 + b * vs0) / root_det
@@ -436,6 +431,15 @@ def geodesic_trace(metric: MetricTensor2, velocity, tau_end: float,
         samples = samples[:int(np.argmin(inside))]
     return GeodesicTrace(samples=samples, reduced=metric.reduced,
                          boundary_hit=boundary)
+
+
+def _velocity(velocity):
+    """``velocity`` as two floats by the number rule; a pair, else ValueError."""
+    try:
+        vm, vs = velocity
+    except (TypeError, ValueError):
+        raise ValueError(f"velocity must be a pair of numbers, got {velocity!r}") from None
+    return _number(vm, "velocity[0]"), _number(vs, "velocity[1]")
 
 
 def crb_bound(metric: MetricTensor2) -> np.ndarray:

@@ -15,6 +15,7 @@ n = 200, but the mass of psi_200^2 beyond |y| = 38.6 is below 1e-300.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 
@@ -50,6 +51,39 @@ def _integer(value, what, least=0, most=None, error=ValueError):
         pass
     bound = f">= {least}" if most is None else f"in {least}..{most}"
     raise error(f"{what} must be an integer {bound}, got {value!r}")
+
+
+# Each form's scalar types: numpy's bool is no np.number, Python's is an int.
+_SCALARS = {float: (int, float, np.integer, np.floating),
+            complex: (int, float, complex, np.number)}
+
+
+def _number(value, what, least=-math.inf, error=ValueError, *,
+            above=-math.inf, kind=float):
+    """``value`` as a float by the package's one rule for reals, or as a
+    complex by its form for coefficients (``kind=complex``).  Python and numpy
+    scalars pass, integers too; bools, strings, None, arrays, a complex for a
+    real, NaN, +-inf and reals below ``least`` or not above ``above`` raise
+    ``error``, naming ``what`` (None: the caller names it, as the CLI does)."""
+    need = "a number"
+    if isinstance(value, _SCALARS[kind]) and not isinstance(value, bool):
+        try:
+            v = kind(value)
+        except OverflowError:  # an int past the float range
+            v = math.inf
+        if cmath.isfinite(v) and (kind is complex or least <= v and above < v):
+            return v
+        need = ("a finite number" + f" >= {least:g}" * (least > -math.inf)
+                + f" > {above:g}" * (above > -math.inf))
+    raise error(f"{what} must be {need}, got {value!r}" if what
+                else f"expected {need}, got {value!r}")
+
+
+def _flag(value, what, error=ValueError):
+    """``value`` as a bool by the package's one rule for flags: bools only."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise error(f"{what} must be a boolean, got {value!r}")
 
 
 def hermite_normalized_all(n: int, y):

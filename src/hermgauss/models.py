@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import MAX_DEGREE, _integer, hermite_normalized_all
+from .hermite import MAX_DEGREE, _flag, _integer, _number, hermite_normalized_all
 
 __all__ = [
     "InvalidStateError",
@@ -46,8 +46,8 @@ class InvalidStateError(ValueError):
 
 def _unit_divisor(total, renormalize, what):
     """The divisor that brings a table's ``what`` = ``total`` to 1: ``total``
-    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL.
-    The checks are written so that a NaN ``total`` fails them."""
+    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL."""
+    renormalize = _flag(renormalize, "renormalize", InvalidStateError)
     if renormalize and not 0.0 < total < math.inf:
         raise InvalidStateError(f"{what} must be positive and finite, got {total!r}")
     if not renormalize and not abs(total - 1.0) <= _NORM_TOL:
@@ -70,15 +70,15 @@ def _entry(nm):
     return _level(n), _level(m)
 
 
-def _unique(terms, key, value, what):
-    """``terms`` (a mapping or (k, v) pairs) as {key(k): value(v)}; a key
-    given twice is refused, where a dict would keep its last value."""
+def _unique(terms, key, what, name, **rule):
+    """``terms`` (a mapping or (k, v) pairs) as {key(k): v}, each v a ``name`` by
+    the number rule with keywords ``rule``; a key given twice is refused, not kept last."""
     out = {}
     for k, v in terms.items() if hasattr(terms, "items") else terms:
         k = key(k)
         if k in out:
             raise InvalidStateError(f"{what} {k} is given twice")
-        out[k] = value(v)
+        out[k] = _number(v, name, error=InvalidStateError, **rule)
     return out
 
 
@@ -90,10 +90,8 @@ class ModelPoint:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise ValueError("mu and sigma must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "mu", _number(self.mu, "mu"))
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma", above=0.0))
 
     def y_of_x(self, x):
         return (np.asarray(x, dtype=float) - self.mu) / (math.sqrt(2.0) * self.sigma)
@@ -109,10 +107,8 @@ class PhysicalOscillator:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (all(0.0 < v < math.inf for v in (self.mass, self.omega0, self.hbar))
-                and math.isfinite(self.x0)):
-            raise ValueError("mass, omega0 and hbar must be positive and "
-                             "finite, and x0 finite")
+        for name, low in (("mass", 0.0), ("omega0", 0.0), ("x0", -math.inf), ("hbar", 0.0)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, above=low))
 
     @property
     def sigma(self) -> float:
@@ -169,11 +165,9 @@ class StateSpec:
 
     @classmethod
     def mixture(cls, weights, renormalize: bool = False) -> "StateSpec":
-        w = _unique(weights, _level, float, "mixture level")
+        w = _unique(weights, _level, "mixture level", "mixture weight", least=0.0)
         if not w:
             raise InvalidStateError("mixture needs at least one term")
-        if not all(0.0 <= v < math.inf for v in w.values()):
-            raise InvalidStateError("mixture weights must be non-negative and finite")
         total = _unit_divisor(math.fsum(w.values()), renormalize,
                               "mixture weight sum")
         table = {(n, n): complex(v / total) for n, v in w.items() if v != 0.0}
@@ -181,7 +175,7 @@ class StateSpec:
 
     @classmethod
     def superposition(cls, coeffs, renormalize: bool = False) -> "StateSpec":
-        a = _unique(coeffs, _level, complex, "superposition level")
+        a = _unique(coeffs, _level, "superposition level", "superposition coefficient", kind=complex)
         if not a:
             raise InvalidStateError("superposition needs at least one term")
         s = math.sqrt(_unit_divisor(math.fsum(abs(v) ** 2 for v in a.values()),
@@ -193,12 +187,11 @@ class StateSpec:
 
     @classmethod
     def density(cls, entries, renormalize: bool = False) -> "StateSpec":
-        table = _unique(entries, _entry, complex, "density entry")
+        table = _unique(entries, _entry, "density entry", "density coefficient", kind=complex)
         if not table:
             raise InvalidStateError("density table is empty")
         for (n, m), v in table.items():
             w = table.get((m, n))
-            # Not "> tol": a NaN or infinite entry must fail too.
             if w is None or not abs(w.conjugate() - v) <= 1e-10 * max(1.0, abs(v)):
                 raise InvalidStateError(
                     f"density table is not Hermitian at ({n}, {m})")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hermite import _integer
+from .hermite import _flag, _integer, _number
 
 __all__ = [
     "QuadConfig",
@@ -62,15 +62,8 @@ class QuadConfig:
     max_evaluations: int = 2_000_000
 
     def __post_init__(self):
-        # Written so that NaN fails: it compares False both ways; a string
-        # or None, which does not compare with a number, fails too.
-        try:
-            finite = all(0 < v < math.inf for v in (self.rel_tol, self.abs_tol,
-                                                     self.max_evaluations))
-        except TypeError:
-            finite = False
-        if not finite:
-            raise ValueError("QuadConfig fields must be positive and finite")
+        for name in ("rel_tol", "abs_tol"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, above=0.0))
         # A float budget would reach refinement as a slice bound.
         _integer(self.max_evaluations, "QuadConfig max_evaluations", 1)
 
@@ -218,7 +211,7 @@ def integrate_real_line(integrand, config: QuadConfig | None = None,
     n0 = max(8, degree_hint + 2)
     if n0 % 2 == 1:
         n0 += 1
-    if even:
+    if _flag(even, "even"):
         edges, fold = np.linspace(0.0, cut, n0 // 2 + 1), 2.0
     else:
         edges, fold = np.linspace(-cut, cut, n0 + 1), 1.0

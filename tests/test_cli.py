@@ -395,6 +395,30 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("override, status, kind", [
+        # sigma^2 underflows to 0 in MetricTensor2.i_mumu.
+        ({"point": {"mu": 0.0, "sigma": 1e-200}}, 1, "ZeroDivisionError"),
+        ({"point": {"mu": 0.0, "sigma": 1e-200}, "command": "crb",
+          "estimation": {"trials": 30, "samples_per_trial": 2}}, 1,
+         "ZeroDivisionError"),
+        # 2 m omega0 underflows to 0 in PhysicalOscillator.sigma.
+        ({"point": None, "physical": {"mass": 1e-300, "omega0": 1e-300, "x0": 0.0}},
+         2, "ConfigError"),
+    ], ids=["metric_sigma_underflow", "crb_sigma_underflow",
+            "physical_sigma_underflow"])
+    def test_arithmetic_failure_is_one_json_error(self, override, status, kind,
+                                                  tmp_path, capsys):
+        raw = {k: v for k, v in json.loads(config_text(**override)).items()
+               if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main([str(path)]) == status
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # one object, no traceback
+        assert list(err) == ["error"] and err["error"]["type"] == kind
+        assert err["error"]["message"]
+
     def test_index_above_cap_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(state={"type": "eigenstate", "n": 500}))

@@ -375,8 +375,10 @@ class TestSeriesMetric:
     @pytest.mark.parametrize("coeffs", [{0: math.nan}, {0: 0.6, 1: math.nan}],
                              ids=["nan", "nan_second"])
     def test_nan_coefficient_fails_normalization(self, coeffs):
-        # A NaN sum of squares must fail the check, not reach MetricTensor2.
-        with pytest.raises(InvalidStateError, match="must be normalized"):
+        # A NaN coefficient must not reach MetricTensor2: the number rule
+        # refuses it before the normalization check could see a NaN sum.
+        with pytest.raises(InvalidStateError,
+                           match="^series coefficient must be a finite number, got nan"):
             metric_series_real(coeffs, ORIGIN)
 
     def test_rejects_negative_index(self):
@@ -602,16 +604,21 @@ class TestGeodesics:
         tr = geodesic_trace(metric_quadrature(spec, start), (0.3, 0.2), 1.0, 4)
         assert json.loads(out.getvalue())["samples"] == tr.samples.tolist()
 
-    @pytest.mark.parametrize("velocity, tau_end", [
-        ((0.3, 0.2), math.nan), ((0.3, 0.2), math.inf),
-        ((math.inf, 0.0), 1.0), ((0.0, math.nan), 1.0),
-        ((0.0, 1.0, 5.0), 1.0), ((0.0,), 1.0), (0.5, 1.0), (None, 1.0),
-        (("a", 1.0), 1.0)],
+    @pytest.mark.parametrize("velocity, tau_end, message", [
+        ((0.3, 0.2), math.nan, "tau_end must be a finite number"),
+        ((0.3, 0.2), math.inf, "tau_end must be a finite number"),
+        ((math.inf, 0.0), 1.0, r"velocity\[0\] must be a finite number"),
+        ((0.0, math.nan), 1.0, r"velocity\[1\] must be a finite number"),
+        ((0.0, 1.0, 5.0), 1.0, "velocity must be a pair of numbers"),
+        ((0.0,), 1.0, "velocity must be a pair of numbers"),
+        (0.5, 1.0, "velocity must be a pair of numbers"),
+        (None, 1.0, "velocity must be a pair of numbers"),
+        (("a", 1.0), 1.0, r"velocity\[0\] must be a number")],
         ids=["tau_end_nan", "tau_end_inf", "velocity_inf", "velocity_nan",
              "velocity_three", "velocity_one", "velocity_scalar",
              "velocity_none", "velocity_string"])
-    def test_non_finite_input_rejected(self, velocity, tau_end):
-        with pytest.raises(ValueError, match="must be finite"):
+    def test_non_finite_input_rejected(self, velocity, tau_end, message):
+        with pytest.raises(ValueError, match="^" + message):
             geodesic_trace(metric_closed_form(StateSpec.eigenstate(1), ORIGIN),
                            velocity, tau_end, 10)
 

@@ -68,7 +68,8 @@ class TestModelPoint:
 
     @pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (0.0, math.nan)])
     def test_requires_finite_coordinates(self, mu, sigma):
-        with pytest.raises(ValueError, match="must be finite"):
+        name = "mu" if math.isnan(mu) else "sigma"
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             ModelPoint(mu, sigma)
 
     def test_y_mapping(self):

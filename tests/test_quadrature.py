@@ -324,7 +324,9 @@ class TestIntegrateRealLine:
         ("abs_tol", math.nan), ("max_evaluations", math.nan),
         ("max_evaluations", math.inf)])
     def test_config_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match="positive and finite"):
+        message = ("QuadConfig max_evaluations must be an integer >= 1"
+                   if field == "max_evaluations" else f"{field} must be a finite number > 0")
+        with pytest.raises(ValueError, match="^" + message):
             QuadConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [300.0, True])

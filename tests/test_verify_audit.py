@@ -30,6 +30,10 @@ CONSTRUCTORS = dict.fromkeys(
 INTEGER_RULE = {"hermgauss.hermite._integer":
                 "the integer rule for levels and counts; it computes no "
                 "compared number"}
+NUMBER_RULES = dict.fromkeys(
+    ["hermgauss.hermite._number", "hermgauss.hermite._flag"],
+    "the number and flag rules, for QuadConfig's tolerances and the half-line "
+    "and off-diagonal flags; they compute no compared number")
 MEMO = {"hermgauss.models.memoized":
         "the per-spec memo's wrapper (models._per_spec); what it memoizes is "
         "listed on its own"}
@@ -53,7 +57,7 @@ ADAPTIVE = dict.fromkeys(
     "both sides integrate with metric_adaptive, on the same window and panels")
 # Every function that metric_quadrature runs, by the exact rule at rank one
 # and by the adaptive integral above it.
-QUADRATURE_ROUTE = [*CONSTRUCTORS, *INTEGER_RULE, *MEMO, *KERNEL, *ADAPTIVE,
+QUADRATURE_ROUTE = [*CONSTRUCTORS, *INTEGER_RULE, *NUMBER_RULES, *MEMO, *KERNEL, *ADAPTIVE,
                     "hermgauss.geometry.metric_quadrature",
                     "hermgauss.geometry.metric_gauss_hermite",
                     "hermgauss.geometry._hermite_rule"]
@@ -70,8 +74,8 @@ SHARED = {
     "exact_rule_vs_adaptive": {**CONSTRUCTORS, **INTEGER_RULE, **MEMO, **KERNEL},
     # Against an exact zero.
     "offdiagonal_vanishes": {},
-    "half_line_vs_full_line": {**CONSTRUCTORS, **INTEGER_RULE, **MEMO, **KERNEL,
-                               **ADAPTIVE},
+    "half_line_vs_full_line": {**CONSTRUCTORS, **INTEGER_RULE, **NUMBER_RULES, **MEMO,
+                               **KERNEL, **ADAPTIVE},
     # Var y is summed over the state's table, with no kernel or quadrature.
     "location_crb": MEMO,
     "curvature_paths_agree": same_route(
@@ -88,7 +92,8 @@ SHARED = {
     "geodesic_speed_conservation": {
         **same_route("one trace from the quadrature metric; the check compares "
                      "its speed along the path with its speed at the start"),
-        "hermgauss.geometry.geodesic_trace": "same route: the one trace"},
+        "hermgauss.geometry.geodesic_trace": "same route: the one trace",
+        "hermgauss.geometry._velocity": "same route: the one trace's velocity"},
     "sampler_determinism": dict.fromkeys(
         ["hermgauss.estimation.sample", "hermgauss.estimation._cdf_table",
          "hermgauss.estimation.__init__", "hermgauss.estimation.segments",
