@@ -58,9 +58,10 @@ class MetricTensor2:
     ``reduced`` holds the dimensionless (Itilde_mumu, Itilde_musigma,
     Itilde_sigmasigma) as three floats; the physical components are
     reduced / sigma^2.  The metric is finite and positive definite:
-    construction raises ValueError unless Itilde_mumu and the determinant
-    lie in (0, inf), so a NaN or infinite component, a numerical failure or
-    an invalid state never yields one.
+    construction raises ValueError unless each component passes the number
+    rule and Itilde_mumu and the determinant lie in (0, inf), so a NaN or
+    infinite component, a numerical failure or an invalid state never
+    yields one.
     """
 
     point: ModelPoint
@@ -68,10 +69,11 @@ class MetricTensor2:
     path: str
 
     def __post_init__(self):
-        a, b, c = map(float, self.reduced)
-        # Written so that a NaN fails: it compares False both ways.  An
-        # infinite b or c makes the determinant infinite or NaN.
-        if not (0.0 < a < math.inf and 0.0 < a * c - b * b < math.inf):
+        a, b, c = self.reduced
+        a, b, c = _number(a, "reduced[0]"), _number(b, "reduced[1]"), _number(c, "reduced[2]")
+        # The components are finite, but the determinant may overflow to inf,
+        # or to NaN (inf - inf), which compares False both ways.
+        if not (0.0 < a and 0.0 < a * c - b * b < math.inf):
             raise ValueError(f"metric {(a, b, c)!r} is not positive definite")
         object.__setattr__(self, "reduced", (a, b, c))
 

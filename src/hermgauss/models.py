@@ -44,10 +44,15 @@ class InvalidStateError(ValueError):
     """The state description violates a normalization or positivity rule."""
 
 
-def _unit_divisor(total, renormalize, what):
-    """The divisor that brings a table's ``what`` = ``total`` to 1: ``total``
-    when renormalizing, else 1.0 after checking it is 1 within _NORM_TOL."""
+def _unit_divisor(terms, renormalize, what):
+    """The divisor that brings a table's ``what``, the sum of ``terms``, to 1:
+    the sum when renormalizing, else 1.0 after checking it is 1 within
+    _NORM_TOL.  A sum or a term that overflows makes the sum infinite."""
     renormalize = _flag(renormalize, "renormalize", InvalidStateError)
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
     if renormalize and not 0.0 < total < math.inf:
         raise InvalidStateError(f"{what} must be positive and finite, got {total!r}")
     if not renormalize and not abs(total - 1.0) <= _NORM_TOL:
@@ -168,8 +173,7 @@ class StateSpec:
         w = _unique(weights, _level, "mixture level", "mixture weight", least=0.0)
         if not w:
             raise InvalidStateError("mixture needs at least one term")
-        total = _unit_divisor(math.fsum(w.values()), renormalize,
-                              "mixture weight sum")
+        total = _unit_divisor(w.values(), renormalize, "mixture weight sum")
         table = {(n, n): complex(v / total) for n, v in w.items() if v != 0.0}
         return cls("mixture", table)
 
@@ -178,8 +182,8 @@ class StateSpec:
         a = _unique(coeffs, _level, "superposition level", "superposition coefficient", kind=complex)
         if not a:
             raise InvalidStateError("superposition needs at least one term")
-        s = math.sqrt(_unit_divisor(math.fsum(abs(v) ** 2 for v in a.values()),
-                                    renormalize, "superposition norm"))
+        s = math.sqrt(_unit_divisor((abs(v) ** 2 for v in a.values()), renormalize,
+                                    "superposition norm"))
         a = {n: v / s for n, v in a.items() if v != 0.0}
         table = {(n, m): an * am.conjugate()
                  for n, an in a.items() for m, am in a.items()}
@@ -195,9 +199,8 @@ class StateSpec:
             if w is None or not abs(w.conjugate() - v) <= 1e-10 * max(1.0, abs(v)):
                 raise InvalidStateError(
                     f"density table is not Hermitian at ({n}, {m})")
-        trace = _unit_divisor(
-            math.fsum(v.real for (n, m), v in table.items() if n == m),
-            renormalize, "density trace")
+        trace = _unit_divisor((v.real for (n, m), v in table.items() if n == m),
+                              renormalize, "density trace")
         table = {k: v / trace for k, v in table.items()}
         # The indices are capped, so the dense eigenvalue check is cheap.
         dim = max(max(n, m) for (n, m) in table) + 1

@@ -8,12 +8,10 @@ batched, as in scipy's quad_vec: each pass cuts the panels that carry the
 error into four sub-panels each, all of them in one integrand call.  A
 pass costs a fixed overhead besides its evaluations, mostly numpy's cost
 per call: a forced full-line Fisher metric takes 85-210 us a pass on a
-2-vCPU host, against 100-280 us with separate value, error and edge arrays
-and a Hermite recurrence that allocated its products.  The Hermite rows
-take 4 numpy calls a level (5 before), ``_panel`` 27 and the bookkeeping
-29 a quartering pass (38 before).  So quarters, which reach a narrow
-feature in half the passes that halves take, are worth their few percent
-more evaluations.  Totals are numpy's pairwise sums over panels in
+2-vCPU host.  The Hermite rows take 4 numpy calls a level, ``_panel`` 27
+and the bookkeeping 29 a quartering pass.  So quarters, which reach a
+narrow feature in half the passes that halves take, are worth their few
+percent more evaluations.  Totals are numpy's pairwise sums over panels in
 creation order: cheaper than exact sums over sorted panels, and off by
 rounding only.  The routines are deterministic: identical inputs produce
 bit-identical results.
@@ -65,7 +63,8 @@ class QuadConfig:
         for name in ("rel_tol", "abs_tol"):
             object.__setattr__(self, name, _number(getattr(self, name), name, above=0.0))
         # A float budget would reach refinement as a slice bound.
-        _integer(self.max_evaluations, "QuadConfig max_evaluations", 1)
+        object.__setattr__(self, "max_evaluations", _integer(
+            self.max_evaluations, "QuadConfig max_evaluations", 1))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ def config_text(**overrides):
     return json.dumps(base)
 
 
+# A crb batch of one sample: the CI job without the test extra probes it too.
+ONE_SAMPLE = {"command": "crb", "estimation": {"samples_per_trial": 1}}
+
+
 def run_capture(text):
     cfg = parse_config(text)
     out = io.StringIO()
@@ -109,12 +113,13 @@ class TestCommands:
         assert report["discrepancy"] <= 1e-4
 
     @pytest.mark.parametrize("command, integrals", [
-        ("verify", 5), ("curvature", 1)])
+        ("verify", 3), ("curvature", 1)])
     def test_fisher_integrals_per_command(self, monkeypatch, command, integrals):
         # rho01 (rank two, parity even).  verify integrates at the point, once
-        # with the off-diagonal forced, at the shifted and the scaled point
-        # and again for metric_determinism; the finite-difference curvature
-        # and the geodesic take the metric it holds, as curvature's does.
+        # with the off-diagonal forced, and once at (mu + 7.3, 3 sigma), the
+        # one rerun that mu_independence, sigma_scaling and metric_determinism
+        # read; the finite-difference curvature and the geodesic take the
+        # metric it holds, as curvature's does.
         real = hermgauss.geometry.integrate_real_line
         calls = []
 
@@ -419,6 +424,25 @@ class TestMain:
         assert list(err) == ["error"] and err["error"]["type"] == kind
         assert err["error"]["message"]
 
+    @pytest.mark.parametrize("state, message", [
+        ({"type": "mixture", "terms": [{"n": 0, "weight": 1e308},
+                                       {"n": 1, "weight": 1e308}]},
+         "mixture weight sum must be positive and finite, got inf"),
+        ({"type": "superposition", "terms": [{"n": 0, "re": 1e200}]},
+         "superposition norm must be positive and finite, got inf"),
+        ({"type": "density", "entries": [{"n": 0, "m": 0, "re": 1e308},
+                                         {"n": 1, "m": 1, "re": 1e308}]},
+         "density trace must be positive and finite, got inf"),
+    ], ids=["mixture", "superposition", "density"])
+    def test_overflowing_state_total_exits_two(self, state, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(state=state, renormalize=True))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "type": "ConfigError", "message": f"invalid 'state': {message}"}}
+
     def test_index_above_cap_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(state={"type": "eigenstate", "n": 500}))
@@ -454,7 +478,7 @@ class TestMain:
         {"command": "sample", "estimation": {"count": 0}},
         {"command": "crb", "estimation": {"trials": 5}},
         {"command": "crb", "estimation": {"samples_per_trial": 0}},
-        {"command": "crb", "estimation": {"samples_per_trial": 1}},
+        ONE_SAMPLE,
         {"command": "geodesic", "geodesic": {"steps": 0}},
         {"command": "sample", "estimation": {"seed": -1}},
         None,
@@ -474,6 +498,8 @@ class TestMain:
         assert main([str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+        if override is ONE_SAMPLE:  # as the runtime-only CI job probes it
+            assert "'samples_per_trial'" in err["error"]["message"]
 
     @pytest.mark.parametrize("case", [
         "density_state", "geodesic_json", "sample_csv", "curvature_quad", "stdin",

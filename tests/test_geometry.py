@@ -430,23 +430,27 @@ class TestScalarCurvature:
     @pytest.mark.parametrize("bound", [scalar_curvature_reduced, crb_bound],
                              ids=["curvature", "crb"])
     def test_nan_metric_rejected(self, bound):
-        # A NaN compares False both ways, so the check must not be written
-        # as "<= 0.0".  No NaN metric reaches ``bound``: the type rejects
+        # No NaN metric reaches ``bound``: the type's number rule rejects
         # one built directly or by replacing the components of a valid one.
         valid = MetricTensor2(ORIGIN, (3.0, 0.0, 8.0), "closed_form")
         for build in (
                 lambda: MetricTensor2(ORIGIN, (math.nan, 0.0, 1.0), "closed_form"),
                 lambda: dataclasses.replace(valid, reduced=(math.nan, 0.0, 1.0))):
-            with pytest.raises(ValueError, match="not positive definite") as info:
+            with pytest.raises(ValueError,
+                               match=r"^reduced\[0\] must be a finite number, got nan") as info:
                 bound(build())
-            assert info.traceback[-1].name == "__post_init__"
+            assert [e.name for e in info.traceback[-2:]] == ["__post_init__", "_number"]
 
     @pytest.mark.parametrize("reduced", [
         (-1.0, 0.0, -1.0), (0.0, 0.0, 1.0), (1.0, math.nan, 1.0),
         (1.0, 0.0, math.nan), (math.inf, 0.0, 1.0), (1.0, 0.0, math.inf),
         (1.0, math.inf, 1.0)])
     def test_metric_tensor_invariant(self, reduced):
-        with pytest.raises(ValueError, match="not positive definite"):
+        # The number rule refuses a NaN or infinite component, naming it;
+        # the positive-definite test refuses the finite ones.
+        pattern = ("not positive definite" if all(map(math.isfinite, reduced))
+                   else r"^reduced\[\d\] must be a finite number")
+        with pytest.raises(ValueError, match=pattern):
             MetricTensor2(ORIGIN, reduced, "closed_form")
 
     def test_metric_tensor_holds_floats(self):

@@ -47,7 +47,8 @@ def geodesic(steps):
 
 
 def budget(k):
-    return integrate_real_line(lambda y: np.exp(-y * y), QuadConfig(max_evaluations=k))
+    config = QuadConfig(max_evaluations=k)  # stored as the rule returns it
+    return config.max_evaluations, integrate_real_line(lambda y: np.exp(-y * y), config)
 
 
 def gaussian(degree_hint):

@@ -144,9 +144,30 @@ class TestStateSpecValidation:
                                    renormalize=True), "density trace"),
         (lambda: StateSpec.density({(0, 0): 0.5, (1, 1): 0.25}),
          "density trace is 0.75"),
+        # Finite entries whose total, or a term of it, overflows: the total
+        # counts as infinite.
+        (lambda: StateSpec.mixture({0: 1e308, 1: 1e308}),
+         "^mixture weight sum is inf, expected 1 within"),
+        (lambda: StateSpec.mixture({0: 1e308, 1: 1e308}, renormalize=True),
+         "^mixture weight sum must be positive and finite, got inf$"),
+        (lambda: StateSpec.superposition({0: 1e200}),
+         "^superposition norm is inf, expected 1 within"),
+        (lambda: StateSpec.superposition({0: 1e200}, renormalize=True),
+         "^superposition norm must be positive and finite, got inf$"),
+        (lambda: StateSpec.superposition({0: complex(1.7e308, 1.7e308)},
+                                         renormalize=True),
+         "^superposition norm must be positive and finite, got inf$"),
+        (lambda: StateSpec.density({(0, 0): 1e308, (1, 1): 1e308}),
+         "^density trace is inf, expected 1 within"),
+        (lambda: StateSpec.density({(0, 0): 1e308, (1, 1): 1e308}, renormalize=True),
+         "^density trace must be positive and finite, got inf$"),
     ], ids=["mixture_empty", "superposition_empty", "density_empty",
             "mixture_zero_sum", "superposition_all_zero",
-            "density_negative_trace", "density_trace_not_one"])
+            "density_negative_trace", "density_trace_not_one",
+            "mixture_overflow", "mixture_overflow_renormalize",
+            "superposition_overflow", "superposition_overflow_renormalize",
+            "superposition_modulus_overflow", "density_overflow",
+            "density_overflow_renormalize"])
     def test_rejected_tables(self, build, message):
         with pytest.raises(InvalidStateError, match=message):
             build()

@@ -20,9 +20,9 @@ import pytest
 
 from hermgauss.cli import ConfigError, _typed, parse_config
 from hermgauss.estimation import MleFit
-from hermgauss.geometry import (crb_bound, geodesic_trace, metric_adaptive,
-                                metric_closed_form, metric_quadrature,
-                                metric_series_real)
+from hermgauss.geometry import (MetricTensor2, crb_bound, geodesic_trace,
+                                metric_adaptive, metric_closed_form,
+                                metric_quadrature, metric_series_real)
 from hermgauss.models import (InvalidStateError, ModelPoint, PhysicalOscillator,
                               StateSpec, from_physical, pdf)
 from hermgauss.quadrature import QuadConfig, integrate_real_line
@@ -66,6 +66,12 @@ def cli_field(name):
     return lambda v: _typed({name: v}, "'block'")[name]
 
 
+def metric(k, v):
+    reduced = [3.0, 0.0, 8.0]
+    reduced[k] = v
+    return MetricTensor2(ORIGIN, tuple(reduced), "closed_form").reduced
+
+
 # (call of one real argument, an accepted integral value, range: "finite",
 #  "> 0" or ">= 0", error type, message pattern)
 REALS = {
@@ -89,6 +95,10 @@ REALS = {
                              ValueError, r"^velocity\[0\] must be a"),
     "geodesic_velocity_sigma": (lambda v: geodesic(velocity=[0.3, v]), 2, "finite",
                                 ValueError, r"^velocity\[1\] must be a"),
+    # Each component; the positive-definite test refuses a sign that the rule takes.
+    **{f"metric_reduced_{k}": (lambda v, k=k: metric(k, v), 2, "finite", ValueError,
+                               rf"^reduced\[{k}\] must be a")
+       for k in range(3)},
     "mixture_weight": (
         lambda v: StateSpec.mixture({0: v, 1: 2.0}, renormalize=True).table, 2,
         ">= 0", InvalidStateError, "^mixture weight must be a"),

@@ -24,9 +24,11 @@ from hermgauss import checks, geometry
 from test_verify_defects import POINT, STATES
 
 CONSTRUCTORS = dict.fromkeys(
-    ["hermgauss.geometry.__init__", "hermgauss.geometry.__post_init__"],
-    "MetricTensor2's constructor and its refusal of a metric that is not "
-    "positive definite: it holds the result, and computes none of it")
+    ["hermgauss.geometry.__init__", "hermgauss.geometry.__post_init__",
+     "hermgauss.hermite._number"],
+    "MetricTensor2's constructor, the number rule it reads its components "
+    "with and its refusal of a metric that is not positive definite: it "
+    "holds the result, and computes none of it")
 INTEGER_RULE = {"hermgauss.hermite._integer":
                 "the integer rule for levels and counts; it computes no "
                 "compared number"}
@@ -84,9 +86,12 @@ SHARED = {
     # Today's metric_quadrature integrates in y, never reads mu, and reads
     # sigma only to divide at the end: these two checks are vacuous on it.
     "mu_independence": same_route(
-        "the quadrature metric at the point and at mu + 7.3"),
+        "the quadrature metric at the point and at (mu + 7.3, 3 sigma); the "
+        "check compares the reduced components, which sigma does not move"),
     "sigma_scaling": same_route(
-        "the quadrature metric at the point and at 3 sigma"),
+        "the quadrature metric at the point and at (mu + 7.3, 3 sigma); the "
+        "check compares sigma^2 times the physical components, which mu does "
+        "not move"),
     # Against the exact unit mass, 1/sqrt(2).
     "kernel_normalization": {},
     "geodesic_speed_conservation": {
@@ -104,7 +109,9 @@ SHARED = {
          "hermgauss.hermite._integer", "hermgauss.hermite.hermite_normalized_all",
          "hermgauss.quadrature.truncation_halfwidth"],
         "same route: the sampler twice with one seed, each on a fresh CDF table"),
-    "metric_determinism": same_route("the quadrature metric, computed twice"),
+    "metric_determinism": same_route(
+        "the quadrature metric, computed twice: at the point and at "
+        "(mu + 7.3, 3 sigma), where the reduced components are the same"),
 }
 
 
