@@ -337,7 +337,7 @@ def main(argv=None) -> int:
                                            **_typed({"seed": args.seed}, "--seed")})
         if args.format is not None:
             cfg = replace(cfg, output_format=args.format)
-    except (ValueError, ArithmeticError) as exc:  # also a rejected flag
+    except ValueError as exc:  # also a rejected flag
         return _error("ConfigError", str(exc), 2)
 
     return run(cfg)

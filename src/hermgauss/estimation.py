@@ -375,8 +375,8 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     cell = _start_cell(spec, x, init)
     passes = 0
     if cell is not None:
-        fit, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
-        if fit is not None and (not cell or _certify(fit, *cell)):
+        fit, jet, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
+        if fit is not None and (not cell or _certify(fit, jet, *cell)):
             return MleFit(fit.mu, fit.sigma, 0, passes)
     best, steps = log_likelihood(spec, x, mu, math.exp(ls)), 1
     handed = False
@@ -386,8 +386,8 @@ def mle_fit(batch: SampleBatch) -> MleFit:
         if (not handed and step_ls <= _HANDOFF_STEP
                 and step_mu <= _HANDOFF_STEP * math.exp(ls)):
             handed = True
-            fit, used = _newton_polish(kf, x, mu, ls,
-                                       _MAX_EVALUATIONS - steps - passes)
+            fit, _, used = _newton_polish(kf, x, mu, ls,
+                                          _MAX_EVALUATIONS - steps - passes)
             passes += used
             if fit is not None:
                 return MleFit(fit.mu, fit.sigma, steps, passes)
@@ -444,10 +444,11 @@ def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
     return xs, nodes, cell
 
 
-def _certify(fit, xs, nodes, cell):
+def _certify(fit, jet, xs, nodes, cell):
     """Whether ``fit``, Newton's end from the start's cell, lies in that
     cell while no cell that moves one line past up to ``_REACH`` samples is
-    predicted to come within ``_CELL_MARGIN`` of its log L.
+    predicted to come within ``_CELL_MARGIN`` of its log L.  ``jet`` is
+    Newton's last, from ``_newton_polish``.
 
     At rank one with real nodes z_k, log L = sum_k Psi_k(p_k) - sum_i y_i^2
     - (2K + 1) N log sigma + const, where p_k = mu + sqrt(2) sigma z_k is
@@ -455,9 +456,12 @@ def _certify(fit, xs, nodes, cell):
     the terms of the ``_NEAR`` samples on each side of p_k; to second order
     the rest, at its best (mu, sigma) for a line moved by t, falls by
     stiff t^2 / 2, with stiff = -1 / (a^T H^-1 a) less those terms' share
-    of -Psi_k'', for H the Hessian of log L on (mu, sigma) at the fit and
-    a = (1, w_k), w_k = sqrt(2) z_k.  So moving p_k into a nearby gap can
-    raise log L by about the maximum over it of
+    of -Psi_k'', for a = (1, w_k), w_k = sqrt(2) z_k, and H the Hessian of
+    log L on (mu, sigma) from Newton's last jet, taken one final step of at
+    most 1e-9 sigma before the fit: from the jet's (mu, log sigma) Hessian h
+    and score s, H_mu,mu = h_mm, H_mu,sigma = h_ml / sigma and
+    H_sigma,sigma = (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby
+    gap can raise log L by about the maximum over it of
     D(t) = 2 sum [log|1 - t/d_i| + t/d_i] - stiff t^2 / 2, d_i the near
     samples' offsets from p_k.  D is concave in the gap; Newton steps
     approach its maximum, and D(t) + D'(t)^2 / (2 m) bounds it from any t,
@@ -467,17 +471,11 @@ def _certify(fit, xs, nodes, cell):
     pos = fit.mu + root2 * sigma * nodes
     if not np.array_equal(np.searchsorted(xs, pos), cell):
         return False
-    inv = np.subtract(xs, pos[:, None])
-    np.divide(1.0, inv, out=inv)
-    inv *= inv
-    curv = 2.0 * inv.sum(axis=1)
-    # The Hessian of log L on (mu, sigma), where line k moves by (1, w_k).
+    # Newton's Hessian on (mu, log sigma), taken to (mu, sigma), where line
+    # k moves by (1, w_k).
+    _, _, s_ls, h00, h_ml, h_ll = jet
+    h01, h11 = h_ml / sigma, (h_ll - s_ls) / sigma ** 2
     w = root2 * nodes
-    u = xs - fit.mu
-    h00 = -n / sigma ** 2 - curv.sum()
-    h01 = -2.0 * u.sum() / sigma ** 3 - curv @ w
-    h11 = (((2 * nodes.size + 1) * n - 3.0 * (u @ u) / sigma ** 2) / sigma ** 2
-           - curv @ (w * w))
     # The samples near each node, as offsets from its line; window slots
     # past an end of the batch hold an infinity on that side.
     slot = np.arange(-_NEAR, _NEAR)
@@ -561,11 +559,13 @@ def _loglik_jet(kf, x, mu, ls):
 
 
 def _newton_polish(kf, x, mu, ls, budget):
-    """Newton ascent from (mu, log sigma): (ModelPoint or None, passes).
+    """Newton ascent from (mu, log sigma): (ModelPoint or None, jet, passes),
+    the jet being ``_loglik_jet``'s at the point that the final step, of at
+    most ``_FIT_TOL`` (relative to sigma for mu), starts from.
 
-    None when a step would lower log L by more than rounding or meet a
-    density zero, when -H is not positive definite, or when ``budget``
-    passes run out.
+    (None, None, passes) when a step would lower log L by more than rounding
+    or meet a density zero, when -H is not positive definite, or when
+    ``budget`` passes run out.
     """
     jet = _loglik_jet(kf, x, mu, ls)
     passes = 1
@@ -575,13 +575,13 @@ def _newton_polish(kf, x, mu, ls, budget):
             break
         d_mu, d_ls = -np.linalg.solve([[h_mm, h_ml], [h_ml, h_ll]], [s_mu, s_ls])
         if abs(d_mu) <= _FIT_TOL * math.exp(ls) and abs(d_ls) <= _FIT_TOL:
-            return ModelPoint(mu + d_mu, math.exp(ls + d_ls)), passes
+            return ModelPoint(mu + d_mu, math.exp(ls + d_ls)), jet, passes
         jet = _loglik_jet(kf, x, mu + d_mu, ls + d_ls)
         passes += 1
         if jet is None or jet[0] < ll - _LL_ROUNDING * abs(ll):
             break
         mu, ls = mu + d_mu, ls + d_ls
-    return None, passes
+    return None, None, passes
 
 
 def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:

@@ -196,9 +196,13 @@ class StateSpec:
             raise InvalidStateError("density table is empty")
         for (n, m), v in table.items():
             w = table.get((m, n))
-            if w is None or not abs(w.conjugate() - v) <= 1e-10 * max(1.0, abs(v)):
-                raise InvalidStateError(
-                    f"density table is not Hermitian at ({n}, {m})")
+            try:
+                if w is None or not abs(w.conjugate() - v) <= 1e-10 * max(1.0, abs(v)):
+                    raise InvalidStateError(
+                        f"density table is not Hermitian at ({n}, {m})")
+            except OverflowError:  # from abs(): finite parts, too large a modulus
+                raise InvalidStateError(f"density coefficient at ({n}, {m}) has a "
+                                        "modulus past the float range") from None
         trace = _unit_divisor((v.real for (n, m), v in table.items() if n == m),
                               renormalize, "density trace")
         table = {k: v / trace for k, v in table.items()}
@@ -207,8 +211,9 @@ class StateSpec:
         dense = np.zeros((dim, dim), dtype=complex)
         for (n, m), v in table.items():
             dense[n, m] = v
-        lo = np.linalg.eigvalsh(dense).min()
-        if lo < -1e-10:
+        lo = float(np.linalg.eigvalsh(dense).min())
+        # NaN when renormalizing overflowed an entry: no PSD table does that.
+        if not lo >= -1e-10:
             raise InvalidStateError(
                 f"density table has negative eigenvalue {lo!r}")
         return cls("density", table)

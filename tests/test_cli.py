@@ -433,7 +433,17 @@ class TestMain:
         ({"type": "density", "entries": [{"n": 0, "m": 0, "re": 1e308},
                                          {"n": 1, "m": 1, "re": 1e308}]},
          "density trace must be positive and finite, got inf"),
-    ], ids=["mixture", "superposition", "density"])
+        ({"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": 0.5}, {"n": 1, "m": 1, "re": 0.5},
+            {"n": 0, "m": 1, "re": 1.7e308, "im": 1.7e308},
+            {"n": 1, "m": 0, "re": 1.7e308, "im": -1.7e308}]},
+         "density coefficient at (0, 1) has a modulus past the float range"),
+        ({"type": "density", "entries": [
+            {"n": 0, "m": 0, "re": 1e-300}, {"n": 1, "m": 1, "re": 1e-300},
+            {"n": 0, "m": 1, "re": 1e10}, {"n": 1, "m": 0, "re": 1e10}]},
+         "density table has negative eigenvalue nan"),
+    ], ids=["mixture", "superposition", "density", "density_coherence_modulus",
+            "density_renormalized_coherence"])
     def test_overflowing_state_total_exits_two(self, state, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(state=state, renormalize=True))

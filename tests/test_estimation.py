@@ -601,7 +601,7 @@ class TestMle:
         x = sample(spec, truth, 500, seed).draws
         if node:
             x = np.append(x, 0.3)
-        assert _newton_polish(kernel(spec), x, *start, 50) == (None, passes)
+        assert _newton_polish(kernel(spec), x, *start, 50) == (None, None, passes)
 
 
 class TestNewtonFirst:
@@ -785,6 +785,72 @@ class TestCellStart:
         assert got == () if shallow else got is None
 
 
+# Rank-one states with real nodes: batches of 1,000 and 5,000 samples reach
+# the certificate.
+CERTIFIED = {
+    "n1": StateSpec.eigenstate(1),
+    "n2": StateSpec.eigenstate(2),
+    "n5": StateSpec.eigenstate(5),
+    "real_0_1": StateSpec.superposition({0: 0.6, 1: 0.8}),
+}
+
+
+def product_form_hessian(fit, xs, nodes):
+    """The Hessian of log L on (mu, sigma) at ``fit`` from the product form
+    f = c prod_k (y - z_k)^2 exp(-y^2) of a rank-one state with real nodes
+    z_k, which the certificate computed before it read Newton's jet:
+    log L = 2 sum_ik log|x_i - p_k| - sum_i u_i^2 / (2 sigma^2)
+    - (2K + 1) N log sigma + const, with u = x - mu and node k's line
+    p_k = mu + w_k sigma, w_k = sqrt(2) z_k."""
+    n, sigma, root2 = xs.size, fit.sigma, math.sqrt(2.0)
+    pos = fit.mu + root2 * sigma * nodes
+    inv = np.subtract(xs, pos[:, None])
+    np.divide(1.0, inv, out=inv)
+    inv *= inv
+    curv = 2.0 * inv.sum(axis=1)
+    w = root2 * nodes
+    u = xs - fit.mu
+    h00 = -n / sigma ** 2 - curv.sum()
+    h01 = -2.0 * u.sum() / sigma ** 3 - curv @ w
+    h11 = (((2 * nodes.size + 1) * n - 3.0 * (u @ u) / sigma ** 2) / sigma ** 2
+           - curv @ (w * w))
+    return np.array([[h00, h01], [h01, h11]])
+
+
+class TestCertificateHessian:
+    @pytest.mark.parametrize("count", [1000, 5000])
+    @pytest.mark.parametrize("spec", CERTIFIED.values(), ids=CERTIFIED)
+    def test_newton_hessian_is_the_product_form(self, monkeypatch, spec, count):
+        # Newton's last Hessian, taken to (mu, sigma), against the product
+        # form: entry (i, j) within 1e-6 sqrt(|H_ii H_jj|).  The product form,
+        # injected as a jet with zero score, gives the same verdict.
+        certify = hermgauss.estimation._certify
+        seen = []
+
+        def spy(fit, jet, xs, nodes, cell):
+            seen.append((fit, jet, xs, nodes, cell))
+            return certify(fit, jet, xs, nodes, cell)
+
+        monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
+        for seed in range(40, 60):
+            mle_fit(sample(spec, ModelPoint(0.3, 1.2), count, seed))
+        # 9 to 20 of the 20 batches per case reach the certificate, which
+        # refuses one fit of |2> at either size and one of |5> at 5,000.
+        assert len(seen) >= 8
+        for fit, jet, xs, nodes, cell in seen:
+            _, _, s_ls, h_mm, h_ml, h_ll = jet
+            sigma = fit.sigma
+            newton = np.array([[h_mm, h_ml / sigma],
+                               [h_ml / sigma, (h_ll - s_ls) / sigma ** 2]])
+            ref = product_form_hessian(fit, xs, nodes)
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            assert (np.abs(newton - ref) <= 1e-6 * scale).all()
+            injected = (0.0, 0.0, 0.0, ref[0, 0], ref[0, 1] * sigma,
+                        ref[1, 1] * sigma ** 2)
+            assert (certify(fit, injected, xs, nodes, cell)
+                    == certify(fit, jet, xs, nodes, cell))
+
+
 class TestRefusals:
     """The three refusals that no sampled batch of the other tests reaches."""
 
@@ -804,8 +870,8 @@ class TestRefusals:
         seen = []
         certify = hermgauss.estimation._certify
 
-        def spy(fit, xs, nodes, cell):
-            seen.append((fit, nodes, cell, certify(fit, xs, nodes, cell)))
+        def spy(fit, jet, xs, nodes, cell):
+            seen.append((fit, nodes, cell, certify(fit, jet, xs, nodes, cell)))
             return seen[-1][-1]
 
         monkeypatch.setattr(hermgauss.estimation, "_certify", spy)

@@ -161,13 +161,24 @@ class TestStateSpecValidation:
          "^density trace is inf, expected 1 within"),
         (lambda: StateSpec.density({(0, 0): 1e308, (1, 1): 1e308}, renormalize=True),
          "^density trace must be positive and finite, got inf$"),
+        # A coherence whose parts are finite but whose modulus overflows.
+        (lambda: StateSpec.density({(0, 0): 0.5, (1, 1): 0.5,
+                                    (0, 1): complex(1.7e308, 1.7e308),
+                                    (1, 0): complex(1.7e308, -1.7e308)}),
+         r"^density coefficient at \(0, 1\) has a modulus past the float range$"),
+        # Eigenvalues 1e-300 +- 1e10: renormalizing by the trace 2e-300
+        # overflows the coherences to inf, and the eigenvalues are NaN.
+        (lambda: StateSpec.density({(0, 0): 1e-300, (1, 1): 1e-300,
+                                    (0, 1): 1e10, (1, 0): 1e10}, renormalize=True),
+         "^density table has negative eigenvalue nan$"),
     ], ids=["mixture_empty", "superposition_empty", "density_empty",
             "mixture_zero_sum", "superposition_all_zero",
             "density_negative_trace", "density_trace_not_one",
             "mixture_overflow", "mixture_overflow_renormalize",
             "superposition_overflow", "superposition_overflow_renormalize",
             "superposition_modulus_overflow", "density_overflow",
-            "density_overflow_renormalize"])
+            "density_overflow_renormalize", "density_coherence_modulus_overflow",
+            "density_renormalized_coherence_overflow"])
     def test_rejected_tables(self, build, message):
         with pytest.raises(InvalidStateError, match=message):
             build()

@@ -7,11 +7,14 @@ and ``sample`` (the default 1,000 draws), on nine states: |0>, |200>,
 rho01 = (|0><0| + |1><1|) / 2, 0.6|0> + 0.48|1> + 0.64|3>,
 0.6|0> + 0.8i|1>, |2>, 0.5|0> - 0.5|3> + 0.5|6> + 0.5|11>, the mixture
 {0: .3, 2: .3, 5: .4} and the density table on levels 0, 2, 4 with
-(0, 2) = (2, 0) = .1; and on |2>, ``crb`` at 30 x 5,000 samples and
-``sample`` at 5,000 draws.  Each runs at (mu, sigma) = (0.3, 1.2) with
-seed 7, in JSON and in CSV: 112 lines of digest, exit status, command,
-state (``node_5000`` for the two 5,000-size reports) and format.  The
-tool exits 1 when any report exits non-zero.
+(0, 2) = (2, 0) = .1; on |2>, ``crb`` at 30 x 5,000 samples and ``sample``
+at 5,000 draws; and ``crb`` at 30 x 5,000 samples on 0.6|0> + 0.8|1> and
+on |5>, whose fits, like those of |2> at that size, reach the maximum
+likelihood's cell certificate (500 samples are below its floor).  Each runs
+at (mu, sigma) = (0.3, 1.2) with seed 7, in JSON and in CSV: 116 lines of
+digest, exit status, command, state (``node_5000``, ``real01_5000`` and
+``level5_5000`` for the 5,000-size reports) and format.  The tool exits 1
+when any report exits non-zero.
 
 The reports run in-process through ``hermgauss.cli.main``, so they are
 those of the hermgauss on the import path; compare two checkouts by
@@ -52,15 +55,23 @@ STATES = {
         {"n": 4, "m": 4, "re": 0.2}, {"n": 0, "m": 2, "re": 0.1},
         {"n": 2, "m": 0, "re": 0.1}]},
 }
+# States that only the 5,000-sample crb runs on.
+CERTIFIED = {
+    "real01": {"type": "superposition", "terms": [{"n": 0, "re": 0.6},
+                                                  {"n": 1, "re": 0.8}]},
+    "level5": {"type": "eigenstate", "n": 5},
+}
 ESTIMATION = {"trials": 30, "samples_per_trial": 500, "seed": 7}
+LARGE_CRB = {"trials": 30, "samples_per_trial": 5000, "seed": 7}
 # (command, label, state, estimation block) of each report, run in both formats.
 RUNS = [(command, name, state, ESTIMATION)
         for command in ("metric", "curvature", "geodesic", "verify", "crb",
                         "sample")
         for name, state in STATES.items()]
-RUNS += [("crb", "node_5000", STATES["node"],
-          {"trials": 30, "samples_per_trial": 5000, "seed": 7}),
+RUNS += [("crb", "node_5000", STATES["node"], LARGE_CRB),
          ("sample", "node_5000", STATES["node"], {"count": 5000, "seed": 7})]
+RUNS += [("crb", f"{name}_5000", state, LARGE_CRB)
+         for name, state in CERTIFIED.items()]
 # ((command, label, format), config) of every report, in print order.
 REPORTS = [((command, label, fmt), {
     "state": state, "point": {"mu": 0.3, "sigma": 1.2}, "command": command,
