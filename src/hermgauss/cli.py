@@ -181,7 +181,7 @@ def _emit(report, fmt, out):
         header, key = _TABLES[report["command"]]
         rows = report[key]
         out.write(",".join(header) + "\n")
-        for row in rows.reshape(len(rows), -1):
+        for row in rows.reshape(len(rows), len(header)):
             out.write(",".join(map(repr, row.tolist())) + "\n")
     else:
         _emit_csv(report, out, prefix="")

@@ -17,39 +17,39 @@ where it sits in a deep dip of f; such lines cut the plane into cells a few
 hundredths of sigma wide, and Newton started from the initializer can land
 in the wrong cell.  The dips of f sit at the roots of its packets
 (``KernelFn.roots``): at the real part z of each, f is locally
-f(z) (1 + u^2 / delta^2) with half-width delta = sqrt(2 f(z) / f''(z)).  A
-sample in a dip pulls log L by up to 1 / delta per unit of y, against a
-pull toward the maximum that grows with the sample count N; so when every
-dip is at least 50 sqrt(Var y) / N wide, the batch is shallow: its
-likelihood has no barriers on the scale of a fit, and Newton on the analytic
-score and observed information runs straight from the initializer.
+f(z) (1 + u^2 / delta^2) with half-width delta = sqrt(2 f(z) / f''(z)), and
+delta = 0 at a real root of a rank-one state, a node.  ``models._dips``
+lists every dip (z, delta) once per spec.  A sample in a dip pulls log L by
+up to 1 / delta per unit of y, against a pull toward the maximum that grows
+with the sample count N; so a dip narrower than 50 sqrt(Var y) / N is deep,
+a barrier on the scale of a fit, and a wider one is not.
 
-A batch that is not shallow can still start in the maximum's cell.  When
-the state is pure with real coefficients (rank one) and its packet's roots
-z_k are all real, f(y) = c prod_k (y - z_k)^2 exp(-y^2), so
-log L = sum_i [2 sum_k log|y_i - z_k| - y_i^2] - N log sigma + const.  In
-(eta_1, eta_2) = (mu / sigma, 1 / sigma) each y_i is affine and every term
-concave, so log L is strictly concave inside each cell that the lines
-x_i = mu + sqrt(2) sigma z_k cut out, and a Newton run that ends inside one
-cell ends at that cell's one maximum; only the cell needs a search.  The
-cell start: the samples are sorted, and for each node the widest sample
-gap within 4 standard errors, sqrt(2) sigma sqrt(Var y / N) (1 + |z_k|), of
-its line at the initializer is taken; when those gaps hold the
-initializer's own lines, Newton runs from there.  The certificate: the fit
+Each deep dip z puts a line x = mu + sqrt(2) sigma z through the plane.
+Near a line, log L holds sum_i log((x_i - p)^2 + D^2) for its position p
+and D = sqrt(2) sigma delta: at a node the nodal 2 sum_i log|x_i - p|,
+concave between samples, and for a soft dip concave farther than D from
+every sample.  The cell start: the samples are sorted, and for each line
+the widest sample gap within 4 standard errors, sqrt(2) sigma
+sqrt(Var y / N) (1 + |z|), of its position at the initializer is taken;
+when those gaps hold the initializer's own lines, Newton on the analytic
+score and observed information runs from there.  The certificate: the fit
 must end in that cell, and no cell that moves one line past up to three
 samples may be predicted, from a second-order model of the rest of log L
 and the exact log terms of the samples near the line, to come within 1 of
-its log L.  The floor: batches of fewer than 1,000 samples skip the cell
-start, which saved little time below that size.
+its log L; a soft line whose nearby samples sit closer than 2 D is
+refused.  A batch without deep dips has an empty cell, which Newton from
+the initializer always holds.  The floor: batches of fewer than 1,000
+samples with a deep dip skip the cell start, which saved little time below
+that size.
 
-So ``_start_cell``, from one scan of the packet roots kept per spec
-(``models._dips``), sends a shallow batch or a qualifying cell to Newton
-once, from the initializer.  Otherwise, or when that fit fails or is
-refused, a compass search walks uphill from the initializer until its steps
-fall to 1e-2, which places it in the maximum's cell, and hands the fit to
-Newton once; a Newton step that lowers the likelihood, meets a density zero
-or sees an indefinite Hessian hands it back to the search, which runs its
-steps down to 1e-9.
+So ``_start_cell`` sends every batch whose cell qualifies to Newton once,
+from the initializer.  Otherwise, or when that fit fails or is refused, a
+compass search walks uphill from the initializer until its steps fall to
+1e-2 (relative to sigma for mu), which places it in the maximum's cell,
+and hands the fit to Newton once; a Newton step that lowers the
+likelihood, meets a density zero or sees an indefinite Hessian hands it
+back to the search, which runs its steps down to 1e-9.  Every step and
+stop is relative to sigma, so the fit does not depend on the length unit.
 """
 
 from __future__ import annotations
@@ -96,22 +96,23 @@ _MIN_TRIALS = 30
 _MIN_SAMPLES = 2
 # Objective evaluations, Newton passes included, after which a fit fails.
 _MAX_EVALUATIONS = 20000
-# Narrowest dip half-width of f, relative to sqrt(Var y) and times the
-# sample count, of a shallow batch.  Newton from the initializer was seen
-# to miss the maximum only below 5.2, from 50 to 100,000 samples.
+# Dip half-width of f, relative to sqrt(Var y) and times the sample count,
+# below which a dip is deep and gets a line in the start's cell.  Newton
+# from the initializer was seen to miss the maximum only below 5.2, from 50
+# to 100,000 samples.
 _SHALLOW_DIP = 50.0
 # Fewest samples for which the MLE tries Newton in the start's cell.  At
 # 200 and 500 samples the attempt saved 9-21% of a fit's time on |1>,
 # |2> and 0.6|0> + 0.8|1> but cost 5% on |5>, whose start never qualified
 # there; at 1,000 it saved 13-25% on all four.
 _CELL_FLOOR = 1000
-# Half-width, in standard errors of a node's position, of the window
+# Half-width, in standard errors of a line's position, of the window
 # searched for the widest sample gap around it.
 _CELL_WINDOW = 4.0
 # A fit from the start's cell stands only if no nearby cell is predicted
 # to reach within this much of its log L.
 _CELL_MARGIN = 1.0
-# Samples on each side of a node whose log terms the nearby-cell
+# Samples on each side of a line whose log terms the nearby-cell
 # prediction keeps exact; farther ones enter to second order.
 _NEAR = 16
 # Samples a line may move past in the cells the certificate checks.
@@ -133,8 +134,8 @@ class SampleBatch:
 class MleFit(ModelPoint):
     """A maximum-likelihood point with the work that found it: the compass
     search's objective evaluations (its start included; 0 when Newton ran
-    first and converged, from the start of a shallow batch or from the
-    start's cell, whose certificate evaluates no objective) and the Newton
+    first from the start's cell and its fit stood, as the certificate
+    evaluates no objective) and the Newton
     passes.  Equality and hashing see (mu, sigma) only, but as for any
     dataclass a fit never equals a plain ``ModelPoint``: compare
     ``(fit.mu, fit.sigma)``."""
@@ -353,9 +354,10 @@ def log_likelihood(spec: StateSpec, x: np.ndarray, mu: float, sigma: float) -> f
 def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
-    When ``_start_cell`` gives () or a cell, Newton runs once from the
-    moment-matching point, and its fit stands if it converges and, from a
-    cell, is certified.  Otherwise a compass search walks from that point
+    When ``_start_cell`` gives a cell, one sample gap per deep dip of f
+    (none for a batch without deep dips), Newton runs once from the
+    moment-matching point, and its fit stands if it converges and
+    ``_certify`` finds no better cell nearby.  Otherwise a compass search walks from that point
     and hands the fit to Newton once its steps fall to 1e-2; if Newton
     fails there, the search runs its steps down to 1e-9 (relative to sigma
     for mu), the step at which Newton also stops.  The fit fails after
@@ -372,17 +374,15 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     kf = kernel(spec)
     init = _moment_init(spec, x)
     mu, ls = init.mu, math.log(init.sigma)
-    cell = _start_cell(spec, x, init)
-    passes = 0
+    cell, passes = _start_cell(spec, x, init), 0
     if cell is not None:
         fit, jet, passes = _newton_polish(kf, x, mu, ls, _MAX_EVALUATIONS)
-        if fit is not None and (not cell or _certify(fit, jet, *cell)):
+        if fit is not None and _certify(fit, jet, *cell):
             return MleFit(fit.mu, fit.sigma, 0, passes)
     best, steps = log_likelihood(spec, x, mu, math.exp(ls)), 1
     handed = False
-    step_mu = max(0.25 * math.exp(ls), 10.0 * _FIT_TOL)
-    step_ls = 0.25
-    while step_mu > _FIT_TOL or step_ls > _FIT_TOL:
+    step_mu, step_ls = 0.25 * math.exp(ls), 0.25
+    while step_mu > _FIT_TOL * math.exp(ls) or step_ls > _FIT_TOL:
         if (not handed and step_ls <= _HANDOFF_STEP
                 and step_mu <= _HANDOFF_STEP * math.exp(ls)):
             handed = True
@@ -408,122 +408,138 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     return MleFit(mu, math.exp(ls), steps, passes)
 
 
-def _shallow(spec: StateSpec, count: int) -> bool:
-    """Whether every dip is at least _SHALLOW_DIP sqrt(Var y) / count wide."""
-    return _dips(spec)[1] / math.sqrt(_y_moments(spec)[1]) * count >= _SHALLOW_DIP
-
-
 def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
-    """The MLE's Newton start: () for a shallow batch, which has no barrier
-    and so nothing to certify; (sorted samples xs, nodes, the start's cell),
-    for ``_certify``, when the widest nearby sample gaps mark out the start's
-    cell; else None, and the compass search goes first.  A cell holds, per
-    node z, the index j of the gap (xs[j-1], xs[j]) that holds the node's
-    line x = mu + sqrt(2) sigma z.  Only a rank-one state whose roots are
-    all real and finite, and a batch of at least ``_CELL_FLOOR`` samples,
-    qualify.  Node z's window is ``_CELL_WINDOW`` standard errors of its
-    line's position at the start, sqrt(2) sigma sqrt(Var y / N) (1 + |z|),
-    to either side; a gap that meets it counts, the unbounded end gaps too.
+    """The MLE's Newton start: (samples xs, lines z, half-widths delta, the
+    start's cell) for ``_certify`` when the widest nearby sample gaps mark
+    out the start's cell, else None and the compass search goes first.  The
+    lines are the deep dips of ``_dips``: those narrower than
+    ``_SHALLOW_DIP`` sqrt(Var y) / N, N the sample count.  xs is sorted
+    when there are lines; with none the cell is empty, and the certificate
+    passes it.  A cell holds, per line
+    z, the index j of the gap (xs[j-1], xs[j]) that holds its position
+    x = mu + sqrt(2) sigma z.  A deep batch needs at least ``_CELL_FLOOR``
+    samples and finite roots.  Line z's window is ``_CELL_WINDOW`` standard
+    errors of its position at the start, sqrt(2) sigma sqrt(Var y / N)
+    (1 + |z|), to either side; a gap that meets it counts, the unbounded
+    end gaps too.
     """
-    if _shallow(spec, x.size):
-        return ()
-    nodes = _dips(spec)[0]
-    if nodes is None or x.size < _CELL_FLOOR:
+    dips, vy = _dips(spec), _y_moments(spec)[1]
+    if dips is None:
         return None
-    xs = np.sort(x)
-    pos = start.mu + math.sqrt(2.0) * start.sigma * nodes
+    lines, delta = dips[:, dips[1] / math.sqrt(vy) * x.size < _SHALLOW_DIP]
+    if lines.size and x.size < _CELL_FLOOR:
+        return None
+    xs = np.sort(x) if lines.size else x
+    pos = start.mu + math.sqrt(2.0) * start.sigma * lines
     cell = np.searchsorted(xs, pos)
     gaps = np.diff(xs, prepend=-math.inf, append=math.inf)
-    half = (_CELL_WINDOW * math.sqrt(2.0 * _y_moments(spec)[1] / x.size)
-            * start.sigma * (1.0 + np.abs(nodes)))
-    lo = np.searchsorted(xs, pos - half)
-    hi = np.searchsorted(xs, pos + half)
+    half = (_CELL_WINDOW * math.sqrt(2.0 * vy / x.size)
+            * start.sigma * (1.0 + np.abs(lines)))
+    lo, hi = np.searchsorted(xs, pos - half), np.searchsorted(xs, pos + half)
     widest = [a + int(np.argmax(gaps[a:b + 1])) for a, b in zip(lo, hi)]
     if not np.array_equal(widest, cell):
         return None
-    return xs, nodes, cell
+    return xs, lines, delta, cell
 
 
-def _certify(fit, jet, xs, nodes, cell):
+def _certify(fit, jet, xs, lines, delta, cell):
     """Whether ``fit``, Newton's end from the start's cell, lies in that
     cell while no cell that moves one line past up to ``_REACH`` samples is
     predicted to come within ``_CELL_MARGIN`` of its log L.  ``jet`` is
     Newton's last, from ``_newton_polish``.
 
-    At rank one with real nodes z_k, log L = sum_k Psi_k(p_k) - sum_i y_i^2
-    - (2K + 1) N log sigma + const, where p_k = mu + sqrt(2) sigma z_k is
-    node k's line and Psi_k(p) = 2 sum_i log|x_i - p|.  Take out of log L
-    the terms of the ``_NEAR`` samples on each side of p_k; to second order
-    the rest, at its best (mu, sigma) for a line moved by t, falls by
-    stiff t^2 / 2, with stiff = -1 / (a^T H^-1 a) less those terms' share
-    of -Psi_k'', for a = (1, w_k), w_k = sqrt(2) z_k, and H the Hessian of
-    log L on (mu, sigma) from Newton's last jet, taken one final step of at
-    most 1e-9 sigma before the fit: from the jet's (mu, log sigma) Hessian h
-    and score s, H_mu,mu = h_mm, H_mu,sigma = h_ml / sigma and
-    H_sigma,sigma = (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby
-    gap can raise log L by about the maximum over it of
-    D(t) = 2 sum [log|1 - t/d_i| + t/d_i] - stiff t^2 / 2, d_i the near
-    samples' offsets from p_k.  D is concave in the gap; Newton steps
-    approach its maximum, and D(t) + D'(t)^2 / (2 m) bounds it from any t,
-    with m <= -D'' there.
+    Near line k, at p_k = mu + sqrt(2) sigma z_k, f is locally
+    c ((x - p_k)^2 + D_k^2) with D_k = sqrt(2) sigma delta_k, so log L =
+    Psi_k(p_k) + (the rest), Psi_k(p) = sum_i log((x_i - p)^2 + D_k^2): a
+    node's 2 sum_i log|x_i - p| at D_k = 0.  Take out of log L the terms
+    of the ``_NEAR`` samples on each side of p_k; to second order the rest,
+    at its best (mu, sigma) for a line moved by t, falls by stiff t^2 / 2,
+    with stiff = -1 / (a^T H^-1 a) less those terms' share of -Psi_k'', for
+    a = (1, w_k), w_k = sqrt(2) z_k, and H the Hessian of log L on
+    (mu, sigma) from Newton's last jet, taken one final step of at most
+    1e-9 sigma before the fit: from the jet's (mu, log sigma) Hessian h and
+    score s, H_mu,mu = h_mm, H_mu,sigma = h_ml / sigma and H_sigma,sigma =
+    (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby gap can raise
+    log L by about the maximum over it of D(t) = sum [log(((d_i - t)^2 +
+    D_k^2) / (d_i^2 + D_k^2)) + 2 t d_i / (d_i^2 + D_k^2)] - stiff t^2 / 2,
+    d_i the near samples' offsets from p_k.  D is concave farther than D_k
+    from every sample, which at D_k = 0 is the whole gap; Newton steps
+    approach its maximum there, and D(t) + D'(t)^2 / (2 m) bounds it from
+    any t, with m <= -D'' there.  Within D_k of a gap's end sample the
+    end's term rises away from it and the rest is concave, so D stays below
+    D(e) + max(0, 1 - D_k D'(e)) there, e = left + D_k, and below
+    D(e) + max(0, 1 + D_k D'(e)) at the right end, e = right - D_k.  That
+    needs every sample gap near the line at least 2 D_k wide; a line
+    without it is refused.  With no line the cell is empty and passes.
     """
+    if not lines.size:
+        return True
     n, sigma, root2 = xs.size, fit.sigma, math.sqrt(2.0)
-    pos = fit.mu + root2 * sigma * nodes
-    if not np.array_equal(np.searchsorted(xs, pos), cell):
-        return False
+    pos = fit.mu + root2 * sigma * lines
     # Newton's Hessian on (mu, log sigma), taken to (mu, sigma), where line
     # k moves by (1, w_k).
     _, _, s_ls, h00, h_ml, h_ll = jet
     h01, h11 = h_ml / sigma, (h_ll - s_ls) / sigma ** 2
-    w = root2 * nodes
-    # The samples near each node, as offsets from its line; window slots
-    # past an end of the batch hold an infinity on that side.
+    w, soft = root2 * lines, (root2 * sigma * delta) ** 2
+    # The samples near each line, as offsets from it; window slots past an
+    # end of the batch hold an infinity on that side.
     slot = np.arange(-_NEAR, _NEAR)
     idx = cell[:, None] + slot
     d = np.where((idx >= 0) & (idx < n), xs[np.clip(idx, 0, n - 1)] - pos[:, None],
                  np.copysign(math.inf, slot + 0.5))
+    # Per near sample, D^2 / d^2: a soft term is a node's times
+    # (1 - that) / (1 + that)^2 in -Psi'' and 1 / (1 + that) in the slope.
+    ratio = soft[:, None] / (d * d)
     spread = (h11 - 2.0 * w * h01 + w * w * h00) / (h00 * h11 - h01 * h01)
-    stiff = -1.0 / spread - 2.0 * (1.0 / (d * d)).sum(axis=1)
-    if not (stiff > 0.0).all():
+    stiff = -1.0 / spread - 2.0 * ((1.0 - ratio) / (d * d) / (1.0 + ratio) ** 2).sum(axis=1)
+    # Each soft term's convex core, within D_k of its sample, must stay out
+    # of its neighbours' gaps, one past those searched included.
+    ends = np.clip(cell[:, None] + np.arange(-_REACH - 2, _REACH + 2), 0, n - 1)
+    if not (np.array_equal(np.searchsorted(xs, pos), cell) and (stiff > 0.0).all()
+            and (np.diff(xs[ends]) >= 2.0 * np.sqrt(soft)[:, None]).all()):
         return False
     # Slot _NEAR holds the first sample right of a line, so the gap s
     # samples over is (d[_NEAR + s - 1], d[_NEAR + s]); one past an end of
     # the batch is open, and is searched as deep as the line's own gap is
     # wide (the bound below covers the rest).
-    own = d[:, _NEAR] - d[:, _NEAR - 1]
-    shift = _NEAR + np.r_[-_REACH:0, 1:_REACH + 1]
+    own, shift = d[:, _NEAR] - d[:, _NEAR - 1], _NEAR + np.r_[-_REACH:0, 1:_REACH + 1]
     left, right = d[:, shift - 1], d[:, shift]
     k, s = np.nonzero(np.isfinite(left) | np.isfinite(right))
     left, right, own, stiff, d = left[k, s], right[k, s], own[k], stiff[k], d[k]
-    lo = np.where(np.isfinite(left), left, right - own)
-    hi = np.where(np.isfinite(right), right, lo + own)
-    base = 2.0 * (1.0 / d).sum(axis=1)
+    soft, ratio, half = soft[k, None], ratio[k], np.sqrt(soft[k])
+    lo = np.where(np.isfinite(left), left + half, right - own)
+    hi = np.where(np.isfinite(right), right - half, lo + own)
+    base = 2.0 * (1.0 / d / (1.0 + ratio)).sum(axis=1)
+
+    def model(t, value=False):
+        """D' and D'' at t, one per gap, or D and D'."""
+        v, q = d - t[:, None], t[:, None] / d
+        near, r = soft / (v * v), 1.0 / v
+        slope = base - 2.0 * (r / (1.0 + near)).sum(axis=1) - stiff * t
+        if value:
+            return (2.0 * (np.log(np.abs(1.0 - q)) + q / (1.0 + ratio)) + np.log1p(near)
+                    - np.log1p(ratio)).sum(axis=1) - 0.5 * stiff * t * t, slope
+        return slope, -2.0 * (r * r * (1.0 - near) / (1.0 + near) ** 2).sum(axis=1) - stiff
+
     # Newton on F = D' (t - left) (right - t), over the finite factors:
     # F has no poles and is about quadratic over the gap.
-    span = hi - lo
-    t = 0.5 * (lo + hi)
-    tol = 1e-6 * span
+    span, t = hi - lo, 0.5 * (lo + hi)
     for _ in range(_GAP_STEPS):
-        r = 1.0 / (d - t[:, None])
-        slope = base - 2.0 * r.sum(axis=1) - stiff * t
-        r *= r
-        bend = -2.0 * r.sum(axis=1) - stiff
+        slope, bend = model(t)
         to_lo, to_hi = np.minimum(t - left, span), np.minimum(right - t, span)
         move = -slope * to_lo * to_hi / (bend * to_lo * to_hi + slope * (to_hi - to_lo))
-        if (np.abs(move) <= tol).all():
+        if (np.abs(move) <= 1e-6 * span).all():
             break
-        rise = slope > 0.0
-        lo, hi = np.where(rise, t, lo), np.where(rise, hi, t)
+        lo, hi = np.where(slope > 0.0, [t, hi], [lo, t])
         t = t + move
-        inside = (t >= lo) & (t <= hi) & (t > left) & (t < right)
-        t = np.where(inside, t, 0.5 * (lo + hi))
-    else:
-        # The last step moved t: its slope there.
-        slope = base - 2.0 * (1.0 / (d - t[:, None])).sum(axis=1) - stiff * t
-    r = t[:, None] / d
-    gain = 2.0 * (np.log(np.abs(1.0 - r)) + r).sum(axis=1) - 0.5 * stiff * t * t
-    # The gap's two samples alone make -D'' >= stiff + 16 / width^2.
-    gain += 0.5 * slope * slope / (stiff + 16.0 / (right - left) ** 2)
+        t = np.where((t >= lo) & (t <= hi) & (t > left) & (t < right), t, 0.5 * (lo + hi))
+    gain, slope = model(t, True)
+    # At a node the gap's two samples alone make -D'' >= stiff + 16 / width^2.
+    gain += 0.5 * slope * slope / (stiff + (half == 0.0) * 16.0 / (right - left) ** 2)
+    # The soft ends, where finite; elsewhere NaN, which fmax passes over.
+    for end, sign in ((left + half, 1.0), (right - half, -1.0)) if half.any() else ():
+        value, slope = model(np.where(np.isfinite(end) & (half > 0.0), end, math.nan), True)
+        gain = np.fmax(gain, value + np.maximum(0.0, 1.0 - sign * half * slope))
     return bool((gain < -_CELL_MARGIN).all())
 
 
@@ -586,7 +602,7 @@ def _newton_polish(kf, x, mu, ls, budget):
 
 def _moment_init(spec: StateSpec, x: np.ndarray) -> ModelPoint:
     ey, vy = _y_moments(spec)
-    sig = max(np.std(x) / math.sqrt(2.0 * vy), 1e-6)
+    sig = np.std(x) / math.sqrt(2.0 * vy)
     return ModelPoint(np.mean(x) - math.sqrt(2.0) * sig * ey, sig)
 
 

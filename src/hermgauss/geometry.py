@@ -303,8 +303,11 @@ def scalar_curvature_reduced(metric: MetricTensor2) -> CurvatureReport:
     sigma = metric.point.sigma
     return CurvatureReport(
         scalar_r=r,
-        christoffel=christoffel_reduced(metric.reduced, sigma),
+        # Before the Christoffel symbols: at a sigma whose fourth power
+        # underflows this raises ZeroDivisionError, where their array
+        # division would first warn of its overflow.
         riemann_1212=0.5 * r * (a * c - b * b) / sigma ** 4,
+        christoffel=christoffel_reduced(metric.reduced, sigma),
         ricci=0.5 * r * metric.matrix(),
         path="reduced_formula",
     )

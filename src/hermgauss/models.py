@@ -255,7 +255,7 @@ class KernelFn:
     state with real coefficients up to a global phase, and then (f')^2/f
     is exp(-y^2) times a polynomial.  ``roots()`` locates the dips of f:
     one array per packet g_j holding all its roots, complex ones included,
-    computed on every call; ``_dips`` scans them once per spec.
+    computed on every call; ``_dips`` lists the dips once per spec.
     """
 
     f: object
@@ -392,24 +392,25 @@ def kernel(spec: StateSpec) -> KernelFn:
 
 @_per_spec
 def _dips(spec: StateSpec):
-    """(nodes, narrowest) from one scan of the packet roots.
+    """Every dip of f from one scan of the packet roots: a (2, K) array of
+    the dips z, sorted, over their half-widths delta; None when a root is
+    not finite, which leaves no width to trust.
 
-    ``nodes``: the sorted roots of a rank-one state whose roots are all
-    real, each a node of f, else None.  A dip is the real part z of a packet
-    root where f'' > 0, and its half-width is sqrt(2 f(z) / f''(z)); testing
-    f(z) > 0 instead would not do: f at the nodes of |2> rounds to ~1e-33,
-    not 0.  ``narrowest``: the narrowest half-width in y, inf with no dip.
-    A root that is not finite gives (None, 0).
+    A dip is the real part z of a packet root where f'' > 0 (a conjugate
+    pair's two roots give one), and its half-width is
+    sqrt(2 f(z) / f''(z)): f is locally f(z) (1 + (y - z)^2 / delta^2).
+    At a real root of a rank-one state f has a node, and delta is 0.0
+    exactly: f there rounds to ~1e-33 on |2>, not to 0.
     """
     kf = kernel(spec)
-    z = np.concatenate(kf.roots())
-    if not np.all(np.isfinite(z)):
-        return None, 0.0
-    nodes = np.sort(z.real) if kf.rank == 1 and np.all(z.imag == 0.0) else None
-    f, _, d2 = kf.jet(z.real, 2)
+    roots = np.concatenate(kf.roots())
+    if not np.all(np.isfinite(roots)):
+        return None
+    z = np.unique(roots.real)
+    f, _, d2 = kf.jet(z, 2)
+    f[np.isin(z, roots.real[roots.imag == 0.0]) & (kf.rank == 1)] = 0.0
     dip = d2 > 0.0
-    width = np.sqrt(2.0 * f[dip] / d2[dip]).min(initial=math.inf)
-    return nodes, float(width)
+    return np.array([z[dip], np.sqrt(2.0 * f[dip] / d2[dip])])
 
 
 @_per_spec

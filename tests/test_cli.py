@@ -230,6 +230,19 @@ class TestCommands:
         assert lines[0] == "tau,mu,sigma,dmu_dtau,dsigma_dtau"
         assert len(lines) == 52
 
+    def test_empty_geodesic_agrees_across_formats(self):
+        # At the subnormal sigma 5e-324 the trace stops before its first
+        # sample: the JSON form has "samples": [], and the CSV form its
+        # header alone, both with exit 0.
+        raw = json.loads(config_text(command="geodesic"))
+        raw["point"] = {"mu": 0.0, "sigma": 5e-324}
+        assert run_capture(json.dumps(raw)) == (0, json.dumps(
+            {"command": "geodesic", "boundary_hit": True, "samples": []},
+            indent=2) + "\n")
+        raw["output"] = {"format": "csv"}
+        assert run_capture(json.dumps(raw)) == (
+            0, "tau,mu,sigma,dmu_dtau,dsigma_dtau\n")
+
     def test_metric_csv(self):
         raw = json.loads(config_text())
         raw["output"] = {"format": "csv"}
@@ -406,10 +419,18 @@ class TestMain:
         ({"point": {"mu": 0.0, "sigma": 1e-200}, "command": "crb",
           "estimation": {"trials": 30, "samples_per_trial": 2}}, 1,
          "ZeroDivisionError"),
+        # sigma^4 underflows to 0 in the Riemann component; the Christoffel
+        # symbols' overflow is never reached, so numpy writes no warning
+        # (an error under this suite's filter).
+        ({"point": {"mu": 0.0, "sigma": 5e-324}, "command": "curvature"}, 1,
+         "ZeroDivisionError"),
+        ({"point": {"mu": 0.0, "sigma": 5e-324}, "command": "verify"}, 1,
+         "ZeroDivisionError"),
         # 2 m omega0 underflows to 0 in PhysicalOscillator.sigma.
         ({"point": None, "physical": {"mass": 1e-300, "omega0": 1e-300, "x0": 0.0}},
          2, "ConfigError"),
     ], ids=["metric_sigma_underflow", "crb_sigma_underflow",
+            "curvature_sigma_subnormal", "verify_sigma_subnormal",
             "physical_sigma_underflow"])
     def test_arithmetic_failure_is_one_json_error(self, override, status, kind,
                                                   tmp_path, capsys):

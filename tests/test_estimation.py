@@ -14,12 +14,12 @@ from hermgauss.estimation import (
     SampleBatch,
     _GUIDE_FLOOR,
     _INVERT_TOL,
+    _SHALLOW_DIP,
     _CdfTable,
     _cdf_table,
     _dips,
     _moment_init,
     _newton_polish,
-    _shallow,
     _start_cell,
     _y_moments,
     crb_experiment,
@@ -69,6 +69,13 @@ def thermal(nbar):
     q = nbar / (nbar + 1.0)
     return StateSpec.mixture({n: q ** n for n in range(MAX_DEGREE + 1)},
                              renormalize=True)
+
+
+def deep_dips(spec, count):
+    """The dips z of f narrower than ``_SHALLOW_DIP`` sqrt(Var y) / count,
+    on which ``_start_cell`` puts its lines."""
+    z, delta = _dips(spec)
+    return z[delta / math.sqrt(_y_moments(spec)[1]) * count < _SHALLOW_DIP]
 
 
 def scipy_cdf(spec, y):
@@ -258,7 +265,7 @@ class TestPerSpecMemo:
         kf, table, moments, dips = first
         assert isinstance(kf, KernelFn) and isinstance(table, _CdfTable)
         assert len(moments) == 2 and all(isinstance(v, float) for v in moments)
-        assert len(dips) == 2 and isinstance(dips[1], float)
+        assert dips.shape == (2, dips[0].size) and dips.dtype == float
         fresh = make()
         for fn, value in zip(reversed(funcs), reversed(first)):
             assert fn(fresh) is not value
@@ -638,7 +645,7 @@ class TestNewtonFirst:
         (StateSpec.mixture({0: 0.5, 20: 0.5}), False),
     ], ids=[*SHALLOW, "n1", "n2", "real_0_1", "mixture_0_12", "mixture_0_20"])
     def test_dip_width_classification(self, spec, shallow):
-        assert _shallow(spec, 5000) is shallow
+        assert (deep_dips(spec, 5000).size == 0) is shallow
 
     @pytest.mark.parametrize("spec, shallow", [
         (StateSpec.eigenstate(150), False),
@@ -648,7 +655,7 @@ class TestNewtonFirst:
     def test_deep_states_classify_without_warnings(self, spec, shallow):
         # The suite's filterwarnings = "error" fails any overflow or
         # invalid-value warning in the root locator or the dip widths.
-        assert _shallow(spec, 5000) is shallow
+        assert (deep_dips(spec, 5000).size == 0) is shallow
 
     @pytest.mark.parametrize("spec, count, refuse, compass", [
         (StateSpec.eigenstate(0), 500, False, False),
@@ -673,11 +680,12 @@ class TestNewtonFirst:
         assert a != MleFit(0.1, 1.3, 0, 3)
 
     def test_threshold_scales_with_sample_count(self):
-        # {0: 1/2, 4: 1/2}'s narrowest dip is 0.091 sqrt(Var y) wide: shallow
-        # from 548 samples on.  A state without dips is shallow at any count.
+        # {0: 1/2, 4: 1/2}'s narrowest dip is 0.091 sqrt(Var y) wide: deep
+        # below 548 samples, with its mirror image.  A state without dips has
+        # none deep at any count.
         spec = SHALLOW["mixture_0_4"]
-        assert [_shallow(spec, n) for n in (50, 547, 548)] == [False, False, True]
-        assert _shallow(StateSpec.eigenstate(0), 1)
+        assert [deep_dips(spec, n).size for n in (50, 547, 548)] == [4, 2, 0]
+        assert deep_dips(StateSpec.eigenstate(0), 1).size == 0
 
     def test_small_batch_takes_compass_path(self):
         # {0: 1/2, 5: 1/2} is shallow at 5,000 samples, but on this batch of
@@ -695,9 +703,13 @@ class TestNewtonFirst:
     def test_near_barrier_mixture_takes_compass_path(self, seed):
         # Newton started from the initializer lands about 0.07 sigma away
         # from the maximum on these batches: a dip narrower than a sample
-        # spacing is as much a barrier as a density zero.
+        # spacing is as much a barrier as a density zero.  The widest sample
+        # gaps about the deep dips' lines do not mark out the start's cell,
+        # so the compass search goes first.
         spec = StateSpec.mixture({0: 0.5, 20: 0.5})
         batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed=seed)
+        assert deep_dips(spec, 5000).size == 12
+        assert _start_cell(spec, batch.draws, _moment_init(spec, batch.draws)) is None
         fit = mle_fit(batch)
         mu, sigma = compass_fit(spec, batch.draws)
         assert abs(fit.mu - mu) <= 1e-6 * sigma
@@ -733,16 +745,53 @@ class TestCellStart:
         assert_matches_compass(spec, batch, fit)
         assert fit.compass_evaluations > 0
 
-    def test_complex_roots_take_compass_path(self):
+    def test_worse_soft_cell_is_refused(self, monkeypatch):
+        # The packet's roots are +-0.0036i: f has no node, but a deep dip of
+        # half-width 0.0025 at y = 0, whose line is x = mu.  A sample put
+        # 0.007 sigma left of the line at the batch's fit splits its cell:
+        # Newton from the start ends in the left part, 2.9 below the log L
+        # of the right one.  The certificate refuses that soft cell, and
+        # the compass search finds the right one.
+        spec = StateSpec.superposition({0: 0.57736, 2: math.sqrt(1 - 0.57736 ** 2)})
+        batch = sample(spec, ModelPoint(0.3, 1.2), 5000, 4)
+        fit = mle_fit(batch)
+        x = np.append(batch.draws, fit.mu - 0.007 * fit.sigma)
+        trap = SampleBatch(spec, batch.true_point, x, 4)
+        certify, seen = hermgauss.estimation._certify, []
+
+        def spy(fit, jet, xs, nodes, delta, cell):
+            seen.append((fit, delta, certify(fit, jet, xs, nodes, delta, cell)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
+        got = mle_fit(trap)
+        (newton, delta, certified), = seen
+        np.testing.assert_allclose(delta, [0.00251405], rtol=1e-5)
+        assert not certified
+        assert (log_likelihood(spec, x, newton.mu, newton.sigma)
+                < log_likelihood(spec, x, got.mu, got.sigma) - 2.5)
+        assert got.compass_evaluations > 0
+        assert_matches_compass(spec, trap, got)
+
+    def test_complex_roots_take_compass_path(self, monkeypatch):
         # The packet's roots are +-0.0139i: f dips to 7e-8 of its peak at
-        # y = 0 but has no node, so the cells are no concavity domains.
+        # y = 0 but has no node, a deep dip of half-width 0.0099 with its
+        # line at mu.  On these batches two samples within 2 D = 0.033 of
+        # each other sit near the line, where the soft terms' convex cores
+        # break the gap bound: the certificate refuses, and the compass
+        # search finds the fit.
         spec = StateSpec.superposition({0: 0.5775, 2: math.sqrt(1 - 0.5775 ** 2)})
-        assert _dips(spec)[0] is None and not _shallow(spec, 5000)
+        np.testing.assert_allclose(_dips(spec), [[0.0], [0.00986313]], atol=1e-8)
+        assert deep_dips(spec, 5000).tolist() == [0.0]
+        certify, verdicts = hermgauss.estimation._certify, []
+        monkeypatch.setattr(hermgauss.estimation, "_certify",
+                            lambda *args: verdicts.append(certify(*args)) or False)
         for seed in range(40, 45):
             batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed)
             fit = mle_fit(batch)
             assert_matches_compass(spec, batch, fit)
             assert fit.compass_evaluations > 0
+        assert verdicts == [False] * 5
 
     def test_small_batch_takes_compass_path(self):
         # 500 samples are below the cell-start floor.
@@ -763,13 +812,13 @@ class TestCellStart:
     ], ids=["n2", "real_0_1", "imaginary_0_1", "complex_roots", "complex_0_1",
             "rho01"])
     def test_real_nodes(self, spec, nodes):
-        # 0.6 psi_0 + 0.8 psi_1 vanishes where 0.6 + 0.8 sqrt(2) y = 0.
-        got = _dips(spec)[0]
-        if nodes is None:
-            assert got is None
-        else:
-            np.testing.assert_allclose(got, nodes, rtol=1e-14, atol=1e-15)
-        assert _dips(spec)[0] is got
+        # 0.6 psi_0 + 0.8 psi_1 vanishes where 0.6 + 0.8 sqrt(2) y = 0.  The
+        # dips of zero half-width are the nodes of a rank-one state, and a
+        # state without real roots, or of rank two, has none.
+        z, delta = _dips(spec)
+        np.testing.assert_allclose(z[delta == 0.0], nodes or [], rtol=1e-14, atol=1e-15)
+        assert (delta[delta != 0.0] > 0.0).all()
+        assert _dips(spec) is _dips(spec)
 
     @pytest.mark.parametrize("spec, count, shallow", [
         (RHO01, 5000, True),
@@ -778,11 +827,17 @@ class TestCellStart:
         (StateSpec.mixture({0: 0.5, 20: 0.5}), 5000, False),
     ], ids=["rho01", "n0", "n2_below_floor", "mixture_0_20"])
     def test_newton_start_rule(self, spec, count, shallow):
-        # A shallow batch starts Newton with nothing to certify; a deep one
-        # without a qualifying cell starts the compass search.
+        # A shallow batch starts Newton from an empty cell, with no line to
+        # certify; a deep one without a qualifying cell starts the compass
+        # search.
         batch = sample(spec, ModelPoint(0.3, 1.2), count, seed=3)
         got = _start_cell(spec, batch.draws, _moment_init(spec, batch.draws))
-        assert got == () if shallow else got is None
+        if shallow:
+            xs, nodes, delta, cell = got
+            assert xs is batch.draws
+            assert nodes.size == delta.size == cell.size == 0
+        else:
+            assert got is None
 
 
 # Rank-one states with real nodes: batches of 1,000 and 5,000 samples reach
@@ -827,9 +882,10 @@ class TestCertificateHessian:
         certify = hermgauss.estimation._certify
         seen = []
 
-        def spy(fit, jet, xs, nodes, cell):
+        def spy(fit, jet, xs, nodes, delta, cell):
+            assert (delta == 0.0).all()
             seen.append((fit, jet, xs, nodes, cell))
-            return certify(fit, jet, xs, nodes, cell)
+            return certify(fit, jet, xs, nodes, delta, cell)
 
         monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
         for seed in range(40, 60):
@@ -847,8 +903,72 @@ class TestCertificateHessian:
             assert (np.abs(newton - ref) <= 1e-6 * scale).all()
             injected = (0.0, 0.0, 0.0, ref[0, 0], ref[0, 1] * sigma,
                         ref[1, 1] * sigma ** 2)
-            assert (certify(fit, injected, xs, nodes, cell)
-                    == certify(fit, jet, xs, nodes, cell))
+            zero = np.zeros(nodes.size)
+            assert (certify(fit, injected, xs, nodes, zero, cell)
+                    == certify(fit, jet, xs, nodes, zero, cell))
+
+
+SCALED = {
+    "n0": StateSpec.eigenstate(0),
+    "n2": StateSpec.eigenstate(2),
+    "rho01": RHO01,
+    "real_0_1_3": StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}),
+}
+
+
+def scaled_batch(batch, scale):
+    """``batch`` in units ``scale`` times smaller: draws and true point times
+    ``scale``."""
+    point = ModelPoint(batch.true_point.mu * scale, batch.true_point.sigma * scale)
+    return SampleBatch(batch.spec, point, batch.draws * scale, batch.rng_seed)
+
+
+class TestScaleEquivariance:
+    """The MLE commutes with a change of length unit: every floor, step and
+    stop is relative to sigma, so a batch in SI units, sigma near 1e-11,
+    fits as one in units of sigma does."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-7, 1e-3, 1e3, 1e12])
+    @pytest.mark.parametrize("spec", SCALED.values(), ids=SCALED)
+    def test_fit_of_a_scaled_batch_is_the_scaled_fit(self, spec, scale):
+        batch = sample(spec, ModelPoint(0.3, 1.2), 2000, seed=11)
+        fit, got = mle_fit(batch), mle_fit(scaled_batch(batch, scale))
+        assert got.mu == pytest.approx(fit.mu * scale, rel=1e-14, abs=1e-14 * got.sigma)
+        assert got.sigma == pytest.approx(fit.sigma * scale, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-9])
+    def test_crb_at_a_scaled_point_reads_the_same_ratios(self, scale):
+        # The bound scales as sigma^2, and so do the estimates' variances.
+        spec = StateSpec.eigenstate(2)
+        ref = crb_experiment(spec, ModelPoint(0.3, 1.2), 30, 5000, 7)
+        rep = crb_experiment(spec, ModelPoint(0.3 * scale, 1.2 * scale), 30, 5000, 7)
+        assert rep.failed_trials == ()
+        for name in ("mu", "sigma"):
+            want, got = ref.violations[name], rep.violations[name]
+            assert (got["scaled_variance"] / got["bound"]
+                    == pytest.approx(want["scaled_variance"] / want["bound"], rel=1e-9))
+            assert got["violated"] is want["violated"] is False
+
+    def test_certificate_verdict_does_not_depend_on_scale(self, monkeypatch):
+        # The certificate takes Newton's (log sigma, log sigma) Hessian entry
+        # to (sigma, sigma) as (h_ll - s_ls) / sigma^2: dropping the score
+        # term or a factor of sigma makes some verdict move with the unit.
+        certify, verdicts = hermgauss.estimation._certify, []
+        monkeypatch.setattr(hermgauss.estimation, "_certify",
+                            lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+        for spec in CERTIFIED.values():
+            for count in (1000, 5000):
+                for seed in range(40, 50):
+                    batch = sample(spec, ModelPoint(0.3, 1.2), count, seed)
+                    fits, before = [], len(verdicts)
+                    for scale in (1.0, 1e-3, 1e3):
+                        fit = mle_fit(scaled_batch(batch, scale))
+                        fits.append((fit.mu / scale, fit.sigma / scale))
+                    assert verdicts[before:] in ([], [True] * 3, [False] * 3)
+                    np.testing.assert_allclose(fits, [fits[0]] * 3, rtol=1e-13,
+                                               atol=1e-13 * fits[0][1])
+        # Certified and refused fits both.
+        assert len(verdicts) >= 120 and True in verdicts and False in verdicts
 
 
 class TestRefusals:
@@ -870,8 +990,8 @@ class TestRefusals:
         seen = []
         certify = hermgauss.estimation._certify
 
-        def spy(fit, jet, xs, nodes, cell):
-            seen.append((fit, nodes, cell, certify(fit, jet, xs, nodes, cell)))
+        def spy(fit, jet, xs, nodes, delta, cell):
+            seen.append((fit, nodes, cell, certify(fit, jet, xs, nodes, delta, cell)))
             return seen[-1][-1]
 
         monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
@@ -894,9 +1014,9 @@ class TestRefusals:
         assert_matches_compass(spec, batch, fit)
 
     def test_non_finite_root_gives_no_nodes_and_deep_batch(self, monkeypatch):
-        # A root that is not finite gives no dip widths to trust: no nodes,
-        # narrowest 0, so no batch is shallow and the compass search goes
-        # first, where |2> at 5,000 samples would start Newton in a cell.
+        # A root that is not finite gives no dip widths to trust: no dips,
+        # so the compass search goes first, where |2> at 5,000 samples
+        # would start Newton in a cell.
         real = hermgauss.models.kernel
 
         def rootless(spec):
@@ -905,8 +1025,7 @@ class TestRefusals:
 
         monkeypatch.setattr(hermgauss.models, "kernel", rootless)
         spec = StateSpec.eigenstate(2)
-        assert _dips(spec) == (None, 0.0)
-        assert not _shallow(spec, 10 ** 9)
+        assert _dips(spec) is None
         batch = sample(spec, ModelPoint(0.3, 1.2), 5000, 40)
         assert _start_cell(spec, batch.draws, _moment_init(spec, batch.draws)) is None
         fit = mle_fit(batch)

@@ -41,9 +41,10 @@ def test_exit_status_follows_the_reports(tool, capsys, command, estimation,
 
 def test_pins_every_command_state_and_format(tool):
     labels = [label for label, _ in tool.REPORTS]
-    assert len(labels) == len(set(labels)) == 116
+    assert len(labels) == len(set(labels)) == 120
     assert {c for c, _, _ in labels} == {"metric", "curvature", "geodesic",
                                          "verify", "crb", "sample"}
     assert {s for _, s, _ in labels} == set(tool.STATES) | {
-        "node_5000", "real01_5000", "level5_5000"}
+        "node_5000", "real01_5000", "level5_5000", "real3_5000",
+        "mixture_0_12_5000"}
     assert {f for _, _, f in labels} == {"json", "csv"}

@@ -10,10 +10,13 @@ rho01 = (|0><0| + |1><1|) / 2, 0.6|0> + 0.48|1> + 0.64|3>,
 (0, 2) = (2, 0) = .1; on |2>, ``crb`` at 30 x 5,000 samples and ``sample``
 at 5,000 draws; and ``crb`` at 30 x 5,000 samples on 0.6|0> + 0.8|1> and
 on |5>, whose fits, like those of |2> at that size, reach the maximum
-likelihood's cell certificate (500 samples are below its floor).  Each runs
-at (mu, sigma) = (0.3, 1.2) with seed 7, in JSON and in CSV: 116 lines of
-digest, exit status, command, state (``node_5000``, ``real01_5000`` and
-``level5_5000`` for the 5,000-size reports) and format.  The tool exits 1
+likelihood's cell certificate (500 samples are below its floor), and on
+0.6|0> + 0.48|1> + 0.64|3> and {0: 1/2, 12: 1/2}, whose deep dips are a
+node beside a wide complex pair and dips that are not nodes.  Each runs at
+(mu, sigma) = (0.3, 1.2) with seed 7, in JSON and in CSV: 120 lines of
+digest, exit status, command, state (``node_5000``, ``real01_5000``,
+``level5_5000``, ``real3_5000`` and ``mixture_0_12_5000`` for the
+5,000-size reports) and format.  The tool exits 1
 when any report exits non-zero.
 
 The reports run in-process through ``hermgauss.cli.main``, so they are
@@ -60,6 +63,9 @@ CERTIFIED = {
     "real01": {"type": "superposition", "terms": [{"n": 0, "re": 0.6},
                                                   {"n": 1, "re": 0.8}]},
     "level5": {"type": "eigenstate", "n": 5},
+    "real3": STATES["real3"],
+    "mixture_0_12": {"type": "mixture", "terms": [{"n": 0, "weight": 0.5},
+                                                  {"n": 12, "weight": 0.5}]},
 }
 ESTIMATION = {"trials": 30, "samples_per_trial": 500, "seed": 7}
 LARGE_CRB = {"trials": 30, "samples_per_trial": 5000, "seed": 7}
