@@ -406,11 +406,12 @@ def _dips(spec: StateSpec):
     roots = np.concatenate(kf.roots())
     if not np.all(np.isfinite(roots)):
         return None
-    z = np.unique(roots.real)
-    f, _, d2 = kf.jet(z, 2)
-    f[np.isin(z, roots.real[roots.imag == 0.0]) & (kf.rank == 1)] = 0.0
-    dip = d2 > 0.0
-    return np.array([z[dip], np.sqrt(2.0 * f[dip] / d2[dip])])
+    roots = roots[np.argsort(roots.real)]
+    f, _, d2 = kf.jet(roots.real, 2)
+    f[(roots.imag == 0.0) & (kf.rank == 1)] = 0.0
+    # One dip per real part: a conjugate pair's second root gives none.
+    dip = (d2 > 0.0) & (np.diff(roots.real, prepend=-math.inf) > 0.0)
+    return np.array([roots.real[dip], np.sqrt(2.0 * f[dip] / d2[dip])])
 
 
 @_per_spec
