@@ -514,7 +514,7 @@ def _certify(fit, jet, xs, lines, delta, cell):
     def model(t, value=False):
         """D' and D'' at t, one per gap, or D and D'."""
         v, q = d - t[:, None], t[:, None] / d
-        near, r = soft / (v * v), 1.0 / v
+        near, r = soft / (v * v) if half.any() else 0.0, 1.0 / v
         slope = base - 2.0 * (r / (1.0 + near)).sum(axis=1) - stiff * t
         if value:
             return (2.0 * (np.log(np.abs(1.0 - q)) + q / (1.0 + ratio)) + np.log1p(near)
@@ -530,7 +530,7 @@ def _certify(fit, jet, xs, lines, delta, cell):
         move = -slope * to_lo * to_hi / (bend * to_lo * to_hi + slope * (to_hi - to_lo))
         if (np.abs(move) <= 1e-6 * span).all():
             break
-        lo, hi = np.where(slope > 0.0, [t, hi], [lo, t])
+        lo, hi = np.where(slope > 0.0, t, lo), np.where(slope > 0.0, hi, t)
         t = t + move
         t = np.where((t >= lo) & (t <= hi) & (t > left) & (t < right), t, 0.5 * (lo + hi))
     gain, slope = model(t, True)
