@@ -495,8 +495,8 @@ def _certify(fit, jet, xs, lines, delta, cell):
     # Each soft term's convex core, within D_k of its sample, must stay out
     # of its neighbours' gaps, one past those searched included.
     ends = np.clip(cell[:, None] + np.arange(-_REACH - 2, _REACH + 2), 0, n - 1)
-    if not (np.array_equal(np.searchsorted(xs, pos), cell) and (stiff > 0.0).all()
-            and (np.diff(xs[ends]) >= 2.0 * np.sqrt(soft)[:, None]).all()):
+    if not (np.array_equal(np.searchsorted(xs, pos), cell) and (stiff > 0.0).all() and (
+            not soft.any() or (np.diff(xs[ends]) >= 2.0 * np.sqrt(soft)[:, None]).all())):
         return False
     # Slot _NEAR holds the first sample right of a line, so the gap s
     # samples over is (d[_NEAR + s - 1], d[_NEAR + s]); one past an end of
@@ -513,12 +513,12 @@ def _certify(fit, jet, xs, lines, delta, cell):
 
     def model(t, value=False):
         """D' and D'' at t, one per gap, or D and D'."""
-        v, q = d - t[:, None], t[:, None] / d
+        v = d - t[:, None]
         near, r = soft / (v * v) if half.any() else 0.0, 1.0 / v
         slope = base - 2.0 * (r / (1.0 + near)).sum(axis=1) - stiff * t
         if value:
-            return (2.0 * (np.log(np.abs(1.0 - q)) + q / (1.0 + ratio)) + np.log1p(near)
-                    - np.log1p(ratio)).sum(axis=1) - 0.5 * stiff * t * t, slope
+            return (2.0 * (np.log(np.abs(1.0 - t[:, None] / d)) + t[:, None] / d / (1.0 + ratio))
+                    + np.log1p(near) - np.log1p(ratio)).sum(axis=1) - 0.5 * stiff * t * t, slope
         return slope, -2.0 * (r * r * (1.0 - near) / (1.0 + near) ** 2).sum(axis=1) - stiff
 
     # Newton on F = D' (t - left) (right - t), over the finite factors:
