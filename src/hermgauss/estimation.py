@@ -24,23 +24,26 @@ up to 1 / delta per unit of y, against a pull toward the maximum that grows
 with the sample count N; so a dip narrower than 50 sqrt(Var y) / N is deep,
 a barrier on the scale of a fit, and a wider one is not.
 
-Each deep dip z puts a line x = mu + sqrt(2) sigma z through the plane.
-Near a line, log L holds sum_i log((x_i - p)^2 + D^2) for its position p
-and D = sqrt(2) sigma delta: at a node the nodal 2 sum_i log|x_i - p|,
-concave between samples, and for a soft dip concave farther than D from
-every sample.  The cell start: the samples are sorted, and for each line
-the widest sample gap within 4 standard errors, sqrt(2) sigma
-sqrt(Var y / N) (1 + |z|), of its position at the initializer is taken;
-when those gaps hold the initializer's own lines, Newton on the analytic
-score and observed information runs from there.  The certificate: the fit
+A batch without deep dips has no barrier, and Newton on the analytic score
+and observed information runs straight from the initializer.  When every
+deep dip is a node, a real root z_k of a rank-one state,
+log L = sum_i 2 sum_k log|y_i - z_k| + (the rest of log L).  In
+(eta_1, eta_2) = (mu / sigma, 1 / sigma) each y_i is affine and every nodal
+term concave; the rest is concave too when all roots are real, and else
+has no barrier on the scale of a fit.  So a Newton run that ends inside one
+cell that the lines x = mu + sqrt(2) sigma z_k cut out ends at that cell's
+maximum, and only the cell needs a search.  The cell
+start: the samples are sorted, and for each line the widest sample gap
+within 4 standard errors, sqrt(2) sigma sqrt(Var y / N) (1 + |z|), of its
+position at the initializer is taken; when those gaps hold the
+initializer's own lines, Newton runs from there.  The certificate: the fit
 must end in that cell, and no cell that moves one line past up to three
 samples may be predicted, from a second-order model of the rest of log L
 and the exact log terms of the samples near the line, to come within 1 of
-its log L; a soft line whose nearby samples sit closer than 2 D is
-refused.  A batch without deep dips has an empty cell, which Newton from
-the initializer always holds.  The floor: batches of fewer than 1,000
-samples with a deep dip skip the cell start, which saved little time below
-that size.
+its log L.  A deep dip that is not a node (f(z) > 0) leaves no concave
+cell, and the compass search goes first.  The floor: batches of fewer than
+1,000 samples with a deep dip skip the cell start, which saved little time
+below that size.
 
 So ``_start_cell`` sends every batch whose cell qualifies to Newton once,
 from the initializer.  Otherwise, or when that fit fails or is refused, a
@@ -355,9 +358,9 @@ def mle_fit(batch: SampleBatch) -> MleFit:
     """Maximum-likelihood (mu, sigma) of ``batch.spec`` on (mu, log sigma).
 
     When ``_start_cell`` gives a cell, one sample gap per deep dip of f
-    (none for a batch without deep dips), Newton runs once from the
-    moment-matching point, and its fit stands if it converges and
-    ``_certify`` finds no better cell nearby.  Otherwise a compass search walks from that point
+    (none when no dip is deep), Newton runs once from the moment-matching
+    point, and its fit stands if it converges and ``_certify`` finds no
+    better cell nearby.  Otherwise a compass search walks from that point
     and hands the fit to Newton once its steps fall to 1e-2; if Newton
     fails there, the search runs its steps down to 1e-9 (relative to sigma
     for mu), the step at which Newton also stops.  The fit fails after
@@ -409,137 +412,123 @@ def mle_fit(batch: SampleBatch) -> MleFit:
 
 
 def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
-    """The MLE's Newton start: (samples xs, lines z, half-widths delta, the
-    start's cell) for ``_certify`` when the widest nearby sample gaps mark
-    out the start's cell, else None and the compass search goes first.  The
-    lines are the deep dips of ``_dips``: those narrower than
-    ``_SHALLOW_DIP`` sqrt(Var y) / N, N the sample count.  xs is sorted
-    when there are lines; with none the cell is empty, and the certificate
-    passes it.  A cell holds, per line
-    z, the index j of the gap (xs[j-1], xs[j]) that holds its position
-    x = mu + sqrt(2) sigma z.  A deep batch needs at least ``_CELL_FLOOR``
-    samples and finite roots.  Line z's window is ``_CELL_WINDOW`` standard
-    errors of its position at the start, sqrt(2) sigma sqrt(Var y / N)
-    (1 + |z|), to either side; a gap that meets it counts, the unbounded
-    end gaps too.
+    """The MLE's Newton start: (sorted samples xs, nodes z, the start's
+    cell) for ``_certify`` when the widest nearby sample gaps mark out the
+    start's cell, else None and the compass search goes first.  The lines
+    are the deep dips of ``_dips``, those narrower than ``_SHALLOW_DIP``
+    sqrt(Var y) / N for N samples; with none the cell is empty (xs is then
+    the batch as drawn), and the certificate passes it.  A deep dip that is
+    not a node (delta > 0) gives None, as does a root that is not finite,
+    or a batch with lines of fewer than ``_CELL_FLOOR`` samples.  A cell
+    holds, per node z, the index j of the gap (xs[j-1], xs[j]) that holds
+    its line x = mu + sqrt(2) sigma z.  Node z's window is ``_CELL_WINDOW``
+    standard errors of its line's position at the start,
+    sqrt(2) sigma sqrt(Var y / N) (1 + |z|), to either side; a gap that
+    meets it counts, the unbounded end gaps too.
     """
     dips, vy = _dips(spec), _y_moments(spec)[1]
     if dips is None:
         return None
-    lines, delta = dips[:, dips[1] / math.sqrt(vy) * x.size < _SHALLOW_DIP]
-    if lines.size and x.size < _CELL_FLOOR:
+    nodes, delta = dips[:, dips[1] / math.sqrt(vy) * x.size < _SHALLOW_DIP]
+    if not nodes.size:
+        return x, nodes, np.empty(0, dtype=int)
+    if delta.any() or x.size < _CELL_FLOOR:
         return None
-    xs = np.sort(x) if lines.size else x
-    pos = start.mu + math.sqrt(2.0) * start.sigma * lines
+    xs = np.sort(x)
+    pos = start.mu + math.sqrt(2.0) * start.sigma * nodes
     cell = np.searchsorted(xs, pos)
     gaps = np.diff(xs, prepend=-math.inf, append=math.inf)
     half = (_CELL_WINDOW * math.sqrt(2.0 * vy / x.size)
-            * start.sigma * (1.0 + np.abs(lines)))
+            * start.sigma * (1.0 + np.abs(nodes)))
     lo, hi = np.searchsorted(xs, pos - half), np.searchsorted(xs, pos + half)
     widest = [a + int(np.argmax(gaps[a:b + 1])) for a, b in zip(lo, hi)]
     if not np.array_equal(widest, cell):
         return None
-    return xs, lines, delta, cell
+    return xs, nodes, cell
 
 
-def _certify(fit, jet, xs, lines, delta, cell):
+def _certify(fit, jet, xs, nodes, cell):
     """Whether ``fit``, Newton's end from the start's cell, lies in that
     cell while no cell that moves one line past up to ``_REACH`` samples is
     predicted to come within ``_CELL_MARGIN`` of its log L.  ``jet`` is
     Newton's last, from ``_newton_polish``.
 
-    Near line k, at p_k = mu + sqrt(2) sigma z_k, f is locally
-    c ((x - p_k)^2 + D_k^2) with D_k = sqrt(2) sigma delta_k, so log L =
-    Psi_k(p_k) + (the rest), Psi_k(p) = sum_i log((x_i - p)^2 + D_k^2): a
-    node's 2 sum_i log|x_i - p| at D_k = 0.  Take out of log L the terms
-    of the ``_NEAR`` samples on each side of p_k; to second order the rest,
-    at its best (mu, sigma) for a line moved by t, falls by stiff t^2 / 2,
-    with stiff = -1 / (a^T H^-1 a) less those terms' share of -Psi_k'', for
-    a = (1, w_k), w_k = sqrt(2) z_k, and H the Hessian of log L on
-    (mu, sigma) from Newton's last jet, taken one final step of at most
-    1e-9 sigma before the fit: from the jet's (mu, log sigma) Hessian h and
-    score s, H_mu,mu = h_mm, H_mu,sigma = h_ml / sigma and H_sigma,sigma =
-    (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby gap can raise
-    log L by about the maximum over it of D(t) = sum [log(((d_i - t)^2 +
-    D_k^2) / (d_i^2 + D_k^2)) + 2 t d_i / (d_i^2 + D_k^2)] - stiff t^2 / 2,
-    d_i the near samples' offsets from p_k.  D is concave farther than D_k
-    from every sample, which at D_k = 0 is the whole gap; Newton steps
-    approach its maximum there, and D(t) + D'(t)^2 / (2 m) bounds it from
-    any t, with m <= -D'' there.  Within D_k of a gap's end sample the
-    end's term rises away from it and the rest is concave, so D stays below
-    D(e) + max(0, 1 - D_k D'(e)) there, e = left + D_k, and below
-    D(e) + max(0, 1 + D_k D'(e)) at the right end, e = right - D_k.  That
-    needs every sample gap near the line at least 2 D_k wide; a line
-    without it is refused.  With no line the cell is empty and passes.
+    At rank one with nodes z_k, log L = sum_k Psi_k(p_k) + (the rest), where
+    p_k = mu + sqrt(2) sigma z_k is node k's line and
+    Psi_k(p) = 2 sum_i log|x_i - p|.  Take out of log L
+    the terms of the ``_NEAR`` samples on each side of p_k; to second order
+    the rest, at its best (mu, sigma) for a line moved by t, falls by
+    stiff t^2 / 2, with stiff = -1 / (a^T H^-1 a) less those terms' share
+    of -Psi_k'', for a = (1, w_k), w_k = sqrt(2) z_k, and H the Hessian of
+    log L on (mu, sigma) from Newton's last jet, taken one final step of at
+    most 1e-9 sigma before the fit: from the jet's (mu, log sigma) Hessian h
+    and score s, H_mu,mu = h_mm, H_mu,sigma = h_ml / sigma and
+    H_sigma,sigma = (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby
+    gap can raise log L by about the maximum over it of
+    D(t) = 2 sum [log|1 - t/d_i| + t/d_i] - stiff t^2 / 2, d_i the near
+    samples' offsets from p_k.  D is concave in the gap; Newton steps
+    approach its maximum, and D(t) + D'(t)^2 / (2 m) bounds it from any t,
+    with m <= -D'' there.  With no node the cell is empty and passes.
     """
-    if not lines.size:
+    if not nodes.size:
         return True
     n, sigma, root2 = xs.size, fit.sigma, math.sqrt(2.0)
-    pos = fit.mu + root2 * sigma * lines
+    pos = fit.mu + root2 * sigma * nodes
+    if not np.array_equal(np.searchsorted(xs, pos), cell):
+        return False
     # Newton's Hessian on (mu, log sigma), taken to (mu, sigma), where line
     # k moves by (1, w_k).
     _, _, s_ls, h00, h_ml, h_ll = jet
     h01, h11 = h_ml / sigma, (h_ll - s_ls) / sigma ** 2
-    w, soft = root2 * lines, (root2 * sigma * delta) ** 2
-    # The samples near each line, as offsets from it; window slots past an
-    # end of the batch hold an infinity on that side.
+    w = root2 * nodes
+    # The samples near each node, as offsets from its line; window slots
+    # past an end of the batch hold an infinity on that side.
     slot = np.arange(-_NEAR, _NEAR)
     idx = cell[:, None] + slot
     d = np.where((idx >= 0) & (idx < n), xs[np.clip(idx, 0, n - 1)] - pos[:, None],
                  np.copysign(math.inf, slot + 0.5))
-    # Per near sample, D^2 / d^2: a soft term is a node's times
-    # (1 - that) / (1 + that)^2 in -Psi'' and 1 / (1 + that) in the slope.
-    ratio = soft[:, None] / (d * d)
     spread = (h11 - 2.0 * w * h01 + w * w * h00) / (h00 * h11 - h01 * h01)
-    stiff = -1.0 / spread - 2.0 * ((1.0 - ratio) / (d * d) / (1.0 + ratio) ** 2).sum(axis=1)
-    # Each soft term's convex core, within D_k of its sample, must stay out
-    # of its neighbours' gaps, one past those searched included.
-    ends = np.clip(cell[:, None] + np.arange(-_REACH - 2, _REACH + 2), 0, n - 1)
-    if not (np.array_equal(np.searchsorted(xs, pos), cell) and (stiff > 0.0).all() and (
-            not soft.any() or (np.diff(xs[ends]) >= 2.0 * np.sqrt(soft)[:, None]).all())):
+    stiff = -1.0 / spread - 2.0 * (1.0 / (d * d)).sum(axis=1)
+    if not (stiff > 0.0).all():
         return False
     # Slot _NEAR holds the first sample right of a line, so the gap s
     # samples over is (d[_NEAR + s - 1], d[_NEAR + s]); one past an end of
     # the batch is open, and is searched as deep as the line's own gap is
     # wide (the bound below covers the rest).
-    own, shift = d[:, _NEAR] - d[:, _NEAR - 1], _NEAR + np.r_[-_REACH:0, 1:_REACH + 1]
+    own = d[:, _NEAR] - d[:, _NEAR - 1]
+    shift = _NEAR + np.r_[-_REACH:0, 1:_REACH + 1]
     left, right = d[:, shift - 1], d[:, shift]
     k, s = np.nonzero(np.isfinite(left) | np.isfinite(right))
     left, right, own, stiff, d = left[k, s], right[k, s], own[k], stiff[k], d[k]
-    soft, ratio, half = soft[k, None], ratio[k], np.sqrt(soft[k])
-    lo = np.where(np.isfinite(left), left + half, right - own)
-    hi = np.where(np.isfinite(right), right - half, lo + own)
-    base = 2.0 * (1.0 / d / (1.0 + ratio)).sum(axis=1)
-
-    def model(t, value=False):
-        """D' and D'' at t, one per gap, or D and D'."""
-        v = d - t[:, None]
-        near, r = soft / (v * v) if half.any() else 0.0, 1.0 / v
-        slope = base - 2.0 * (r / (1.0 + near)).sum(axis=1) - stiff * t
-        if value:
-            return (2.0 * (np.log(np.abs(1.0 - t[:, None] / d)) + t[:, None] / d / (1.0 + ratio))
-                    + np.log1p(near) - np.log1p(ratio)).sum(axis=1) - 0.5 * stiff * t * t, slope
-        return slope, -2.0 * (r * r * (1.0 - near) / (1.0 + near) ** 2).sum(axis=1) - stiff
-
+    lo = np.where(np.isfinite(left), left, right - own)
+    hi = np.where(np.isfinite(right), right, lo + own)
+    base = 2.0 * (1.0 / d).sum(axis=1)
     # Newton on F = D' (t - left) (right - t), over the finite factors:
     # F has no poles and is about quadratic over the gap.
-    span, t = hi - lo, 0.5 * (lo + hi)
+    span = hi - lo
+    t = 0.5 * (lo + hi)
+    tol = 1e-6 * span
     for _ in range(_GAP_STEPS):
-        slope, bend = model(t)
+        r = 1.0 / (d - t[:, None])
+        slope = base - 2.0 * r.sum(axis=1) - stiff * t
+        r *= r
+        bend = -2.0 * r.sum(axis=1) - stiff
         to_lo, to_hi = np.minimum(t - left, span), np.minimum(right - t, span)
         move = -slope * to_lo * to_hi / (bend * to_lo * to_hi + slope * (to_hi - to_lo))
-        if (np.abs(move) <= 1e-6 * span).all():
+        if (np.abs(move) <= tol).all():
             break
-        lo, hi = np.where(slope > 0.0, t, lo), np.where(slope > 0.0, hi, t)
+        rise = slope > 0.0
+        lo, hi = np.where(rise, t, lo), np.where(rise, hi, t)
         t = t + move
-        t = np.where((t >= lo) & (t <= hi) & (t > left) & (t < right), t, 0.5 * (lo + hi))
-    gain, slope = model(t, True)
-    # At a node the gap's two samples alone make -D'' >= stiff + 16 / width^2.
-    gain += 0.5 * slope * slope / (stiff + (half == 0.0) * 16.0 / (right - left) ** 2)
-    # The soft ends, where finite; elsewhere NaN, which fmax passes over.
-    for end, sign in ((left + half, 1.0), (right - half, -1.0)) if half.any() else ():
-        value, slope = model(np.where(np.isfinite(end) & (half > 0.0), end, math.nan), True)
-        gain = np.fmax(gain, value + np.maximum(0.0, 1.0 - sign * half * slope))
+        inside = (t >= lo) & (t <= hi) & (t > left) & (t < right)
+        t = np.where(inside, t, 0.5 * (lo + hi))
+    else:
+        # The last step moved t: its slope there.
+        slope = base - 2.0 * (1.0 / (d - t[:, None])).sum(axis=1) - stiff * t
+    r = t[:, None] / d
+    gain = 2.0 * (np.log(np.abs(1.0 - r)) + r).sum(axis=1) - 0.5 * stiff * t * t
+    # The gap's two samples alone make -D'' >= stiff + 16 / width^2.
+    gain += 0.5 * slope * slope / (stiff + 16.0 / (right - left) ** 2)
     return bool((gain < -_CELL_MARGIN).all())
 
 

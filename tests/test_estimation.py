@@ -14,7 +14,6 @@ from hermgauss.estimation import (
     SampleBatch,
     _GUIDE_FLOOR,
     _INVERT_TOL,
-    _SHALLOW_DIP,
     _CdfTable,
     _cdf_table,
     _dips,
@@ -71,11 +70,12 @@ def thermal(nbar):
                              renormalize=True)
 
 
-def deep_dips(spec, count):
-    """The dips z of f narrower than ``_SHALLOW_DIP`` sqrt(Var y) / count,
-    on which ``_start_cell`` puts its lines."""
-    z, delta = _dips(spec)
-    return z[delta / math.sqrt(_y_moments(spec)[1]) * count < _SHALLOW_DIP]
+def empty_cell(spec, count):
+    """Whether ``_start_cell`` gives ``count`` samples an empty cell, as it
+    does when no dip of f is deep at that count: Newton then starts with no
+    line to certify."""
+    got = _start_cell(spec, np.linspace(-4.0, 4.0, count), ModelPoint(0.0, 1.0))
+    return got is not None and got[1].size == 0
 
 
 def scipy_cdf(spec, y):
@@ -645,7 +645,7 @@ class TestNewtonFirst:
         (StateSpec.mixture({0: 0.5, 20: 0.5}), False),
     ], ids=[*SHALLOW, "n1", "n2", "real_0_1", "mixture_0_12", "mixture_0_20"])
     def test_dip_width_classification(self, spec, shallow):
-        assert (deep_dips(spec, 5000).size == 0) is shallow
+        assert empty_cell(spec, 5000) is shallow
 
     @pytest.mark.parametrize("spec, shallow", [
         (StateSpec.eigenstate(150), False),
@@ -655,7 +655,7 @@ class TestNewtonFirst:
     def test_deep_states_classify_without_warnings(self, spec, shallow):
         # The suite's filterwarnings = "error" fails any overflow or
         # invalid-value warning in the root locator or the dip widths.
-        assert (deep_dips(spec, 5000).size == 0) is shallow
+        assert empty_cell(spec, 5000) is shallow
 
     @pytest.mark.parametrize("spec, count, refuse, compass", [
         (StateSpec.eigenstate(0), 500, False, False),
@@ -681,11 +681,13 @@ class TestNewtonFirst:
 
     def test_threshold_scales_with_sample_count(self):
         # {0: 1/2, 4: 1/2}'s narrowest dip is 0.091 sqrt(Var y) wide: deep
-        # below 548 samples, with its mirror image.  A state without dips has
-        # none deep at any count.
+        # below 548 samples, where its batches are also below the cell-start
+        # floor, so the compass search goes first.  A state without dips
+        # starts Newton with an empty cell at any count.
         spec = SHALLOW["mixture_0_4"]
-        assert [deep_dips(spec, n).size for n in (50, 547, 548)] == [4, 2, 0]
-        assert deep_dips(StateSpec.eigenstate(0), 1).size == 0
+        assert [empty_cell(spec, n) for n in (50, 547, 548)] == [False, False, True]
+        assert _start_cell(spec, np.linspace(-4.0, 4.0, 547), ModelPoint(0.0, 1.0)) is None
+        assert empty_cell(StateSpec.eigenstate(0), 1)
 
     def test_small_batch_takes_compass_path(self):
         # {0: 1/2, 5: 1/2} is shallow at 5,000 samples, but on this batch of
@@ -703,12 +705,11 @@ class TestNewtonFirst:
     def test_near_barrier_mixture_takes_compass_path(self, seed):
         # Newton started from the initializer lands about 0.07 sigma away
         # from the maximum on these batches: a dip narrower than a sample
-        # spacing is as much a barrier as a density zero.  The widest sample
-        # gaps about the deep dips' lines do not mark out the start's cell,
-        # so the compass search goes first.
+        # spacing is as much a barrier as a density zero.  Its deep dips are
+        # no nodes, so the compass search goes first.
         spec = StateSpec.mixture({0: 0.5, 20: 0.5})
         batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed=seed)
-        assert deep_dips(spec, 5000).size == 12
+        assert (_dips(spec)[1] > 0.0).all()
         assert _start_cell(spec, batch.draws, _moment_init(spec, batch.draws)) is None
         fit = mle_fit(batch)
         mu, sigma = compass_fit(spec, batch.draws)
@@ -745,53 +746,42 @@ class TestCellStart:
         assert_matches_compass(spec, batch, fit)
         assert fit.compass_evaluations > 0
 
-    def test_worse_soft_cell_is_refused(self, monkeypatch):
+    def test_worse_soft_cell_takes_compass_path(self):
         # The packet's roots are +-0.0036i: f has no node, but a deep dip of
         # half-width 0.0025 at y = 0, whose line is x = mu.  A sample put
         # 0.007 sigma left of the line at the batch's fit splits its cell:
         # Newton from the start ends in the left part, 2.9 below the log L
-        # of the right one.  The certificate refuses that soft cell, and
-        # the compass search finds the right one.
+        # of the right one.  A soft line bounds no concave cell, so the
+        # start rule sends the batch to the compass search, which finds the
+        # right one.
         spec = StateSpec.superposition({0: 0.57736, 2: math.sqrt(1 - 0.57736 ** 2)})
+        np.testing.assert_allclose(_dips(spec), [[0.0], [0.00251405]], rtol=1e-5, atol=1e-8)
         batch = sample(spec, ModelPoint(0.3, 1.2), 5000, 4)
         fit = mle_fit(batch)
         x = np.append(batch.draws, fit.mu - 0.007 * fit.sigma)
         trap = SampleBatch(spec, batch.true_point, x, 4)
-        certify, seen = hermgauss.estimation._certify, []
-
-        def spy(fit, jet, xs, nodes, delta, cell):
-            seen.append((fit, delta, certify(fit, jet, xs, nodes, delta, cell)))
-            return seen[-1][-1]
-
-        monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
+        start = _moment_init(spec, x)
+        assert _start_cell(spec, x, start) is None
+        newton, _, _ = _newton_polish(kernel(spec), x, start.mu, math.log(start.sigma),
+                                      10 ** 4)
         got = mle_fit(trap)
-        (newton, delta, certified), = seen
-        np.testing.assert_allclose(delta, [0.00251405], rtol=1e-5)
-        assert not certified
         assert (log_likelihood(spec, x, newton.mu, newton.sigma)
                 < log_likelihood(spec, x, got.mu, got.sigma) - 2.5)
         assert got.compass_evaluations > 0
         assert_matches_compass(spec, trap, got)
 
-    def test_complex_roots_take_compass_path(self, monkeypatch):
+    def test_complex_roots_take_compass_path(self):
         # The packet's roots are +-0.0139i: f dips to 7e-8 of its peak at
-        # y = 0 but has no node, a deep dip of half-width 0.0099 with its
-        # line at mu.  On these batches two samples within 2 D = 0.033 of
-        # each other sit near the line, where the soft terms' convex cores
-        # break the gap bound: the certificate refuses, and the compass
-        # search finds the fit.
+        # y = 0 but has no node, a deep dip of half-width 0.0099 whose cells
+        # are no concavity domains, so the compass search goes first.
         spec = StateSpec.superposition({0: 0.5775, 2: math.sqrt(1 - 0.5775 ** 2)})
         np.testing.assert_allclose(_dips(spec), [[0.0], [0.00986313]], atol=1e-8)
-        assert deep_dips(spec, 5000).tolist() == [0.0]
-        certify, verdicts = hermgauss.estimation._certify, []
-        monkeypatch.setattr(hermgauss.estimation, "_certify",
-                            lambda *args: verdicts.append(certify(*args)) or False)
         for seed in range(40, 45):
             batch = sample(spec, ModelPoint(0.3, 1.2), 5000, seed)
+            assert _start_cell(spec, batch.draws, _moment_init(spec, batch.draws)) is None
             fit = mle_fit(batch)
             assert_matches_compass(spec, batch, fit)
             assert fit.compass_evaluations > 0
-        assert verdicts == [False] * 5
 
     def test_small_batch_takes_compass_path(self):
         # 500 samples are below the cell-start floor.
@@ -833,9 +823,9 @@ class TestCellStart:
         batch = sample(spec, ModelPoint(0.3, 1.2), count, seed=3)
         got = _start_cell(spec, batch.draws, _moment_init(spec, batch.draws))
         if shallow:
-            xs, nodes, delta, cell = got
+            xs, nodes, cell = got
             assert xs is batch.draws
-            assert nodes.size == delta.size == cell.size == 0
+            assert nodes.size == cell.size == 0
         else:
             assert got is None
 
@@ -882,10 +872,9 @@ class TestCertificateHessian:
         certify = hermgauss.estimation._certify
         seen = []
 
-        def spy(fit, jet, xs, nodes, delta, cell):
-            assert (delta == 0.0).all()
+        def spy(fit, jet, xs, nodes, cell):
             seen.append((fit, jet, xs, nodes, cell))
-            return certify(fit, jet, xs, nodes, delta, cell)
+            return certify(fit, jet, xs, nodes, cell)
 
         monkeypatch.setattr(hermgauss.estimation, "_certify", spy)
         for seed in range(40, 60):
@@ -903,9 +892,8 @@ class TestCertificateHessian:
             assert (np.abs(newton - ref) <= 1e-6 * scale).all()
             injected = (0.0, 0.0, 0.0, ref[0, 0], ref[0, 1] * sigma,
                         ref[1, 1] * sigma ** 2)
-            zero = np.zeros(nodes.size)
-            assert (certify(fit, injected, xs, nodes, zero, cell)
-                    == certify(fit, jet, xs, nodes, zero, cell))
+            assert (certify(fit, injected, xs, nodes, cell)
+                    == certify(fit, jet, xs, nodes, cell))
 
 
 SCALED = {
@@ -990,8 +978,8 @@ class TestRefusals:
         seen = []
         certify = hermgauss.estimation._certify
 
-        def spy(fit, jet, xs, nodes, delta, cell):
-            seen.append((fit, nodes, cell, certify(fit, jet, xs, nodes, delta, cell)))
+        def spy(fit, jet, xs, nodes, cell):
+            seen.append((fit, nodes, cell, certify(fit, jet, xs, nodes, cell)))
             return seen[-1][-1]
 
         monkeypatch.setattr(hermgauss.estimation, "_certify", spy)

@@ -11,8 +11,9 @@ rho01 = (|0><0| + |1><1|) / 2, 0.6|0> + 0.48|1> + 0.64|3>,
 at 5,000 draws; and ``crb`` at 30 x 5,000 samples on 0.6|0> + 0.8|1> and
 on |5>, whose fits, like those of |2> at that size, reach the maximum
 likelihood's cell certificate (500 samples are below its floor), and on
-0.6|0> + 0.48|1> + 0.64|3> and {0: 1/2, 12: 1/2}, whose deep dips are a
-node beside a wide complex pair and dips that are not nodes.  Each runs at
+0.6|0> + 0.48|1> + 0.64|3>, a node beside a complex pair too wide to be
+deep, which the cell start serves, and {0: 1/2, 12: 1/2}, whose deep dips
+are not nodes, so that its fits go to the compass search.  Each runs at
 (mu, sigma) = (0.3, 1.2) with seed 7, in JSON and in CSV: 120 lines of
 digest, exit status, command, state (``node_5000``, ``real01_5000``,
 ``level5_5000``, ``real3_5000`` and ``mixture_0_12_5000`` for the
