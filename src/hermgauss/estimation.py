@@ -29,13 +29,13 @@ and observed information runs straight from the initializer.  When every
 deep dip is a node, a real root z_k of a rank-one state,
 log L = sum_i 2 sum_k log|y_i - z_k| + (the rest of log L).  In
 (eta_1, eta_2) = (mu / sigma, 1 / sigma) each y_i is affine and every nodal
-term concave; the rest is concave too when all roots are real, and else
-has no barrier on the scale of a fit.  So a Newton run that ends inside one
-cell that the lines x = mu + sqrt(2) sigma z_k cut out ends at that cell's
-maximum, and only the cell needs a search.  The cell
-start: the samples are sorted, and for each line the widest sample gap
-within 4 standard errors, sqrt(2) sigma sqrt(Var y / N) (1 + |z|), of its
-position at the initializer is taken; when those gaps hold the
+term concave, and when all roots are real so is the rest: a Newton run
+that ends inside one cell that the lines x = mu + sqrt(2) sigma z_k cut out
+ends at that cell's one maximum.  A complex pair too wide to be deep adds
+no barrier on the scale of a fit.  So only the cell needs a search.  The
+cell start: the samples are sorted, and for each line the widest sample
+gap within 4 standard errors, sqrt(2) sigma sqrt(Var y / N) (1 + |z|), of
+its position at the initializer is taken; when those gaps hold the
 initializer's own lines, Newton runs from there.  The certificate: the fit
 must end in that cell, and no cell that moves one line past up to three
 samples may be predicted, from a second-order model of the rest of log L
