@@ -41,9 +41,7 @@ must end in that cell, and no cell that moves one line past up to three
 samples may be predicted, from a second-order model of the rest of log L
 and the exact log terms of the samples near the line, to come within 1 of
 its log L.  A deep dip that is not a node (f(z) > 0) leaves no concave
-cell, and the compass search goes first.  The floor: batches of fewer than
-1,000 samples with a deep dip skip the cell start, which saved little time
-below that size.
+cell, and the compass search goes first.
 
 So ``_start_cell`` sends every batch whose cell qualifies to Newton once,
 from the initializer.  Otherwise, or when that fit fails or is refused, a
@@ -104,11 +102,6 @@ _MAX_EVALUATIONS = 20000
 # from the initializer was seen to miss the maximum only below 5.2, from 50
 # to 100,000 samples.
 _SHALLOW_DIP = 50.0
-# Fewest samples for which the MLE tries Newton in the start's cell.  At
-# 200 and 500 samples the attempt saved 9-21% of a fit's time on |1>,
-# |2> and 0.6|0> + 0.8|1> but cost 5% on |5>, whose start never qualified
-# there; at 1,000 it saved 13-25% on all four.
-_CELL_FLOOR = 1000
 # Half-width, in standard errors of a line's position, of the window
 # searched for the widest sample gap around it.
 _CELL_WINDOW = 4.0
@@ -418,11 +411,10 @@ def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
     are the deep dips of ``_dips``, those narrower than ``_SHALLOW_DIP``
     sqrt(Var y) / N for N samples; with none the cell is empty (xs is then
     the batch as drawn), and the certificate passes it.  A deep dip that is
-    not a node (delta > 0) gives None, as does a root that is not finite,
-    or a batch with lines of fewer than ``_CELL_FLOOR`` samples.  A cell
-    holds, per node z, the index j of the gap (xs[j-1], xs[j]) that holds
-    its line x = mu + sqrt(2) sigma z.  Node z's window is ``_CELL_WINDOW``
-    standard errors of its line's position at the start,
+    not a node (delta > 0) gives None, as does a root that is not finite.
+    A cell holds, per node z, the index j of the gap (xs[j-1], xs[j]) that
+    holds its line x = mu + sqrt(2) sigma z.  Node z's window is
+    ``_CELL_WINDOW`` standard errors of its line's position at the start,
     sqrt(2) sigma sqrt(Var y / N) (1 + |z|), to either side; a gap that
     meets it counts, the unbounded end gaps too.
     """
@@ -432,7 +424,7 @@ def _start_cell(spec: StateSpec, x: np.ndarray, start: ModelPoint):
     nodes, delta = dips[:, dips[1] / math.sqrt(vy) * x.size < _SHALLOW_DIP]
     if not nodes.size:
         return x, nodes, np.empty(0, dtype=int)
-    if delta.any() or x.size < _CELL_FLOOR:
+    if delta.any():
         return None
     xs = np.sort(x)
     pos = start.mu + math.sqrt(2.0) * start.sigma * nodes

@@ -47,7 +47,8 @@ class InvalidStateError(ValueError):
 def _unit_divisor(terms, renormalize, what):
     """The divisor that brings a table's ``what``, the sum of ``terms``, to 1:
     the sum when renormalizing, else 1.0 after checking it is 1 within
-    _NORM_TOL.  A sum or a term that overflows makes the sum infinite."""
+    _NORM_TOL.  A sum or a term that overflows makes the sum infinite; a
+    subnormal sum, whose terms have lost their digits, is refused too."""
     renormalize = _flag(renormalize, "renormalize", InvalidStateError)
     try:
         total = math.fsum(terms)
@@ -55,6 +56,8 @@ def _unit_divisor(terms, renormalize, what):
         total = math.inf
     if renormalize and not 0.0 < total < math.inf:
         raise InvalidStateError(f"{what} must be positive and finite, got {total!r}")
+    if renormalize and total < np.finfo(float).tiny:
+        raise InvalidStateError(f"{what} {total!r} is below the normal float range")
     if not renormalize and not abs(total - 1.0) <= _NORM_TOL:
         raise InvalidStateError(f"{what} is {total!r}, expected 1 within {_NORM_TOL}")
     return total if renormalize else 1.0
@@ -97,9 +100,6 @@ class ModelPoint:
     def __post_init__(self):
         object.__setattr__(self, "mu", _number(self.mu, "mu"))
         object.__setattr__(self, "sigma", _number(self.sigma, "sigma", above=0.0))
-
-    def y_of_x(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / (math.sqrt(2.0) * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -439,13 +439,13 @@ def pdf(spec: StateSpec, point: ModelPoint, x):
     """Position probability density P(x) = f(y(x)) / sigma."""
     kf = kernel(spec)
     x = np.asarray(x, dtype=float)
-    v = kf.f(point.y_of_x(x)) / point.sigma
+    v = kf.f((x - point.mu) / (math.sqrt(2.0) * point.sigma)) / point.sigma
     return v if v.shape else float(v)
 
 
 def wavefunction(n: int, point: ModelPoint, x):
     """Real position wave function of the number state |n> at (mu, sigma)."""
     x = np.asarray(x, dtype=float)
-    y = point.y_of_x(x)
+    y = (x - point.mu) / (math.sqrt(2.0) * point.sigma)
     v = hermite_normalized_all(_level(n), y)[-1] / math.sqrt(_SQRT_2PI * point.sigma)
     return v if v.shape else float(v)

@@ -474,6 +474,22 @@ class TestMain:
         assert json.loads(captured.err) == {"error": {
             "type": "ConfigError", "message": f"invalid 'state': {message}"}}
 
+    @pytest.mark.parametrize("command, im", [("metric", "im"), ("verify", "re")])
+    def test_subnormal_state_total_exits_two(self, command, im, tmp_path, capsys):
+        # Renormalizing by a subnormal norm gave metric a 1.1e-5 relative
+        # error with exit 0, and verify an InvalidStateError from the series
+        # route with exit 1; the state is now refused up front.
+        state = {"type": "superposition",
+                 "terms": [{"n": 0, "re": 1e-160}, {"n": 1, im: 1e-160}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(state=state, renormalize=True, command=command))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "type": "ConfigError", "message": "invalid 'state': superposition "
+            "norm 2e-320 is below the normal float range"}}
+
     def test_index_above_cap_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(config_text(state={"type": "eigenstate", "n": 500}))

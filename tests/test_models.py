@@ -72,10 +72,6 @@ class TestModelPoint:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             ModelPoint(mu, sigma)
 
-    def test_y_mapping(self):
-        p = ModelPoint(1.0, 2.0)
-        assert p.y_of_x(1.0 + 2.0 * math.sqrt(2.0)) == pytest.approx(1.0)
-
 
 class TestPhysicalOscillator:
     def test_unit_case(self):
@@ -171,6 +167,17 @@ class TestStateSpecValidation:
         (lambda: StateSpec.density({(0, 0): 1e-300, (1, 1): 1e-300,
                                     (0, 1): 1e10, (1, 0): 1e10}, renormalize=True),
          "^density table has negative eigenvalue nan$"),
+        # A subnormal total has lost its digits: each squared modulus 1e-320
+        # is stored as 9.99989e-321, and renormalizing by their sum left a
+        # squared norm of 1.0000111.
+        (lambda: StateSpec.superposition({0: 1e-160, 1: 1e-160}, renormalize=True),
+         r"^superposition norm 2e-320 is below the normal float range$"),
+        (lambda: StateSpec.superposition({0: 1e-160, 1: 1e-160j}, renormalize=True),
+         r"^superposition norm 2e-320 is below the normal float range$"),
+        (lambda: StateSpec.mixture({0: 1e-310, 1: 1e-310}, renormalize=True),
+         r"^mixture weight sum 2e-310 is below the normal float range$"),
+        (lambda: StateSpec.density({(0, 0): 1e-310, (1, 1): 1e-310}, renormalize=True),
+         r"^density trace 2e-310 is below the normal float range$"),
     ], ids=["mixture_empty", "superposition_empty", "density_empty",
             "mixture_zero_sum", "superposition_all_zero",
             "density_negative_trace", "density_trace_not_one",
@@ -178,7 +185,10 @@ class TestStateSpecValidation:
             "superposition_overflow", "superposition_overflow_renormalize",
             "superposition_modulus_overflow", "density_overflow",
             "density_overflow_renormalize", "density_coherence_modulus_overflow",
-            "density_renormalized_coherence_overflow"])
+            "density_renormalized_coherence_overflow",
+            "superposition_subnormal_renormalize",
+            "superposition_complex_subnormal_renormalize",
+            "mixture_subnormal_renormalize", "density_subnormal_renormalize"])
     def test_rejected_tables(self, build, message):
         with pytest.raises(InvalidStateError, match=message):
             build()
