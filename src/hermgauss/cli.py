@@ -288,7 +288,8 @@ def run(config: RunConfig, out=None) -> int:
     try:
         report = _DISPATCH[config.command](config)
         _emit(report, config.output_format, sys.stdout if out is None else out)
-    except (QuadratureError, ValueError, RuntimeError, ArithmeticError) as exc:
+    except (QuadratureError, ValueError, RuntimeError, ArithmeticError,
+            MemoryError) as exc:
         return _error(type(exc).__name__, str(exc), 1)
     return 0 if report.get("all_passed", True) else 1
 

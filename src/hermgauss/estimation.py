@@ -113,9 +113,11 @@ _CELL_MARGIN = 1.0
 _NEAR = 16
 # Samples a line may move past in the cells the certificate checks.
 _REACH = 3
-# Newton steps toward the best point of a neighbouring gap; a bound on
-# the concave remainder covers what they leave.
-_GAP_STEPS = 12
+# Points of a neighbouring gap at which the certificate bounds its best:
+# Chebyshev points, as fractions of the gap's width, crowded toward its
+# ends, where the samples' log terms bend most.
+_GAP_POINTS = 32
+_GAP_FRACTIONS = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_GAP_POINTS) + 0.5) / _GAP_POINTS)
 
 
 @dataclass(frozen=True)
@@ -458,9 +460,11 @@ def _certify(fit, jet, xs, nodes, cell):
     H_sigma,sigma = (h_ll - s_ls) / sigma^2.  So moving p_k into a nearby
     gap can raise log L by about the maximum over it of
     D(t) = 2 sum [log|1 - t/d_i| + t/d_i] - stiff t^2 / 2, d_i the near
-    samples' offsets from p_k.  D is concave in the gap; Newton steps
-    approach its maximum, and D(t) + D'(t)^2 / (2 m) bounds it from any t,
-    with m <= -D'' there.  With no node the cell is empty and passes.
+    samples' offsets from p_k.  D is concave in the gap with -D'' >= m
+    there, so D(t) + D'(t)^2 / (2 m) bounds its maximum from any t in it;
+    the gap's bound is the least of these at ``_GAP_POINTS`` fixed points.
+    A zero-width gap between tied samples refuses the fit.  With no node
+    the cell is empty and passes.
     """
     if not nodes.size:
         return True
@@ -485,7 +489,7 @@ def _certify(fit, jet, xs, nodes, cell):
         return False
     # Slot _NEAR holds the first sample right of a line, so the gap s
     # samples over is (d[_NEAR + s - 1], d[_NEAR + s]); one past an end of
-    # the batch is open, and is searched as deep as the line's own gap is
+    # the batch is open, and is sampled as deep as the line's own gap is
     # wide (the bound below covers the rest).
     own = d[:, _NEAR] - d[:, _NEAR - 1]
     shift = _NEAR + np.r_[-_REACH:0, 1:_REACH + 1]
@@ -494,34 +498,21 @@ def _certify(fit, jet, xs, nodes, cell):
     left, right, own, stiff, d = left[k, s], right[k, s], own[k], stiff[k], d[k]
     lo = np.where(np.isfinite(left), left, right - own)
     hi = np.where(np.isfinite(right), right, lo + own)
-    base = 2.0 * (1.0 / d).sum(axis=1)
-    # Newton on F = D' (t - left) (right - t), over the finite factors:
-    # F has no poles and is about quadratic over the gap.
-    span = hi - lo
-    t = 0.5 * (lo + hi)
-    tol = 1e-6 * span
-    for _ in range(_GAP_STEPS):
-        r = 1.0 / (d - t[:, None])
-        slope = base - 2.0 * r.sum(axis=1) - stiff * t
-        r *= r
-        bend = -2.0 * r.sum(axis=1) - stiff
-        to_lo, to_hi = np.minimum(t - left, span), np.minimum(right - t, span)
-        move = -slope * to_lo * to_hi / (bend * to_lo * to_hi + slope * (to_hi - to_lo))
-        if (np.abs(move) <= tol).all():
-            break
-        rise = slope > 0.0
-        lo, hi = np.where(rise, t, lo), np.where(rise, hi, t)
-        t = t + move
-        inside = (t >= lo) & (t <= hi) & (t > left) & (t < right)
-        t = np.where(inside, t, 0.5 * (lo + hi))
-    else:
-        # The last step moved t: its slope there.
-        slope = base - 2.0 * (1.0 / (d - t[:, None])).sum(axis=1) - stiff * t
-    r = t[:, None] / d
-    gain = 2.0 * (np.log(np.abs(1.0 - r)) + r).sum(axis=1) - 0.5 * stiff * t * t
+    # D and D' at the _GAP_POINTS points t of each gap, summed over the
+    # near samples from v = 1 - t/d_i, with 1 / (d_i - t) = (1/d_i) / v.
+    # Each point of a zero-width gap between tied samples sits on a
+    # sample, where v = 0.
+    t = lo[:, None] + (hi - lo)[:, None] * _GAP_FRACTIONS
+    v = 1.0 - t[..., None] / d[:, None]
+    if not v.all():
+        return False
+    inv, stiff = 1.0 / d, stiff[:, None]
+    base = 2.0 * inv.sum(axis=1)[:, None]
+    gain = 2.0 * np.log(np.abs(v)).sum(axis=2) + (base - 0.5 * stiff * t) * t
+    slope = base - 2.0 * (inv[:, None] / v).sum(axis=2) - stiff * t
     # The gap's two samples alone make -D'' >= stiff + 16 / width^2.
-    gain += 0.5 * slope * slope / (stiff + 16.0 / (right - left) ** 2)
-    return bool((gain < -_CELL_MARGIN).all())
+    gain += 0.5 * slope * slope / (stiff + 16.0 / (right - left)[:, None] ** 2)
+    return bool((gain.min(axis=1) < -_CELL_MARGIN).all())
 
 
 def _loglik_jet(kf, x, mu, ls):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hermgauss
+import hermgauss.cli
 import hermgauss.estimation
 import hermgauss.geometry
 import hermgauss.quadrature
@@ -316,6 +317,25 @@ class TestCommands:
         report = json.loads(text)
         assert report["failed_trials"] == [1]
         assert report["failure_reasons"] == ["RuntimeError: no convergence"]
+
+    @pytest.mark.parametrize("command, target", [("sample", "sample"),
+                                                 ("geodesic", "geodesic_trace")])
+    def test_memory_error_is_one_json_error(self, command, target, tmp_path,
+                                            monkeypatch, capsys):
+        # A count or step number of 10^12 asks numpy for terabytes, which
+        # it refuses with a MemoryError; the stand-in raises as it does.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(hermgauss.cli, target, refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(config_text(command=command))
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # one object, no traceback
+        assert err == {"error": {"type": "MemoryError",
+                                 "message": "Unable to allocate 7.28 TiB"}}
 
     @pytest.mark.parametrize("state, newton_first", [
         ({"type": "mixture",

@@ -61,6 +61,12 @@ WORSE_CELL = {
                                             2: 0.7895131093398089}),
                    (1.8018136727319076, 2.7118096197822106), 1351693725),
 }
+# Nodal states whose batches, rounded, tie samples beside a line.
+ROUNDED = {
+    "n1": StateSpec.eigenstate(1),
+    "n2": StateSpec.eigenstate(2),
+    "real_0_1_3": StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}),
+}
 
 
 def thermal(nbar):
@@ -823,6 +829,19 @@ class TestCellStart:
                     newton_first += fit.compass_evaluations == 0
             assert newton_first > 0 or count < 50
 
+    @pytest.mark.parametrize("spec", ROUNDED.values(), ids=ROUNDED)
+    @pytest.mark.parametrize("count", [200, 5000])
+    @pytest.mark.parametrize("unit", [0.1, 0.01])
+    def test_rounded_batches_reach_the_reference_maximum(self, spec, count, unit):
+        # Rounded data ties samples, so a gap next to a line can have zero
+        # width; the certificate refuses the fit there, without a warning
+        # (the suite makes warnings errors), and the compass search goes on.
+        batch = sample(spec, ModelPoint(0.3, 1.2), count, 7)
+        x = np.round(batch.draws / unit) * unit
+        fit = mle_fit(SampleBatch(spec, batch.true_point, x, 7))
+        ref = log_likelihood(spec, x, *compass_fit(spec, x))
+        assert log_likelihood(spec, x, fit.mu, fit.sigma) >= ref - 1e-9 * abs(ref)
+
     @pytest.mark.parametrize("spec, nodes", [
         (StateSpec.eigenstate(2), [-math.sqrt(0.5), math.sqrt(0.5)]),
         (StateSpec.superposition({0: 0.6, 1: 0.8}), [-0.75 / math.sqrt(2.0)]),
@@ -1093,8 +1112,9 @@ class TestCrbExperiment:
         (StateSpec.eigenstate(0), 500, 0, 30),
         (StateSpec.mixture({0: 0.5, 12: 0.5}), 500, 1082, 117),
         (StateSpec.superposition({0: 0.6, 1: 0.48, 3: 0.64}), 500, 86, 127),
+        (StateSpec.superposition({0: 0.6, 1: 0.8}), 16, 1205, 158),
     ], ids=["n2", "n2_5000", "n1_5000", "rho01", "rho01_5000", "n0",
-            "mixture_0_12", "real_0_1_3"])
+            "mixture_0_12", "real_0_1_3", "real_0_1_16"])
     def test_fit_counters(self, spec, samples, compass, passes):
         # Newton from the start's cell on |2> and on the three-level
         # superposition, whose one deep dip is a node, with the compass
@@ -1103,7 +1123,9 @@ class TestCrbExperiment:
         # of 30 trials of |2>, and on all 30 on |1>.  Newton-first on rho01
         # (at 500 and 5,000 samples, the size the benchmark fits) and |0>.
         # The deep mixture walks the compass search to its hand-over: any
-        # change to the order of hand-offs moves these counts.
+        # change to the order of hand-offs moves these counts.  At 16
+        # samples the gaps a line may move into often run past the batch's
+        # ends, and a coarser gap bound refuses more fits.
         rep = crb_experiment(spec, ModelPoint(0.3, 1.2),
                              trials=30, samples_per_trial=samples, seed=1)
         assert (rep.compass_evaluations, rep.newton_passes) == (compass, passes)
